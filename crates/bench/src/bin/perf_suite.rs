@@ -18,7 +18,9 @@
 //! * `--tolerance` — the band for `--check` as a ratio (default 2.0; CI
 //!   uses the default wide band, the strict local workflow uses ~1.15).
 //! * `--filter` — run only scenarios whose name contains the substring
-//!   (a filtered run still writes JSON, so it can seed focused diffs).
+//!   (a filtered run still writes JSON, so it can seed focused diffs). It
+//!   requires an explicit `--out`: a partial report must never replace the
+//!   full default `BENCH_sim.json`.
 //!
 //! Scale: `SFS_PERF_REQUESTS` (default 2000) sizes the `sim/` scenarios;
 //! `SFS_BENCH_SEED` pins the workloads. Microbenchmarks are fixed-size so
@@ -41,18 +43,20 @@ struct Args {
     filter: Option<String>,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Parse the arguments after the program name.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut out = None;
     let mut args = Args {
-        out: "BENCH_sim.json".to_string(),
+        out: String::new(),
         check: None,
         tolerance: 2.0,
         filter: None,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(a) = it.next() {
         let mut value = |name: &str| it.next().ok_or(format!("{name} needs a value"));
         match a.as_str() {
-            "--out" => args.out = value("--out")?,
+            "--out" => out = Some(value("--out")?),
             "--check" => args.check = Some(value("--check")?),
             "--tolerance" => {
                 args.tolerance = value("--tolerance")?
@@ -66,11 +70,20 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument {other:?} (see --help in docs)")),
         }
     }
+    args.out = match (out, &args.filter) {
+        (Some(out), _) => out,
+        (None, None) => "BENCH_sim.json".to_string(),
+        (None, Some(_)) => {
+            return Err("--filter writes a partial report: pass --out PATH as well \
+                        (the default BENCH_sim.json holds the full suite)"
+                .into())
+        }
+    };
     Ok(args)
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("perf_suite: {e}");
@@ -174,4 +187,33 @@ fn main() -> ExitCode {
         println!("\nno regression past the {:.2}x band", args.tolerance);
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        parse_args(argv.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn filter_without_out_is_an_error_naming_both_flags() {
+        let err = parse(&["--filter", "sim/"])
+            .err()
+            .expect("must be rejected");
+        assert!(err.contains("--filter") && err.contains("--out"), "{err}");
+    }
+
+    #[test]
+    fn out_defaults_only_for_the_full_suite() {
+        assert_eq!(parse(&[]).unwrap().out, "BENCH_sim.json");
+        let a = parse(&["--filter", "sim/", "--out", "partial.json"]).unwrap();
+        assert_eq!(
+            (a.out.as_str(), a.filter.as_deref()),
+            ("partial.json", Some("sim/"))
+        );
+        let a = parse(&["--out", "x.json", "--filter", "micro/"]).unwrap();
+        assert_eq!(a.out, "x.json", "flag order does not matter");
+    }
 }

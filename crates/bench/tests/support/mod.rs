@@ -32,6 +32,11 @@ pub const SCENARIOS: &[&str] = &[
     "cluster4_jsq_sfs",
     "cluster4_hash_sfs",
     "cluster4_l2l_cfs",
+    // The two remaining placements, locked before `Cluster` became a
+    // one-region `Fleet` so the refactor is shown exact on every placement
+    // whose ring seeding it did not touch.
+    "cluster4_rr_sfs",
+    "cluster4_ll_cfs",
     // SMP machine model with the load balancer + migration/affinity costs
     // enabled (PR 6). Every other scenario runs the default (all-off)
     // `SmpParams`, which is what keeps their snapshots byte-identical to
@@ -204,6 +209,8 @@ pub fn run_scenario(name: &str) -> Vec<RequestOutcome> {
         "cluster4_jsq_sfs" => cluster_scenario(Placement::JoinShortestQueue, None),
         "cluster4_hash_sfs" => cluster_scenario(Placement::ConsistentHash, None),
         "cluster4_l2l_cfs" => cluster_scenario(Placement::LongToLightest, Some(Baseline::Cfs)),
+        "cluster4_rr_sfs" => cluster_scenario(Placement::RoundRobin, None),
+        "cluster4_ll_cfs" => cluster_scenario(Placement::LeastLoaded, Some(Baseline::Cfs)),
         "smp2_sfs" => smp_scenario(2, None, false),
         "smp4_sfs" => smp_scenario(4, None, false),
         "smp8_sfs" => smp_scenario(8, None, false),

@@ -3,14 +3,16 @@
 //! relatively lighter-loaded FaaS servers by the global FaaS scheduler to
 //! mitigate the performance impact."*
 //!
-//! A [`Cluster`] of identical hosts behind one global dispatcher. The
-//! dispatcher runs an **event-driven loop**: request arrivals interleave
-//! with predicted host-completion events, so every placement decision sees
-//! *live* per-host state ([`HostLoad`]: outstanding queue depth, remaining
-//! backlog, and an EWMA of recent turnarounds) rather than a static
-//! pre-assignment. The dispatcher's view is its own dispatch log plus the
-//! per-function duration statistics SFS already keeps — it never peeks at
-//! host internals, matching the paper's architecture.
+//! A [`Cluster`] of identical hosts behind one global dispatcher. It is a
+//! spelling of the region-scale [`Fleet`] with one region: no RTT, a fixed
+//! host count, no autoscaler, no faults, and a front door that never spills
+//! or sheds. Every placement decision is made by the fleet's event loop,
+//! which interleaves request arrivals with predicted host-completion events
+//! so each decision sees *live* per-host state ([`HostLoad`]: outstanding
+//! queue depth, remaining backlog, and an EWMA of recent turnarounds)
+//! rather than a static pre-assignment. The dispatcher's view is its own
+//! dispatch log plus the per-function duration statistics SFS already keeps
+//! — it never peeks at host internals, matching the paper's architecture.
 //!
 //! Placement policies ([`Placement`]):
 //!
@@ -37,26 +39,15 @@
 //! `WorkloadSpec::cold_start_mix` uses). Locality-blind placements scatter
 //! functions and pay it often; `ConsistentHash` concentrates them.
 //!
-//! # Determinism under parallel execution
-//!
-//! A run has two phases. *Placement* is a single sequential event loop —
-//! a pure function of `(cluster config, placement, workload)`. *Execution*
-//! fans the per-host simulations out over
-//! [`sfs_simcore::parallel::run_indexed`], one independent `Sim` per host
-//! with results written into host-indexed slots; per-host inputs (the
-//! sub-workload and the hash-ring positions) derive from the cluster seed
-//! by pure [`SeedSequencer`] functions. A 64-host run therefore uses every
-//! core, yet its output is bit-identical at any thread count — the same
-//! invariant the sweep engine guarantees for trials.
-
-use std::cmp::Reverse;
-// lint: allow(D1, dispatcher bookkeeping maps are keyed insert/get/remove only — see the audited allows in place())
-use std::collections::{BinaryHeap, HashMap};
+//! Runs are bit-identical at any thread count: routing is sequential and
+//! hosts execute into index-ordered slots (see the [`fleet`](crate::fleet)
+//! module docs).
 
 use sfs_core::{ControllerFactory, RequestOutcome, SfsConfig};
-use sfs_sched::Phase;
 use sfs_simcore::{parallel, SeedSequencer, SimDuration, SimTime};
 use sfs_workload::{AppKind, Request, Table1Sampler, Workload, LONG_THRESHOLD_MS};
+
+use crate::fleet::{Fleet, FrontDoor, RegionConfig};
 
 /// Global dispatcher placement policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,7 +114,7 @@ pub struct Affinity {
 }
 
 /// Live per-host state as the dispatcher models it — what a placement
-/// policy sees at each arrival instant. Updated by the event loop: depth
+/// policy sees at each arrival instant. Updated by the fleet's event loop: depth
 /// and long-work fall at predicted completions, the EWMA folds in each
 /// completed request's turnaround.
 #[derive(Debug, Clone)]
@@ -189,24 +180,6 @@ impl HostLoad {
     }
 }
 
-/// A predicted host completion in the dispatcher's event loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Completion {
-    at: SimTime,
-    /// Dispatch sequence number: deterministic FIFO tie-break.
-    seq: u64,
-    host: usize,
-}
-
-/// The dispatcher's output: per-host request indices plus the cold-start
-/// penalties the affinity model charged.
-struct Plan {
-    per_host: Vec<Vec<usize>>,
-    /// Cold-start penalty per request index (zero = warm or no affinity).
-    penalty: Vec<SimDuration>,
-    cold_starts: u64,
-}
-
 /// A cluster of identical SFS hosts behind one global dispatcher.
 #[derive(Debug, Clone)]
 pub struct Cluster {
@@ -222,7 +195,8 @@ pub struct Cluster {
     /// EWMA smoothing factor for the turnaround feedback (0 < α ≤ 1).
     pub ewma_alpha: f64,
     /// Seed for the consistent-hash ring (virtual-node positions derive
-    /// from it by pure `SeedSequencer` functions).
+    /// from it by pure `SeedSequencer` functions, as for the fleet's
+    /// region 0).
     pub seed: u64,
     /// Virtual nodes per host on the hash ring.
     pub vnodes: usize,
@@ -294,190 +268,59 @@ impl Cluster {
         workload: &Workload,
         threads: usize,
     ) -> ClusterRun {
-        let plan = self.place(placement, workload);
-        let per_host: Vec<usize> = plan.per_host.iter().map(Vec::len).collect();
-        let host_outcomes = parallel::run_indexed(self.hosts, threads, |h| {
-            let idxs = &plan.per_host[h];
-            if idxs.is_empty() {
-                return Vec::new();
-            }
-            // Sub-workload: the host's requests (original ids preserved —
-            // outcome ids stay globally unique), cold penalties applied as
-            // a leading CPU phase.
-            let sub = Workload {
-                requests: idxs
-                    .iter()
-                    .map(|&i| {
-                        let mut r = workload.requests[i].clone();
-                        if !plan.penalty[i].is_zero() {
-                            r.spec.phases.insert(0, Phase::Cpu(plan.penalty[i]));
-                        }
-                        r
-                    })
-                    .collect(),
-            };
-            factory.run_on(self.cores_per_host, &sub).outcomes
-        });
-        let mut outcomes: Vec<RequestOutcome> = host_outcomes.into_iter().flatten().collect();
-        outcomes.sort_by_key(|o| o.id);
+        let run = self
+            .fleet()
+            .run_with_threads(placement, factory, workload, threads);
+        assert!(
+            run.shed.is_empty() && run.lost.is_empty(),
+            "a cluster never sheds or loses a request"
+        );
+        let region = run
+            .per_region
+            .into_iter()
+            .next()
+            .expect("a cluster is one region");
         ClusterRun {
-            outcomes,
-            per_host,
+            outcomes: run.outcomes,
+            per_host: region
+                .placed_per_host
+                .into_iter()
+                .map(|n| n as usize)
+                .collect(),
             placement,
-            cold_starts: plan.cold_starts,
+            cold_starts: run.cold_starts,
         }
     }
 
-    /// The event-driven dispatch loop: a pure, sequential function of
-    /// `(self, placement, workload)` — see the module docs for the
-    /// determinism argument.
-    fn place(&self, placement: Placement, workload: &Workload) -> Plan {
-        let t1 = Table1Sampler::new();
-        let ring = self.build_ring();
-        let mut hosts: Vec<HostLoad> = (0..self.hosts)
-            .map(|_| HostLoad::new(self.cores_per_host))
-            .collect();
-        let mut completions: BinaryHeap<Reverse<Completion>> = BinaryHeap::new();
-        // Audited lookups-only (simlint D1): both maps are touched purely
-        // by key — `in_flight` is inserted at dispatch and removed at the
-        // predicted completion popped from the `completions` heap;
-        // `last_seen` is inserted at dispatch and probed by `(host, key)`
-        // for warmth. Neither is ever iterated, so hash order cannot reach
-        // any placement decision; event order comes solely from the
-        // arrival loop and the BinaryHeap. Locked by
-        // `dispatcher_state_is_hash_order_independent` below.
-        // In-flight values are `seq -> (service, long, turnaround)`.
-        // lint: allow(D1, keyed insert/remove via the completions heap only; never iterated — determinism test locks it)
-        let mut in_flight: HashMap<u64, (f64, bool, f64)> = HashMap::new();
-        // lint: allow(D1, keyed insert/get by (host, func) only; never iterated — determinism test locks it)
-        let mut last_seen: HashMap<(usize, u64), SimTime> = HashMap::new();
-        let mut per_host: Vec<Vec<usize>> = vec![Vec::new(); self.hosts];
-        let mut penalty = vec![SimDuration::ZERO; workload.len()];
-        let mut cold_starts = 0u64;
-        let mut total_depth = 0usize;
-        let mut rr = 0usize;
-
-        for (seq, &idx) in workload.arrival_order().iter().enumerate() {
-            let seq = seq as u64; // dispatch sequence number: FIFO tie-break
-            let r = &workload.requests[idx];
-            let now = r.arrival;
-
-            // Deliver every completion event due by now, oldest first
-            // (FIFO tie-break by dispatch sequence).
-            while let Some(&Reverse(c)) = completions.peek() {
-                if c.at > now {
-                    break;
-                }
-                completions.pop();
-                let (service_ms, long, turnaround_ms) =
-                    in_flight.remove(&c.seq).expect("completion bookkeeping");
-                let h = &mut hosts[c.host];
-                h.depth -= 1;
-                total_depth -= 1;
-                if long {
-                    h.outstanding_long_ms = (h.outstanding_long_ms - service_ms).max(0.0);
-                }
-                h.ewma_turnaround_ms = Some(match h.ewma_turnaround_ms {
-                    Some(e) => self.ewma_alpha * turnaround_ms + (1.0 - self.ewma_alpha) * e,
-                    None => turnaround_ms,
-                });
-            }
-
-            let predicted_long = r.duration_ms >= LONG_THRESHOLD_MS;
-            let key = func_key(&t1, r);
-            let host = match placement {
-                Placement::RoundRobin => {
-                    let h = rr % self.hosts;
-                    rr += 1;
-                    h
-                }
-                Placement::LeastLoaded => argmin_f64(&hosts, |h| h.backlog_ms(now)),
-                Placement::LongToLightest => {
-                    if predicted_long {
-                        argmin_f64(&hosts, |h| h.outstanding_long_ms)
-                    } else {
-                        let h = rr % self.hosts;
-                        rr += 1;
-                        h
-                    }
-                }
-                Placement::JoinShortestQueue => argmin_jsq(&hosts),
-                Placement::ConsistentHash => self.ring_lookup(&ring, &hosts, key, total_depth),
-            };
-
-            // Affinity: cold unless this host served the function within
-            // the keep-alive window.
-            let mut service_ms = r.spec.cpu_demand().as_millis_f64();
-            if let Some(aff) = self.affinity {
-                let warm = last_seen
-                    .get(&(host, key))
-                    .is_some_and(|&t| now <= t + aff.keep_alive);
-                if !warm {
-                    penalty[idx] = aff.cold_start;
-                    service_ms += aff.cold_start.as_millis_f64();
-                    cold_starts += 1;
-                }
-            }
-
-            let finish = hosts[host].admit(now, service_ms);
-            hosts[host].depth += 1;
-            total_depth += 1;
-            if predicted_long {
-                hosts[host].outstanding_long_ms += service_ms;
-            }
-            // The container stays warm from dispatch through (predicted)
-            // finish plus the keep-alive window.
-            last_seen.insert((host, key), finish);
-            in_flight.insert(
-                seq,
-                (
-                    service_ms,
-                    predicted_long,
-                    finish.since(now).as_millis_f64(),
-                ),
-            );
-            completions.push(Reverse(Completion {
-                at: finish,
-                seq,
-                host,
-            }));
-            per_host[host].push(idx);
+    /// The one-region [`Fleet`] this cluster spells: no RTT, `hosts` fixed
+    /// (no autoscaler, no faults), and a front door that never spills or
+    /// sheds, so every request is placed and completes.
+    fn fleet(&self) -> Fleet {
+        Fleet {
+            regions: vec![RegionConfig {
+                rtt_ms: 0.0,
+                initial_hosts: self.hosts,
+                max_hosts: self.hosts,
+                min_hosts: self.hosts,
+            }],
+            cores_per_host: self.cores_per_host,
+            sfs: self.sfs,
+            affinity: self.affinity,
+            front_door: FrontDoor {
+                spill_backlog_ms: f64::INFINITY,
+                shed_backlog_ms: f64::INFINITY,
+            },
+            autoscaler: None,
+            faults: None,
+            ewma_alpha: self.ewma_alpha,
+            seed: self.seed,
+            vnodes: self.vnodes,
         }
-
-        Plan {
-            per_host,
-            penalty,
-            cold_starts,
-        }
-    }
-
-    /// The consistent-hash ring: `vnodes` positions per host, derived from
-    /// the cluster seed by a pure function (bit-identical across runs and
-    /// thread counts).
-    fn build_ring(&self) -> Vec<(u64, usize)> {
-        build_ring(self.hosts, self.vnodes, self.seed)
-    }
-
-    /// Bounded-load consistent hashing: walk clockwise from the key's ring
-    /// position, skipping hosts whose outstanding depth exceeds 1.25× the
-    /// cluster mean (counting the request being placed).
-    fn ring_lookup(
-        &self,
-        ring: &[(u64, usize)],
-        hosts: &[HostLoad],
-        key: u64,
-        total_depth: usize,
-    ) -> usize {
-        let cap = bounded_load_cap(total_depth, self.hosts);
-        ring_walk(ring, hosts, key, cap, |_| true)
-            // Every host at the bound (can only happen for degenerate
-            // rings): fall back to the shallowest queue.
-            .unwrap_or_else(|| argmin_f64(hosts, |h| h.depth as f64))
     }
 }
 
-/// The consistent-hash ring shared by [`Cluster`] and the fleet layer:
-/// `vnodes` positions per host, derived from `seed` by a pure function.
+/// The consistent-hash ring of one region: `vnodes` positions per host,
+/// derived from `seed` by a pure function.
 pub(crate) fn build_ring(hosts: usize, vnodes: usize, seed: u64) -> Vec<(u64, usize)> {
     let seq = SeedSequencer::new(seed);
     let mut ring: Vec<(u64, usize)> = (0..hosts)
@@ -497,8 +340,8 @@ pub(crate) fn bounded_load_cap(total_depth: usize, hosts: usize) -> usize {
 /// The bounded-load clockwise walk: first host at the key's ring position
 /// (or after it) that `eligible` admits and whose depth is under `cap`.
 /// `None` when no eligible host is under the cap — the caller owns the
-/// degenerate fallback (the cluster falls back to the shallowest queue;
-/// the fleet must also skip crashed / parked hosts).
+/// degenerate fallback (the fleet falls back to the shallowest eligible
+/// queue).
 pub(crate) fn ring_walk(
     ring: &[(u64, usize)],
     hosts: &[HostLoad],
@@ -517,24 +360,16 @@ pub(crate) fn ring_walk(
     None
 }
 
-/// Index of the host minimising `f`, ties to the lowest index.
+/// Index of the host minimising `f` over an arbitrary `(index, host)`
+/// subset (placement must skip crashed / parked / booting hosts), ties to
+/// the lowest index; `None` for an empty slate.
 ///
 /// Selection runs over [`f64::total_cmp`], which is total over NaN, so no
-/// score value can be silently skipped: the old `v < best_v` scan was
-/// NaN-blind (a NaN never beats `INFINITY`, so a NaN-scored host vanished
-/// from consideration and an all-NaN slate fell through to host 0 by
-/// accident rather than by rule). Under `total_cmp` every input — NaN
-/// included — has one deterministic winner: ordinary scores behave exactly
-/// as before (bit-identical placements for NaN-free inputs, which is every
-/// shipped scoring function), and degenerate slates resolve by the total
-/// order with ties to the lowest index.
-fn argmin_f64(hosts: &[HostLoad], f: impl Fn(&HostLoad) -> f64) -> usize {
-    argmin_f64_over(hosts.iter().enumerate(), f).expect("clusters have at least one host")
-}
-
-/// [`argmin_f64`] over an arbitrary `(index, host)` subset — the form the
-/// fleet dispatcher needs (placement must skip crashed / parked / booting
-/// hosts). Returns `None` for an empty slate.
+/// score value can be silently skipped: a `v < best_v` scan is NaN-blind (a
+/// NaN never beats `INFINITY`, so a NaN-scored host would vanish from
+/// consideration and an all-NaN slate would fall through to the first host
+/// by accident rather than by rule). Under `total_cmp` every input — NaN
+/// included — has one deterministic winner.
 pub(crate) fn argmin_f64_over<'a>(
     hosts: impl Iterator<Item = (usize, &'a HostLoad)>,
     f: impl Fn(&HostLoad) -> f64,
@@ -551,15 +386,9 @@ pub(crate) fn argmin_f64_over<'a>(
     best.map(|(i, _)| i)
 }
 
-/// Join-shortest-queue host choice: lexicographic min over (outstanding
-/// depth, EWMA of recent turnarounds), ties to the lowest index.
-fn argmin_jsq(hosts: &[HostLoad]) -> usize {
-    argmin_jsq_over(hosts, hosts.iter().enumerate().map(|(i, _)| i))
-        .expect("clusters have at least one host")
-}
-
-/// [`argmin_jsq`] over an arbitrary index subset of `hosts` — the form the
-/// fleet dispatcher needs. Returns `None` for an empty slate.
+/// Join-shortest-queue host choice over an index subset of `hosts`:
+/// lexicographic min over (outstanding depth, EWMA of recent turnarounds),
+/// ties to the lowest index. Returns `None` for an empty slate.
 pub(crate) fn argmin_jsq_over(
     hosts: &[HostLoad],
     candidates: impl Iterator<Item = usize>,
@@ -755,36 +584,6 @@ mod tests {
     }
 
     #[test]
-    fn dispatcher_state_is_hash_order_independent() {
-        // The dispatcher's only HashMaps (`in_flight`, `last_seen`) are
-        // audited lookups-only — see the reasoned simlint allows at their
-        // declarations. This locks the audit dynamically: every call to
-        // `place()` builds fresh maps, and std's RandomState gives each
-        // HashMap instance a different hash seed within one process, so if
-        // any iteration order leaked into placement, repeated identical
-        // runs would diverge. They must instead be bit-identical, under
-        // every placement, with the affinity model exercising `last_seen`.
-        let cluster = Cluster::new(4, 2).with_affinity(
-            SimDuration::from_millis(1_000),
-            SimDuration::from_millis(30),
-        );
-        let w = workload(800, 4, 2, 0.9);
-        for p in Placement::ALL {
-            let a = cluster.run(p, &w);
-            let b = cluster.run(p, &w);
-            assert_eq!(a.per_host, b.per_host, "{}", p.name());
-            assert_eq!(a.cold_starts, b.cold_starts, "{}", p.name());
-            assert_eq!(a.outcomes.len(), b.outcomes.len(), "{}", p.name());
-            for (x, y) in a.outcomes.iter().zip(b.outcomes.iter()) {
-                assert_eq!(x.id, y.id, "{}", p.name());
-                assert_eq!(x.finished, y.finished, "{}", p.name());
-                assert_eq!(x.turnaround, y.turnaround, "{}", p.name());
-                assert_eq!(x.rte.to_bits(), y.rte.to_bits(), "{}", p.name());
-            }
-        }
-    }
-
-    #[test]
     fn consistent_hash_maximises_warm_hits() {
         // Locality: under the affinity model, the hash placement must pay
         // far fewer cold starts than the locality-blind queue balancer.
@@ -869,12 +668,15 @@ mod tests {
     #[test]
     fn argmin_prefers_smaller_scores_and_lowest_index_ties() {
         let mut hosts: Vec<HostLoad> = (0..4).map(|_| HostLoad::new(2)).collect();
+        let long_min = |hosts: &[HostLoad]| {
+            argmin_f64_over(hosts.iter().enumerate(), |h| h.outstanding_long_ms)
+        };
         hosts[2].outstanding_long_ms = -1.0;
-        assert_eq!(argmin_f64(&hosts, |h| h.outstanding_long_ms), 2);
+        assert_eq!(long_min(&hosts), Some(2));
         hosts[2].outstanding_long_ms = 0.0;
         assert_eq!(
-            argmin_f64(&hosts, |h| h.outstanding_long_ms),
-            0,
+            long_min(&hosts),
+            Some(0),
             "ties resolve to the lowest index"
         );
     }
@@ -917,7 +719,7 @@ mod tests {
         hosts[3].depth = 1;
         hosts[3].ewma_turnaround_ms = Some(5.0);
         hosts[2].ewma_turnaround_ms = Some(9.0);
-        assert_eq!(argmin_jsq(&hosts), 0);
+        assert_eq!(argmin_jsq_over(&hosts, 0..4), Some(0));
         assert_eq!(
             argmin_jsq_over(&hosts, [1, 2, 3].into_iter()),
             Some(3),
@@ -994,8 +796,8 @@ mod tests {
         // The degenerate branch: force every host to the cap (the fleet
         // reaches this state when eligibility shrinks the slate — e.g.
         // every active host saturated during an AZ outage) and check the
-        // walk reports it, twice, identically; the cluster's fallback then
-        // picks the shallowest queue deterministically.
+        // walk reports it, twice, identically; the fallback then picks the
+        // shallowest queue deterministically.
         let ring = build_ring(4, 8, 0xDEAD_BEEF);
         let mut hosts: Vec<HostLoad> = (0..4).map(|_| HostLoad::new(2)).collect();
         for h in &mut hosts {
@@ -1008,10 +810,10 @@ mod tests {
         // Eligibility shrinks the slate the same way: only saturated hosts
         // eligible -> None, even though host 2 has headroom.
         assert_eq!(ring_walk(&ring, &hosts, 42, 5, |h| h != 2), None);
-        // The cluster-level fallback (shallowest queue) is deterministic.
-        let fb = argmin_f64(&hosts, |h| h.depth as f64);
-        assert_eq!(fb, 2);
-        assert_eq!(argmin_f64(&hosts, |h| h.depth as f64), fb);
+        // The fallback (shallowest queue) is deterministic.
+        let shallowest = || argmin_f64_over(hosts.iter().enumerate(), |h| h.depth as f64);
+        assert_eq!(shallowest(), Some(2));
+        assert_eq!(shallowest(), Some(2));
     }
 
     #[test]

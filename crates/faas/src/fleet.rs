@@ -1,13 +1,14 @@
-//! Region-scale serving: a multi-region fleet of [`Cluster`](crate::Cluster)-style host
-//! pools behind one global front door (ROADMAP item 1; the paper's §IX
-//! composition argument scaled out).
+//! Region-scale serving: a multi-region fleet of host pools behind one
+//! global front door (the paper's §IX composition argument scaled out).
+//! This is the repository's one dispatcher loop: a
+//! [`Cluster`](crate::Cluster) is its one-region spelling.
 //!
 //! Three subsystems compose here:
 //!
 //! * **Front door** — every request enters at a global anycast point and is
 //!   routed to a region by *latency-aware* scoring: per-region RTT cost
 //!   plus the live backlog-per-core feedback of the region's dispatcher
-//!   model (the same predicted-completion discipline [`Cluster`](crate::Cluster) uses).
+//!   model (the predicted-completion discipline of [`HostLoad`]).
 //!   A region whose backlog crosses the spill threshold stops attracting
 //!   traffic (spillover to the next-best region); when every region is
 //!   past the shed threshold the request is **shed** at the door.
@@ -28,10 +29,10 @@
 //!
 //! # Determinism under parallel execution
 //!
-//! The two-phase design of [`Cluster`](crate::Cluster) scales up unchanged. *Routing* is
-//! one sequential event loop — a pure function of `(fleet config,
-//! placement, workload)` — over a single event heap ordered by `(time,
-//! class, sequence)`; fault plans derive from the fleet seed by pure
+//! A run has two phases. *Routing* is one sequential event loop — a pure
+//! function of `(fleet config, placement, workload)` — over a single event
+//! heap ordered by `(time, class, sequence)`; fault plans derive from the
+//! fleet seed by pure
 //! [`SeedSequencer`] / [`SimRng`] functions before the loop starts.
 //! *Execution* fans out over [`sfs_simcore::parallel::run_indexed`], one
 //! independent `Sim` per `(region, host, epoch)` unit with results written
@@ -40,11 +41,15 @@
 //! share a sim). A 1000-host faulted fleet run is therefore bit-identical
 //! at any thread count. All bookkeeping that is ever iterated lives in
 //! `BTreeMap`s: iteration order is part of the routing function.
+//!
+//! Execution maps outcomes back to requests by workload index
+//! ([`sfs_core::run_rebased`]), never by request id, so any set of unique
+//! ids — sparse, large, out of arrival order — routes and re-bases.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 
-use sfs_core::{ControllerFactory, RequestOutcome, SfsConfig};
+use sfs_core::{run_rebased, ControllerFactory, RequestOutcome, SfsConfig};
 use sfs_sched::Phase;
 use sfs_simcore::{parallel, SeedSequencer, SimDuration, SimRng, SimTime};
 use sfs_workload::{Table1Sampler, Workload};
@@ -186,8 +191,7 @@ pub struct Fleet {
     pub cores_per_host: usize,
     /// SFS configuration applied on every host by [`Fleet::run`].
     pub sfs: SfsConfig,
-    /// Warm-container affinity model (see [`Cluster`](crate::Cluster)); `None` disables
-    /// cold starts.
+    /// Warm-container affinity model; `None` disables cold starts.
     pub affinity: Option<Affinity>,
     /// Front-door spill/shed thresholds.
     pub front_door: FrontDoor,
@@ -209,6 +213,8 @@ pub struct Fleet {
 pub struct RegionStats {
     /// Requests dispatched into this region (initial and re-dispatched).
     pub placed: u64,
+    /// The same dispatches per host slot, indexed by slot.
+    pub placed_per_host: Vec<u64>,
     /// Cold starts the affinity model charged here.
     pub cold_starts: u64,
     /// Host-crash events (including outage members).
@@ -516,49 +522,35 @@ impl Fleet {
         let plan = self.route(placement, workload);
         let units: Vec<&Vec<PlacedReq>> = plan.units.values().collect();
         let unit_outcomes = parallel::run_indexed(units.len(), threads, |u| {
-            let placed = units[u];
             // Sub-workload: this host-epoch's requests with arrivals moved
             // to host-arrival time, the cold penalty as a leading CPU
             // phase, and every CPU phase stretched by the straggler factor
-            // in force at placement.
-            let sub = Workload {
-                requests: placed
-                    .iter()
-                    .map(|p| {
-                        let mut r = workload.requests[p.idx].clone();
-                        r.arrival = p.at_host;
-                        if p.slow != 1.0 {
-                            for ph in r.spec.phases.iter_mut() {
-                                if let Phase::Cpu(d) = ph {
-                                    *ph = Phase::Cpu(d.mul_f64(p.slow));
-                                }
-                            }
+            // in force at placement. Outcomes are re-based to the
+            // front-door arrival, the OpenLambda idiom: RTT, queueing, and
+            // re-dispatch delay are part of what the user felt.
+            let derived = units[u].iter().map(|p| {
+                let mut r = workload.requests[p.idx].clone();
+                r.arrival = p.at_host;
+                if p.slow != 1.0 {
+                    for ph in r.spec.phases.iter_mut() {
+                        if let Phase::Cpu(d) = ph {
+                            *ph = Phase::Cpu(d.mul_f64(p.slow));
                         }
-                        if !p.penalty.is_zero() {
-                            r.spec
-                                .phases
-                                .insert(0, Phase::Cpu(p.penalty.mul_f64(p.slow)));
-                        }
-                        r
-                    })
-                    .collect(),
-            };
-            factory.run_on(self.cores_per_host, &sub).outcomes
+                    }
+                }
+                if !p.penalty.is_zero() {
+                    r.spec
+                        .phases
+                        .insert(0, Phase::Cpu(p.penalty.mul_f64(p.slow)));
+                }
+                (p.idx, r)
+            });
+            run_rebased(workload, derived, |sub| {
+                factory.run_on(self.cores_per_host, sub).outcomes
+            })
         });
         let mut outcomes: Vec<RequestOutcome> = unit_outcomes.into_iter().flatten().collect();
         outcomes.sort_by_key(|o| o.id);
-        // Re-base to the front-door invocation, the OpenLambda idiom: RTT,
-        // queueing, and re-dispatch delay are part of what the user felt.
-        for o in outcomes.iter_mut() {
-            let front = workload.requests[o.id as usize].arrival;
-            o.arrival = front;
-            o.turnaround = o.finished.since(front);
-            o.rte = if o.turnaround.is_zero() {
-                1.0
-            } else {
-                (o.ideal.as_nanos() as f64 / o.turnaround.as_nanos() as f64).min(1.0)
-            };
-        }
         FleetRun {
             outcomes,
             shed: plan.shed,
@@ -612,7 +604,10 @@ impl Fleet {
                     ),
                     depth: 0,
                     rr: 0,
-                    stats: RegionStats::default(),
+                    stats: RegionStats {
+                        placed_per_host: vec![0; cfg.max_hosts],
+                        ..RegionStats::default()
+                    },
                     cfg: cfg.clone(),
                 }
             })
@@ -708,8 +703,10 @@ impl Fleet {
         let mut units: BTreeMap<(usize, usize, u32), Vec<PlacedReq>> = BTreeMap::new();
         let mut in_flight: BTreeMap<u64, InFlight> = BTreeMap::new();
         let mut last_seen: BTreeMap<(usize, usize, u64), SimTime> = BTreeMap::new();
-        let mut shed: Vec<u64> = Vec::new();
-        let mut lost: Vec<u64> = Vec::new();
+        // Shed and lost requests by workload index; ids are looked up once,
+        // at the end.
+        let mut shed: Vec<usize> = Vec::new();
+        let mut lost: Vec<usize> = Vec::new();
         let mut dispatch_seq = 0u64;
         let mut cold_starts = 0u64;
         let mut redispatches = 0u64;
@@ -726,9 +723,9 @@ impl Fleet {
                 match self.route_region(&regions, now) {
                     None => {
                         if attempts == 0 {
-                            shed.push(r.id);
+                            shed.push(idx);
                         } else {
-                            lost.push(r.id);
+                            lost.push(idx);
                         }
                     }
                     Some(region) => {
@@ -740,9 +737,9 @@ impl Fleet {
                         match host {
                             None => {
                                 if attempts == 0 {
-                                    shed.push(r.id);
+                                    shed.push(idx);
                                 } else {
-                                    lost.push(r.id);
+                                    lost.push(idx);
                                 }
                             }
                             Some(host) => {
@@ -769,6 +766,7 @@ impl Fleet {
                                     reg.hosts[host].outstanding_long_ms += service_ms;
                                 }
                                 reg.stats.placed += 1;
+                                reg.stats.placed_per_host[host] += 1;
                                 if region != home {
                                     spilled += 1;
                                 }
@@ -984,12 +982,15 @@ impl Fleet {
             handle!(ev, true);
         }
 
-        shed.sort_unstable();
-        lost.sort_unstable();
+        let ids = |idxs: Vec<usize>| {
+            let mut ids: Vec<u64> = idxs.into_iter().map(|i| workload.requests[i].id).collect();
+            ids.sort_unstable();
+            ids
+        };
         FleetPlan {
             units,
-            shed,
-            lost,
+            shed: ids(shed),
+            lost: ids(lost),
             per_region: regions.into_iter().map(|r| r.stats).collect(),
             cold_starts,
             redispatches,
@@ -1028,8 +1029,8 @@ impl Fleet {
 }
 
 /// Intra-region placement over the active hosts only — the [`Placement`]
-/// disciplines of [`Cluster`](crate::Cluster), restricted to the slate the autoscaler and
-/// fault injector currently allow. `None` when no host is active.
+/// disciplines, restricted to the slate the autoscaler and fault injector
+/// currently allow. `None` when no host is active.
 fn pick_host(
     placement: Placement,
     reg: &mut RegionState,
@@ -1132,7 +1133,7 @@ fn take_host_down(
     units: &mut BTreeMap<(usize, usize, u32), Vec<PlacedReq>>,
     in_flight: &mut BTreeMap<u64, InFlight>,
     last_seen: &mut BTreeMap<(usize, usize, u64), SimTime>,
-    lost: &mut Vec<u64>,
+    lost: &mut Vec<usize>,
     faults: &FaultSpec,
     mut push: impl FnMut(SimTime, EventKind),
 ) -> bool {
@@ -1165,7 +1166,7 @@ fn take_host_down(
         reg.hosts[host].depth -= 1;
         reg.depth -= 1;
         if fl.attempts >= faults.max_redispatch {
-            lost.push(fl.idx as u64);
+            lost.push(fl.idx);
         } else {
             push(
                 at,

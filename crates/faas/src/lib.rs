@@ -10,8 +10,11 @@
 //!   hand-off, occupancy stats);
 //! * [`platform`] — [`platform::OpenLambda`]: end-to-end dispatch + run under
 //!   SFS or a kernel baseline, with turnaround re-based to HTTP invocation;
-//! * [`fleet`] — [`fleet::Fleet`]: multi-region composition of [`Cluster`]
-//!   pools behind a global front door, with autoscaling and fault injection.
+//! * [`fleet`] — [`fleet::Fleet`]: multi-region host pools behind a global
+//!   front door, with autoscaling and fault injection — the one dispatcher
+//!   loop;
+//! * [`cluster`] — [`Cluster`], the fleet's one-region spelling, and the
+//!   placement disciplines and per-host load model the fleet routes with.
 
 #![warn(missing_docs)]
 

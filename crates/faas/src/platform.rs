@@ -8,7 +8,9 @@
 
 use std::sync::Arc;
 
-use sfs_core::{Baseline, Controller, ControllerFactory, RequestOutcome, SfsConfig, Sim};
+use sfs_core::{
+    run_rebased, Baseline, Controller, ControllerFactory, RequestOutcome, SfsConfig, Sim,
+};
 use sfs_sched::MachineParams;
 use sfs_simcore::{SimDuration, SimRng, SimTime};
 use sfs_workload::Workload;
@@ -69,7 +71,8 @@ impl Default for OpenLambdaParams {
 pub struct Dispatched {
     /// The workload with arrivals moved to OS-dispatch times.
     pub os_workload: Workload,
-    /// HTTP-invocation times (original arrivals), indexed by request id.
+    /// HTTP-invocation times (original arrivals), indexed like the
+    /// workload's requests.
     pub http_arrivals: Vec<SimTime>,
     /// Pipeline delay per request (dispatch − invocation).
     pub platform_delay: Vec<SimDuration>,
@@ -230,22 +233,17 @@ impl OpenLambda {
         let mut mp = MachineParams::linux(cores);
         mp.contention_beta = self.params.contention_beta;
         sched.configure_machine(&mut mp);
-        let mut outcomes = Sim::on(mp)
-            .workload(&dispatched.os_workload)
-            .boxed_controller(sched.build())
-            .run()
-            .outcomes;
-        for o in outcomes.iter_mut() {
-            let http = dispatched.http_arrivals[o.id as usize];
-            o.arrival = http;
-            o.turnaround = o.finished.since(http);
-            o.rte = if o.turnaround.is_zero() {
-                1.0
-            } else {
-                (o.ideal.as_nanos() as f64 / o.turnaround.as_nanos() as f64).min(1.0)
-            };
-        }
-        outcomes
+        run_rebased(
+            workload,
+            dispatched.os_workload.requests.into_iter().enumerate(),
+            |os| {
+                Sim::on(mp)
+                    .workload(os)
+                    .boxed_controller(sched.build())
+                    .run()
+                    .outcomes
+            },
+        )
     }
 }
 

@@ -47,7 +47,7 @@ pub use scheduler::SfsController;
 pub use sim::{
     Controller, ControllerFactory, FnFactory, MachineView, RunOutcome, Sim, StreamRun, Telemetry,
 };
-pub use stats::{OutcomeSummary, RequestOutcome, SfsRunResult};
+pub use stats::{run_rebased, OutcomeSummary, RequestOutcome, SfsRunResult};
 pub use timeslice::SliceController;
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Per-request outcomes and run-level results for SFS experiments.
 
 use sfs_simcore::{OnlineStats, QuantileSketch, SimDuration, SimTime, TimeSeries};
+use sfs_workload::{Request, Workload};
 
 /// Everything measured about one completed function request.
 #[derive(Debug, Clone)]
@@ -51,6 +52,58 @@ impl RequestOutcome {
         let ideal_ns = (self.ideal.as_nanos().max(1)) as f64;
         (self.turnaround.as_nanos() as f64 / ideal_ns).max(1.0)
     }
+}
+
+/// Run host-side rewrites of submitted requests and map every outcome back
+/// to the request it came from by workload index, never by id.
+///
+/// `derived` yields `(index into submitted, host-side request)` pairs: the
+/// fleet's per-host sub-workloads (moved by RTT, with cold-start and
+/// straggler phases) and the OpenLambda pipeline's OS-dispatch arrivals are
+/// both such rewrites. `run` executes the rewritten workload, whose request
+/// `k` is relabelled `k` so that a run's id-sorted outcomes line up with
+/// the pairs by position. Each outcome then takes back its submitted id,
+/// and arrival, turnaround and RTE are measured from the submitted arrival,
+/// so every delay before the host saw the request (platform pipeline,
+/// network RTT, re-dispatch) counts as part of what the user felt.
+/// Submitted ids may be sparse or large: nothing indexes by them. The
+/// result is sorted by submitted id.
+pub fn run_rebased(
+    submitted: &Workload,
+    derived: impl IntoIterator<Item = (usize, Request)>,
+    run: impl FnOnce(&Workload) -> Vec<RequestOutcome>,
+) -> Vec<RequestOutcome> {
+    let mut source = Vec::new();
+    let requests = derived
+        .into_iter()
+        .enumerate()
+        .map(|(k, (idx, mut r))| {
+            source.push(idx);
+            r.id = k as u64;
+            r.spec.label = r.id;
+            r
+        })
+        .collect();
+    let mut outcomes = run(&Workload { requests });
+    assert_eq!(
+        outcomes.len(),
+        source.len(),
+        "every rewritten request yields one outcome"
+    );
+    for (k, (o, &idx)) in outcomes.iter_mut().zip(&source).enumerate() {
+        debug_assert_eq!(o.id, k as u64, "outcomes come back sorted by id");
+        let r = &submitted.requests[idx];
+        o.id = r.id;
+        o.arrival = r.arrival;
+        o.turnaround = o.finished.since(r.arrival);
+        o.rte = if o.turnaround.is_zero() {
+            1.0
+        } else {
+            (o.ideal.as_nanos() as f64 / o.turnaround.as_nanos() as f64).min(1.0)
+        };
+    }
+    outcomes.sort_by_key(|o| o.id);
+    outcomes
 }
 
 /// O(1)-memory aggregate of [`RequestOutcome`]s for streaming runs.

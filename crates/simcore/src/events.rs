@@ -6,31 +6,14 @@
 //! processed in a reproducible order for experiments to be bit-identical
 //! across runs.
 //!
-//! Two interchangeable backends implement the same `(time, seq)` total
-//! order, so their pop sequences are identical event for event:
-//!
-//! * [`EventCore::Wheel`] (the default) — a hierarchical timing wheel
-//!   (hashed-and-hierarchical, Varghese & Lauck style): six levels of
-//!   64 slots each with a `u64` occupancy bitmap per level. A level-`k` slot
-//!   spans `64^k` ticks of [`TICK_NS`] nanoseconds; pushes and pops are O(1)
-//!   amortised regardless of how many events are pending, which keeps
-//!   ns/request flat on runs with millions of requests. Events beyond the
-//!   wheel horizon (`64^LEVELS` ticks ≈ 19.5 simulated hours) wait in a
-//!   small overflow heap and migrate into the wheel as time approaches.
-//! * [`EventCore::Heap`] — the classic [`std::collections::BinaryHeap`]
-//!   implementation (O(log n) per operation), kept as the differential
-//!   reference and selectable for A/B runs.
-//!
-//! The backend is picked per-queue at construction: [`EventQueue::new`]
-//! reads `SFS_EVENT_CORE` (`wheel` | `heap`, default `wheel`) once per
-//! process; [`EventQueue::with_core`] pins a backend explicitly. Because
-//! both backends realise the same total order, every golden snapshot is
-//! byte-identical whichever backend runs — `tests/wheel_diff.rs` hammers
-//! that equivalence with randomized interleavings.
+//! The queue is a [`std::collections::BinaryHeap`] keyed by `(time, seq)`,
+//! O(log n) per operation. The machine and controller queues it serves stay
+//! shallow (a few events per core or worker), so the heap's small constant
+//! beats asymptotically cheaper structures; ARCHITECTURE.md ("Event core
+//! and streaming stats") has the measurements behind that choice.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
-use std::sync::OnceLock;
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
@@ -65,301 +48,9 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// Which data structure backs an [`EventQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventCore {
-    /// Hierarchical timing wheel, O(1) amortised push/pop (the default).
-    Wheel,
-    /// Binary heap, O(log n) push/pop (the differential reference).
-    Heap,
-}
-
-/// Resolve an `SFS_EVENT_CORE` value to a backend. `None` (unset) selects
-/// the wheel; unknown values are a hard error so a typo can never silently
-/// benchmark the wrong backend.
-fn core_from_env_value(value: Option<&str>) -> EventCore {
-    match value {
-        None | Some("wheel") => EventCore::Wheel,
-        Some("heap") => EventCore::Heap,
-        Some(other) => panic!("SFS_EVENT_CORE must be \"wheel\" or \"heap\", got {other:?}"),
-    }
-}
-
-/// The process-wide default backend (`SFS_EVENT_CORE`, read once).
-fn default_core() -> EventCore {
-    static CHOICE: OnceLock<EventCore> = OnceLock::new();
-    *CHOICE.get_or_init(|| {
-        let v = std::env::var("SFS_EVENT_CORE").ok();
-        core_from_env_value(v.as_deref())
-    })
-}
-
-// ----------------------------------------------------------------------
-// Timing-wheel backend
-// ----------------------------------------------------------------------
-
-/// log2 of the wheel tick in nanoseconds: one tick is 1024 ns (~1 µs).
-/// Events inside the same tick are ordered exactly by `(at, seq)` when the
-/// tick's slot is drained, so the coarse tick never coarsens event order.
-const TICK_SHIFT: u32 = 10;
-/// Nanoseconds per wheel tick (documentation constant).
-pub const TICK_NS: u64 = 1 << TICK_SHIFT;
-/// log2 of the slot count per level.
-const SLOT_BITS: u32 = 6;
-/// Slots per level.
-const SLOTS: usize = 1 << SLOT_BITS;
-/// Number of wheel levels. Level `k` slots span `64^k` ticks; the total
-/// horizon is `64^LEVELS` ticks ≈ 7.0e13 ns × 1024 ≈ 19.5 simulated hours.
-const LEVELS: usize = 6;
-
-/// Wheel tick of a timestamp.
-#[inline]
-fn tick_of(at: SimTime) -> u64 {
-    at.as_nanos() >> TICK_SHIFT
-}
-
-struct Wheel<E> {
-    /// `LEVELS × SLOTS` buckets, row-major by level. Buckets are unsorted;
-    /// order is imposed when a bucket is drained.
-    slots: Vec<Vec<Scheduled<E>>>,
-    /// Per-level occupancy bitmaps (bit `s` set ⇔ `slots[l*SLOTS+s]`
-    /// non-empty), so "next occupied slot" is one `trailing_zeros`.
-    occupied: [u64; LEVELS],
-    /// Current tick cursor. Invariants: no pending wheel entry has a tick
-    /// `≤ elapsed` (those live in `front`), and `elapsed` never passes the
-    /// tick of any pending event.
-    elapsed: u64,
-    /// Due events in `(at, seq)` order: the drained current tick plus any
-    /// pushes at or before `elapsed` (handlers scheduling "now" included).
-    front: VecDeque<Scheduled<E>>,
-    /// Events beyond the wheel horizon, migrated in as time approaches.
-    overflow: BinaryHeap<Scheduled<E>>,
-    len: usize,
-    next_seq: u64,
-}
-
-// Manual impls: derive would bound `E: Debug`/`E: Clone` on the *fields*
-// only, which is what we want, but `[u64; LEVELS]` needs no bound at all.
-impl<E: std::fmt::Debug> std::fmt::Debug for Wheel<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Wheel")
-            .field("len", &self.len)
-            .field("elapsed", &self.elapsed)
-            .field("front", &self.front.len())
-            .field("overflow", &self.overflow.len())
-            .finish()
-    }
-}
-
-impl<E: Clone> Clone for Wheel<E> {
-    fn clone(&self) -> Self {
-        Wheel {
-            slots: self.slots.clone(),
-            occupied: self.occupied,
-            elapsed: self.elapsed,
-            front: self.front.clone(),
-            overflow: self.overflow.clone(),
-            len: self.len,
-            next_seq: self.next_seq,
-        }
-    }
-}
-
-impl<E> Wheel<E> {
-    fn new(cap: usize) -> Wheel<E> {
-        Wheel {
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
-            occupied: [0; LEVELS],
-            elapsed: 0,
-            front: VecDeque::with_capacity(cap),
-            overflow: BinaryHeap::new(),
-            len: 0,
-            next_seq: 0,
-        }
-    }
-
-    /// Level whose slot covers `tick` relative to `elapsed`, or `None` for
-    /// the overflow heap. Requires `tick > elapsed`.
-    #[inline]
-    fn level_for(&self, tick: u64) -> Option<usize> {
-        debug_assert!(tick > self.elapsed);
-        let level = ((63 - (tick ^ self.elapsed).leading_zeros()) / SLOT_BITS) as usize;
-        (level < LEVELS).then_some(level)
-    }
-
-    fn push(&mut self, at: SimTime, payload: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.len += 1;
-        self.insert(Scheduled { at, seq, payload });
-    }
-
-    /// Route an entry to the front buffer, a wheel slot, or the overflow
-    /// heap according to its tick relative to `elapsed`.
-    fn insert(&mut self, ev: Scheduled<E>) {
-        let tick = tick_of(ev.at);
-        if tick <= self.elapsed {
-            // Due (or past) tick: keep the front buffer sorted by
-            // `(at, seq)`. Fresh pushes carry the largest seq so far, so
-            // the partition point is a pure `(at, seq)` bound.
-            let idx = self
-                .front
-                .partition_point(|e| (e.at, e.seq) <= (ev.at, ev.seq));
-            self.front.insert(idx, ev);
-        } else if let Some(level) = self.level_for(tick) {
-            let slot = ((tick >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-            self.occupied[level] |= 1u64 << slot;
-            self.slots[level * SLOTS + slot].push(ev);
-        } else {
-            self.overflow.push(ev);
-        }
-    }
-
-    fn wheel_is_empty(&self) -> bool {
-        self.occupied.iter().all(|&b| b == 0)
-    }
-
-    /// Move every overflow event that now fits inside the wheel horizon.
-    /// Called before expiring any slot: an overflow event due at or before
-    /// the wheel's next expiration provably fits (its tick shares the
-    /// cursor's prefix at least as deeply as the expiring slot does), so
-    /// `elapsed` can never skip past an overflow event.
-    fn migrate_overflow(&mut self) {
-        while let Some(head) = self.overflow.peek() {
-            let tick = tick_of(head.at);
-            if tick > self.elapsed && self.level_for(tick).is_none() {
-                return;
-            }
-            let ev = self.overflow.pop().expect("peeked entry present");
-            self.insert(ev);
-        }
-    }
-
-    /// Fill the front buffer with the earliest pending tick's events.
-    /// After this, `front` is non-empty iff the queue is non-empty.
-    fn ensure_front(&mut self) {
-        while self.front.is_empty() {
-            if self.wheel_is_empty() {
-                // Jump straight to the overflow head's tick (nothing
-                // pending in between) and pull it in.
-                let Some(head) = self.overflow.peek() else {
-                    return;
-                };
-                self.elapsed = self.elapsed.max(tick_of(head.at));
-            }
-            self.migrate_overflow();
-            let Some(level) = (0..LEVELS).find(|&l| self.occupied[l] != 0) else {
-                continue; // only overflow remained; migration advanced it
-            };
-            let slot = self.occupied[level].trailing_zeros() as usize;
-            let shift = SLOT_BITS * level as u32;
-            // Advance the cursor to the slot's base tick: same prefix
-            // above the slot digit, zeros below. Monotone because every
-            // occupied slot is ahead of the cursor at its level.
-            let span = 1u64 << (shift + SLOT_BITS);
-            let base = (self.elapsed & !(span - 1)) | ((slot as u64) << shift);
-            debug_assert!(base >= self.elapsed, "wheel cursor went backwards");
-            self.elapsed = base;
-            self.occupied[level] &= !(1u64 << slot);
-            let mut drained = std::mem::take(&mut self.slots[level * SLOTS + slot]);
-            if level == 0 {
-                // A level-0 slot is exactly one tick: these events are due
-                // now; order them and expose them.
-                drained.sort_unstable_by_key(|a| (a.at, a.seq));
-                self.front.extend(drained.drain(..));
-            } else {
-                // Cascade: re-route each event one or more levels down
-                // (or to the front, for the slot's base tick itself).
-                for ev in drained.drain(..) {
-                    self.insert(ev);
-                }
-            }
-            // Hand the (now empty) bucket back to keep its allocation.
-            self.slots[level * SLOTS + slot] = drained;
-        }
-    }
-
-    /// Earliest pending `(at, seq)` without mutating the wheel.
-    fn peek(&self) -> Option<(SimTime, u64)> {
-        if let Some(e) = self.front.front() {
-            // Front events precede every wheel/overflow event (their ticks
-            // are ≤ elapsed; everything else is strictly later).
-            return Some((e.at, e.seq));
-        }
-        let mut best: Option<(SimTime, u64)> = None;
-        if let Some(level) = (0..LEVELS).find(|&l| self.occupied[l] != 0) {
-            let slot = self.occupied[level].trailing_zeros() as usize;
-            for e in &self.slots[level * SLOTS + slot] {
-                if best.map_or(true, |b| (e.at, e.seq) < b) {
-                    best = Some((e.at, e.seq));
-                }
-            }
-        }
-        if let Some(e) = self.overflow.peek() {
-            if best.map_or(true, |b| (e.at, e.seq) < b) {
-                best = Some((e.at, e.seq));
-            }
-        }
-        best
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.ensure_front();
-        self.front.pop_front().map(|e| {
-            self.len -= 1;
-            (e.at, e.payload)
-        })
-    }
-
-    fn pop_until(&mut self, t: SimTime) -> Option<(SimTime, E)> {
-        self.ensure_front();
-        match self.front.front() {
-            Some(e) if e.at <= t => self.pop(),
-            _ => None,
-        }
-    }
-
-    fn capacity(&self) -> usize {
-        self.front.capacity()
-            + self.overflow.capacity()
-            + self.slots.iter().map(Vec::capacity).sum::<usize>()
-    }
-
-    fn clear(&mut self) {
-        for (level, bits) in self.occupied.iter_mut().enumerate() {
-            let mut b = *bits;
-            while b != 0 {
-                let slot = b.trailing_zeros() as usize;
-                b &= b - 1;
-                self.slots[level * SLOTS + slot].clear();
-            }
-            *bits = 0;
-        }
-        self.front.clear();
-        self.overflow.clear();
-        self.elapsed = 0;
-        self.len = 0;
-    }
-}
-
-// ----------------------------------------------------------------------
-// Public queue
-// ----------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-enum Backend<E> {
-    Heap {
-        heap: BinaryHeap<Scheduled<E>>,
-        next_seq: u64,
-    },
-    Wheel(Wheel<E>),
-}
-
 /// A discrete-event priority queue with deterministic ordering.
 ///
-/// Events with equal timestamps pop in the order they were pushed. See the
-/// [module docs](self) for the two backends; both realise the identical
-/// `(time, seq)` total order.
+/// Events with equal timestamps pop in the order they were pushed.
 ///
 /// # Example
 /// ```
@@ -374,7 +65,8 @@ enum Backend<E> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    heap: BinaryHeap<Scheduled<E>>,
+    next_seq: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -384,78 +76,41 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue on the process-default backend (`SFS_EVENT_CORE`,
-    /// wheel unless overridden).
+    /// An empty queue.
     pub fn new() -> Self {
-        Self::with_core(default_core())
+        Self::with_capacity(0)
     }
 
-    /// An empty queue with pre-reserved capacity on the default backend.
+    /// An empty queue with pre-reserved capacity.
     pub fn with_capacity(cap: usize) -> Self {
-        Self::with_capacity_and_core(cap, default_core())
-    }
-
-    /// An empty queue on an explicitly chosen backend.
-    pub fn with_core(core: EventCore) -> Self {
-        Self::with_capacity_and_core(0, core)
-    }
-
-    /// An empty queue with pre-reserved capacity on a chosen backend.
-    pub fn with_capacity_and_core(cap: usize, core: EventCore) -> Self {
-        let backend = match core {
-            EventCore::Heap => Backend::Heap {
-                heap: BinaryHeap::with_capacity(cap),
-                next_seq: 0,
-            },
-            EventCore::Wheel => Backend::Wheel(Wheel::new(cap)),
-        };
-        EventQueue { backend }
-    }
-
-    /// The backend this queue runs on.
-    pub fn core(&self) -> EventCore {
-        match &self.backend {
-            Backend::Heap { .. } => EventCore::Heap,
-            Backend::Wheel(_) => EventCore::Wheel,
+        EventQueue {
+            heap: BinaryHeap::with_capacity(cap),
+            next_seq: 0,
         }
     }
 
     /// Schedule `payload` to fire at `at`.
     pub fn push(&mut self, at: SimTime, payload: E) {
-        match &mut self.backend {
-            Backend::Heap { heap, next_seq } => {
-                let seq = *next_seq;
-                *next_seq += 1;
-                heap.push(Scheduled { at, seq, payload });
-            }
-            Backend::Wheel(w) => w.push(at, payload),
-        }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Scheduled { at, seq, payload });
     }
 
     /// Timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Heap { heap, .. } => heap.peek().map(|s| s.at),
-            Backend::Wheel(w) => w.peek().map(|(at, _)| at),
-        }
+        self.heap.peek().map(|s| s.at)
     }
 
     /// Remove and return the earliest event as `(time, payload)`.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match &mut self.backend {
-            Backend::Heap { heap, .. } => heap.pop().map(|s| (s.at, s.payload)),
-            Backend::Wheel(w) => w.pop(),
-        }
+        self.heap.pop().map(|s| (s.at, s.payload))
     }
 
     /// Remove and return the earliest event only if it fires at or before `t`.
     pub fn pop_until(&mut self, t: SimTime) -> Option<(SimTime, E)> {
-        match &mut self.backend {
-            Backend::Heap { heap, .. } => match heap.peek() {
-                Some(s) if s.at <= t => heap.pop().map(|s| (s.at, s.payload)),
-                _ => None,
-            },
-            Backend::Wheel(w) => w.pop_until(t),
+        match self.heap.peek() {
+            Some(s) if s.at <= t => self.pop(),
+            _ => None,
         }
     }
 
@@ -474,33 +129,16 @@ impl<E> EventQueue<E> {
     /// loop must be used so late insertions are observed.
     pub fn pop_batch_until(&mut self, t: SimTime, out: &mut Vec<(SimTime, E)>) -> usize {
         let before = out.len();
-        match &mut self.backend {
-            Backend::Heap { heap, .. } => {
-                while let Some(s) = heap.peek() {
-                    if s.at > t {
-                        break;
-                    }
-                    let s = heap.pop().expect("peeked event present");
-                    out.push((s.at, s.payload));
-                }
-            }
-            Backend::Wheel(w) => {
-                while let Some(pair) = w.pop_until(t) {
-                    out.push(pair);
-                }
-            }
+        while let Some(pair) = self.pop_until(t) {
+            out.push(pair);
         }
         out.len() - before
     }
 
-    /// Retained allocation of the queue (heap capacity, or the sum of the
-    /// wheel's bucket/front/overflow capacities), preserved across
+    /// Retained allocation of the queue, preserved across
     /// [`EventQueue::recycle`].
     pub fn capacity(&self) -> usize {
-        match &self.backend {
-            Backend::Heap { heap, .. } => heap.capacity(),
-            Backend::Wheel(w) => w.capacity(),
-        }
+        self.heap.capacity()
     }
 
     /// Reset the queue for a fresh run while keeping its allocation: all
@@ -509,37 +147,23 @@ impl<E> EventQueue<E> {
     /// reallocation. Trial loops that simulate many runs back to back use
     /// this to keep the event structures warm.
     pub fn recycle(&mut self) {
-        match &mut self.backend {
-            Backend::Heap { heap, next_seq } => {
-                heap.clear();
-                *next_seq = 0;
-            }
-            Backend::Wheel(w) => {
-                w.clear();
-                w.next_seq = 0;
-            }
-        }
+        self.heap.clear();
+        self.next_seq = 0;
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap { heap, .. } => heap.len(),
-            Backend::Wheel(w) => w.len,
-        }
+        self.heap.len()
     }
 
     /// True iff no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
     /// Drop all pending events.
     pub fn clear(&mut self) {
-        match &mut self.backend {
-            Backend::Heap { heap, .. } => heap.clear(),
-            Backend::Wheel(w) => w.clear(),
-        }
+        self.heap.clear();
     }
 }
 
@@ -552,181 +176,93 @@ mod tests {
         SimTime::ZERO + SimDuration::from_millis(ms)
     }
 
-    /// Every API-contract test runs on both backends.
-    fn both(test: impl Fn(EventQueue<i32>)) {
-        test(EventQueue::with_core(EventCore::Heap));
-        test(EventQueue::with_core(EventCore::Wheel));
-    }
-
     #[test]
     fn pops_in_time_order() {
-        both(|mut q| {
-            q.push(at(30), 3);
-            q.push(at(10), 1);
-            q.push(at(20), 2);
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, vec![1, 2, 3]);
-        });
+        let mut q = EventQueue::new();
+        q.push(at(30), 3);
+        q.push(at(10), 1);
+        q.push(at(20), 2);
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![1, 2, 3]);
     }
 
     #[test]
     fn simultaneous_events_pop_fifo() {
-        both(|mut q| {
-            for i in 0..100 {
-                q.push(at(5), i);
-            }
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>());
-        });
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.push(at(5), i);
+        }
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn pop_until_respects_bound() {
-        both(|mut q| {
-            q.push(at(10), 1);
-            q.push(at(20), 2);
-            assert_eq!(q.pop_until(at(15)).map(|(_, e)| e), Some(1));
-            assert_eq!(q.pop_until(at(15)), None);
-            assert_eq!(q.pop_until(at(20)).map(|(_, e)| e), Some(2));
-            assert!(q.is_empty());
-        });
+        let mut q = EventQueue::new();
+        q.push(at(10), 1);
+        q.push(at(20), 2);
+        assert_eq!(q.pop_until(at(15)).map(|(_, e)| e), Some(1));
+        assert_eq!(q.pop_until(at(15)), None);
+        assert_eq!(q.pop_until(at(20)).map(|(_, e)| e), Some(2));
+        assert!(q.is_empty());
     }
 
     #[test]
     fn peek_does_not_consume() {
-        both(|mut q| {
-            q.push(at(7), 0);
-            assert_eq!(q.peek_time(), Some(at(7)));
-            assert_eq!(q.len(), 1);
-            q.clear();
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-        });
+        let mut q = EventQueue::new();
+        q.push(at(7), 0);
+        assert_eq!(q.peek_time(), Some(at(7)));
+        assert_eq!(q.len(), 1);
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
     fn batch_pop_matches_incremental_and_reuses_buffer() {
-        both(|mut q| {
-            for i in 0..6 {
-                q.push(at(10 * (i % 3) as u64), i);
-            }
-            let mut out = Vec::new();
-            assert_eq!(q.pop_batch_until(at(10), &mut out), 4);
-            let evs: Vec<i32> = out.iter().map(|&(_, e)| e).collect();
-            assert_eq!(evs, vec![0, 3, 1, 4], "time order then FIFO within ties");
-            // Appends without clearing: the same buffer accumulates.
-            assert_eq!(q.pop_batch_until(at(100), &mut out), 2);
-            assert_eq!(out.len(), 6);
-            assert!(q.is_empty());
-            assert_eq!(q.pop_batch_until(at(100), &mut out), 0);
-        });
+        let mut q = EventQueue::new();
+        for i in 0..6 {
+            q.push(at(10 * (i % 3) as u64), i);
+        }
+        let mut out = Vec::new();
+        assert_eq!(q.pop_batch_until(at(10), &mut out), 4);
+        let evs: Vec<i32> = out.iter().map(|&(_, e)| e).collect();
+        assert_eq!(evs, vec![0, 3, 1, 4], "time order then FIFO within ties");
+        // Appends without clearing: the same buffer accumulates.
+        assert_eq!(q.pop_batch_until(at(100), &mut out), 2);
+        assert_eq!(out.len(), 6);
+        assert!(q.is_empty());
+        assert_eq!(q.pop_batch_until(at(100), &mut out), 0);
     }
 
     #[test]
     fn recycle_keeps_capacity_and_restarts_fifo_numbering() {
-        for core in [EventCore::Heap, EventCore::Wheel] {
-            let mut q = EventQueue::with_capacity_and_core(64, core);
-            for i in 0..50 {
-                q.push(at(1), i);
-            }
-            let cap = q.capacity();
-            assert!(cap >= 50);
-            q.recycle();
-            assert!(q.is_empty());
-            assert_eq!(q.capacity(), cap, "recycle must keep the allocation");
-            // FIFO ordering restarts cleanly after recycling.
-            q.push(at(5), 100);
-            q.push(at(5), 200);
-            assert_eq!(q.pop().unwrap().1, 100);
-            assert_eq!(q.pop().unwrap().1, 200);
+        let mut q = EventQueue::with_capacity(64);
+        for i in 0..50 {
+            q.push(at(1), i);
         }
+        let cap = q.capacity();
+        assert!(cap >= 50);
+        q.recycle();
+        assert!(q.is_empty());
+        assert_eq!(q.capacity(), cap, "recycle must keep the allocation");
+        // FIFO ordering restarts cleanly after recycling.
+        q.push(at(5), 100);
+        q.push(at(5), 200);
+        assert_eq!(q.pop().unwrap().1, 100);
+        assert_eq!(q.pop().unwrap().1, 200);
     }
 
     #[test]
     fn interleaved_push_pop_stays_ordered() {
-        both(|mut q| {
-            q.push(at(5), 5);
-            q.push(at(1), 1);
-            assert_eq!(q.pop().unwrap().1, 1);
-            q.push(at(3), 3);
-            q.push(at(2), 2);
-            assert_eq!(q.pop().unwrap().1, 2);
-            assert_eq!(q.pop().unwrap().1, 3);
-            assert_eq!(q.pop().unwrap().1, 5);
-        });
-    }
-
-    #[test]
-    fn wheel_handles_pushes_at_or_before_the_cursor() {
-        let mut q = EventQueue::with_core(EventCore::Wheel);
-        q.push(at(100), 1);
-        assert_eq!(q.pop().unwrap().1, 1); // cursor now at the 100 ms tick
-        q.push(at(50), 2); // strictly in the past
-        q.push(at(100), 3); // same tick as the cursor
-        q.push(at(100), 4);
-        assert_eq!(q.pop().unwrap(), (at(50), 2));
-        assert_eq!(q.pop().unwrap(), (at(100), 3));
-        assert_eq!(q.pop().unwrap(), (at(100), 4));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn wheel_sub_tick_timestamps_stay_totally_ordered() {
-        // Events inside one 1024 ns tick must still pop by exact (at, seq).
-        let mut q = EventQueue::with_core(EventCore::Wheel);
-        let base = SimTime::ZERO + SimDuration::from_nanos(1 << 20);
-        q.push(base + SimDuration::from_nanos(7), 7);
-        q.push(base + SimDuration::from_nanos(3), 3);
-        q.push(base + SimDuration::from_nanos(5), 5);
-        q.push(base + SimDuration::from_nanos(3), 33); // FIFO tie
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![3, 33, 5, 7]);
-    }
-
-    #[test]
-    fn wheel_far_future_events_cross_the_overflow_horizon() {
-        let mut q = EventQueue::with_core(EventCore::Wheel);
-        // ~28 simulated hours: beyond the 19.5 h wheel horizon.
-        let far = SimTime::ZERO + SimDuration::from_secs(100_000);
-        let farther = SimTime::ZERO + SimDuration::from_secs(200_000);
-        q.push(far, 2);
-        q.push(farther, 3);
+        let mut q = EventQueue::new();
+        q.push(at(5), 5);
         q.push(at(1), 1);
-        assert_eq!(q.peek_time(), Some(at(1)));
         assert_eq!(q.pop().unwrap().1, 1);
-        assert_eq!(q.peek_time(), Some(far));
-        assert_eq!(q.pop().unwrap(), (far, 2));
-        // After time advanced, a near event still precedes the remaining
-        // far one, and interleaves correctly with it.
-        q.push(far + SimDuration::from_secs(1), 4);
-        assert_eq!(q.pop().unwrap().1, 4);
-        assert_eq!(q.pop().unwrap(), (farther, 3));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn wheel_max_timestamp_is_representable() {
-        let mut q = EventQueue::with_core(EventCore::Wheel);
-        q.push(SimTime::MAX, 1); // FIFO-pinned sentinel events exist in the machine
-        q.push(at(1), 2);
+        q.push(at(3), 3);
+        q.push(at(2), 2);
         assert_eq!(q.pop().unwrap().1, 2);
-        assert_eq!(q.pop().unwrap(), (SimTime::MAX, 1));
-    }
-
-    #[test]
-    fn env_value_selects_backend_and_rejects_typos() {
-        assert_eq!(core_from_env_value(None), EventCore::Wheel);
-        assert_eq!(core_from_env_value(Some("wheel")), EventCore::Wheel);
-        assert_eq!(core_from_env_value(Some("heap")), EventCore::Heap);
-        let err = std::panic::catch_unwind(|| core_from_env_value(Some("heep")));
-        assert!(err.is_err(), "typo'd backend name must be a hard error");
-    }
-
-    #[test]
-    fn explicit_constructors_pin_the_backend() {
-        let h: EventQueue<()> = EventQueue::with_core(EventCore::Heap);
-        let w: EventQueue<()> = EventQueue::with_core(EventCore::Wheel);
-        assert_eq!(h.core(), EventCore::Heap);
-        assert_eq!(w.core(), EventCore::Wheel);
+        assert_eq!(q.pop().unwrap().1, 3);
+        assert_eq!(q.pop().unwrap().1, 5);
     }
 }

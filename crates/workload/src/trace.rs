@@ -12,6 +12,7 @@
 //! 1,14.1,md,120.0,55.5
 //! ```
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use sfs_simcore::{SimDuration, SimTime};
@@ -62,7 +63,8 @@ impl std::fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// Parse a CSV trace back into a workload.
+/// Parse a CSV trace back into a workload. Ids must be unique: every layer
+/// that reports per-request outcomes keys them by id.
 pub fn from_csv(text: &str) -> Result<Workload, TraceError> {
     let mut lines = text.lines().enumerate();
     match lines.next() {
@@ -70,6 +72,7 @@ pub fn from_csv(text: &str) -> Result<Workload, TraceError> {
         _ => return Err(TraceError::BadHeader),
     }
     let mut requests = Vec::new();
+    let mut first_line_of: BTreeMap<u64, usize> = BTreeMap::new();
     let mut prev_arrival = 0.0f64;
     for (lineno, line) in lines {
         let line = line.trim();
@@ -90,6 +93,12 @@ pub fn from_csv(text: &str) -> Result<Workload, TraceError> {
         let id: u64 = cols[0]
             .parse()
             .map_err(|_| TraceError::BadRow(lineno + 1, format!("bad id: {:?}", cols[0])))?;
+        if let Some(first) = first_line_of.insert(id, lineno + 1) {
+            return Err(TraceError::BadRow(
+                lineno + 1,
+                format!("duplicate id {id} (first at line {first})"),
+            ));
+        }
         let arrival_ms = parse_f(cols[1], "arrival")?;
         if arrival_ms < prev_arrival {
             return Err(TraceError::UnsortedArrivals(lineno + 1));
@@ -185,6 +194,24 @@ mod tests {
             from_csv(&format!("{head}1,2,fib,-3,\n")),
             Err(TraceError::BadRow(2, _))
         ));
+    }
+
+    #[test]
+    fn rejects_duplicate_ids_naming_both_lines() {
+        let csv =
+            "id,arrival_ms,app,duration_ms,injected_io_ms\n7,1,fib,5,\n8,2,fib,5,\n7,3,md,8,\n";
+        let err = from_csv(csv).unwrap_err();
+        assert_eq!(
+            err,
+            TraceError::BadRow(4, "duplicate id 7 (first at line 2)".into())
+        );
+        assert_eq!(
+            err.to_string(),
+            "bad row at line 4: duplicate id 7 (first at line 2)"
+        );
+        // Sparse, non-contiguous ids are fine.
+        let sparse = "id,arrival_ms,app,duration_ms,injected_io_ms\n100,1,fib,5,\n5,2,fib,5,\n";
+        assert_eq!(from_csv(sparse).unwrap().len(), 2);
     }
 
     #[test]

@@ -1,0 +1,64 @@
+//! The `sfs` binary over hand-written traces: sparse ids run on every
+//! dispatch path, and a repeated id is a named parse error, never a panic.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+const HEADER: &str = "id,arrival_ms,app,duration_ms,injected_io_ms\n";
+
+/// Write `rows` under the trace header to a per-test temp file.
+fn trace_file(name: &str, rows: &str) -> PathBuf {
+    let path = std::env::temp_dir().join(format!("sfs-cli-{}-{name}.csv", std::process::id()));
+    std::fs::write(&path, format!("{HEADER}{rows}")).expect("write temp trace");
+    path
+}
+
+/// The three dispatch paths a trace can drive.
+fn run_spellings(trace: &Path) -> Vec<(&'static str, Output)> {
+    let trace = trace.to_str().expect("utf-8 temp path");
+    [
+        ("--sched sfs", vec!["--sched", "sfs", "--cores", "2"]),
+        (
+            "--cluster",
+            vec!["--cluster", "hosts=2,cores=2,placement=ll"],
+        ),
+        ("--fleet", vec!["--fleet", "regions=2,hosts=2"]),
+    ]
+    .into_iter()
+    .map(|(what, args)| {
+        let out = Command::new(env!("CARGO_BIN_EXE_sfs"))
+            .arg("run")
+            .args(args)
+            .args(["--trace", trace])
+            .output()
+            .expect("spawn sfs");
+        (what, out)
+    })
+    .collect()
+}
+
+#[test]
+fn sparse_ids_run_on_every_dispatch_path() {
+    let trace = trace_file("sparse", "100,1,fib,5,\n101,2,md,8,\n102,3,sa,20,\n");
+    for (what, out) in run_spellings(&trace) {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{what} failed: {stderr}");
+        assert!(!stderr.contains("panicked"), "{what}: {stderr}");
+    }
+    std::fs::remove_file(trace).ok();
+}
+
+#[test]
+fn duplicate_ids_are_a_named_error_on_every_dispatch_path() {
+    let trace = trace_file("dup", "7,1,fib,5,\n8,2,fib,5,\n7,3,md,8,\n");
+    for (what, out) in run_spellings(&trace) {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{what} accepted a duplicate id");
+        assert!(!stderr.contains("panicked"), "{what}: {stderr}");
+        assert!(
+            stderr.contains("line 4: duplicate id 7 (first at line 2)"),
+            "{what}: error must name the line: {stderr}"
+        );
+    }
+    std::fs::remove_file(trace).ok();
+}
