@@ -17,7 +17,7 @@
 //! simulations land in host-indexed slots — so
 //! `cluster_scale --threads 8 > a; cluster_scale --threads 1 > b;
 //! diff a b` is empty while the 8-thread run is several times faster on a
-//! multicore machine. The CI `cluster-matrix` job enforces exactly that
+//! multicore machine. The CI `dispatcher-matrix` job enforces exactly that
 //! diff.
 
 use sfs_bench::{banner, save, section};

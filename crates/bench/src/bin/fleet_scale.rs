@@ -18,7 +18,7 @@
 //! saved is **bit-identical for any thread count** — the front door
 //! routes sequentially, unit simulations land in index-ordered slots —
 //! so `fleet_scale --threads 8 > a; fleet_scale --threads 1 > b;
-//! diff a b` is empty even with faults enabled. The CI `fleet-matrix`
+//! diff a b` is empty even with faults enabled. The CI `dispatcher-matrix`
 //! job enforces exactly that diff.
 
 use sfs_bench::{banner, save, section};

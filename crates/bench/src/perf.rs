@@ -185,7 +185,7 @@ pub fn suite(requests: usize, seed: u64) -> Vec<PerfScenario> {
         cfg: sim_cfg(),
         body: Box::new(move || {
             // One worker thread: the scenario measures simulator cost, not
-            // the host fan-out (which the cluster-matrix CI job covers).
+            // the host fan-out (which the dispatcher-matrix CI job covers).
             let run = cluster.run_with_threads(Placement::LeastLoaded, &cluster.sfs, &w_cluster, 1);
             std::hint::black_box(run.outcomes.len());
         }),
@@ -209,7 +209,7 @@ pub fn suite(requests: usize, seed: u64) -> Vec<PerfScenario> {
         cfg: sim_cfg(),
         body: Box::new(move || {
             // One worker thread, same rationale as the cluster scenario
-            // (the fleet-matrix CI job covers the fan-out).
+            // (the dispatcher-matrix CI job covers the fan-out).
             let run = fleet.run_with_threads(Placement::JoinShortestQueue, &fleet.sfs, &w_fleet, 1);
             std::hint::black_box(run.outcomes.len() + run.shed.len() + run.lost.len());
         }),

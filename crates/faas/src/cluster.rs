@@ -337,32 +337,27 @@ pub(crate) fn bounded_load_cap(total_depth: usize, hosts: usize) -> usize {
     cap.max(1)
 }
 
-/// The bounded-load clockwise walk: first host at the key's ring position
-/// (or after it) that `eligible` admits and whose depth is under `cap`.
-/// `None` when no eligible host is under the cap — the caller owns the
+/// The bounded-load clockwise walk: the first host at the key's ring
+/// position (or after it) that `admits` — the caller's eligibility and
+/// depth-under-cap test. `None` when no host admits — the caller owns the
 /// degenerate fallback (the fleet falls back to the shallowest eligible
 /// queue).
 pub(crate) fn ring_walk(
     ring: &[(u64, usize)],
-    hosts: &[HostLoad],
     key: u64,
-    cap: usize,
-    eligible: impl Fn(usize) -> bool,
+    admits: impl Fn(usize) -> bool,
 ) -> Option<usize> {
     let h = SeedSequencer::new(key).seed_for(0);
     let start = ring.partition_point(|&(pos, _)| pos < h);
-    for i in 0..ring.len() {
-        let (_, host) = ring[(start + i) % ring.len()];
-        if eligible(host) && hosts[host].depth < cap {
-            return Some(host);
-        }
-    }
-    None
+    (0..ring.len())
+        .map(|i| ring[(start + i) % ring.len()].1)
+        .find(|&host| admits(host))
 }
 
-/// Index of the host minimising `f` over an arbitrary `(index, host)`
-/// subset (placement must skip crashed / parked / booting hosts), ties to
-/// the lowest index; `None` for an empty slate.
+/// Index of the minimum score over `(index, score)` pairs — region RTT
+/// scores, or host loads over the subset placement may use (it must skip
+/// crashed / parked / booting hosts) — ties to the first pair; `None` for
+/// an empty input.
 ///
 /// Selection runs over [`f64::total_cmp`], which is total over NaN, so no
 /// score value can be silently skipped: a `v < best_v` scan is NaN-blind (a
@@ -370,13 +365,9 @@ pub(crate) fn ring_walk(
 /// consideration and an all-NaN slate would fall through to the first host
 /// by accident rather than by rule). Under `total_cmp` every input — NaN
 /// included — has one deterministic winner.
-pub(crate) fn argmin_f64_over<'a>(
-    hosts: impl Iterator<Item = (usize, &'a HostLoad)>,
-    f: impl Fn(&HostLoad) -> f64,
-) -> Option<usize> {
+pub(crate) fn argmin_f64(scored: impl Iterator<Item = (usize, f64)>) -> Option<usize> {
     let mut best: Option<(usize, f64)> = None;
-    for (i, h) in hosts {
-        let v = f(h);
+    for (i, v) in scored {
         best = match best {
             Some((_, bv)) if v.total_cmp(&bv).is_lt() => Some((i, v)),
             Some(b) => Some(b),
@@ -386,29 +377,27 @@ pub(crate) fn argmin_f64_over<'a>(
     best.map(|(i, _)| i)
 }
 
-/// Join-shortest-queue host choice over an index subset of `hosts`:
+/// Join-shortest-queue host choice over `(index, load)` candidates:
 /// lexicographic min over (outstanding depth, EWMA of recent turnarounds),
-/// ties to the lowest index. Returns `None` for an empty slate.
-pub(crate) fn argmin_jsq_over(
-    hosts: &[HostLoad],
-    candidates: impl Iterator<Item = usize>,
+/// ties to the first candidate. Returns `None` for an empty slate.
+pub(crate) fn argmin_jsq_over<'a>(
+    candidates: impl Iterator<Item = (usize, &'a HostLoad)>,
 ) -> Option<usize> {
-    let mut best: Option<usize> = None;
-    for i in candidates {
-        let Some(b) = best else {
-            best = Some(i);
+    let mut best: Option<(usize, &HostLoad)> = None;
+    for (i, h) in candidates {
+        let Some((_, b)) = best else {
+            best = Some((i, h));
             continue;
         };
-        let (h, b_load) = (&hosts[i], &hosts[b]);
         let (he, be) = (
             h.ewma_turnaround_ms.unwrap_or(0.0),
-            b_load.ewma_turnaround_ms.unwrap_or(0.0),
+            b.ewma_turnaround_ms.unwrap_or(0.0),
         );
-        if h.depth < b_load.depth || (h.depth == b_load.depth && he.total_cmp(&be).is_lt()) {
-            best = Some(i);
+        if h.depth < b.depth || (h.depth == b.depth && he.total_cmp(&be).is_lt()) {
+            best = Some((i, h));
         }
     }
-    best
+    best.map(|(i, _)| i)
 }
 
 /// FaaSBench's function identity: the deployed `(app, fib-N)` pair
@@ -667,17 +656,17 @@ mod tests {
 
     #[test]
     fn argmin_prefers_smaller_scores_and_lowest_index_ties() {
-        let mut hosts: Vec<HostLoad> = (0..4).map(|_| HostLoad::new(2)).collect();
-        let long_min = |hosts: &[HostLoad]| {
-            argmin_f64_over(hosts.iter().enumerate(), |h| h.outstanding_long_ms)
-        };
-        hosts[2].outstanding_long_ms = -1.0;
-        assert_eq!(long_min(&hosts), Some(2));
-        hosts[2].outstanding_long_ms = 0.0;
+        let min = |scores: &[f64]| argmin_f64(scores.iter().copied().enumerate());
+        assert_eq!(min(&[0.0, 0.0, -1.0, 0.0]), Some(2));
         assert_eq!(
-            long_min(&hosts),
+            min(&[0.0, 0.0, 0.0, 0.0]),
             Some(0),
             "ties resolve to the lowest index"
+        );
+        assert_eq!(
+            argmin_f64([(5, 1.0), (1, 1.0), (3, 2.0)].into_iter()),
+            Some(5),
+            "over a subset, ties resolve to the first pair"
         );
     }
 
@@ -688,23 +677,12 @@ mod tests {
         // slate must resolve by rule, not by sentinel accident. Under
         // total_cmp, NaN orders *above* every finite value, so a finite
         // score always beats NaN, and an all-NaN slate ties to index 0.
-        let hosts: Vec<HostLoad> = (0..3).map(|_| HostLoad::new(2)).collect();
-        let scores = [f64::NAN, 7.0, 9.0];
-        // Score by identity map via core_free trickery is awkward — score
-        // through an index lookup instead.
-        let by = |s: [f64; 3]| {
-            argmin_f64_over(hosts.iter().enumerate(), |h| {
-                s[hosts
-                    .iter()
-                    .position(|x| std::ptr::eq(x, h))
-                    .expect("host from this slate")]
-            })
-        };
-        assert_eq!(by(scores), Some(1), "finite beats NaN");
+        let by = |s: [f64; 3]| argmin_f64(s.into_iter().enumerate());
+        assert_eq!(by([f64::NAN, 7.0, 9.0]), Some(1), "finite beats NaN");
         assert_eq!(by([f64::NAN; 3]), Some(0), "all-NaN ties to index 0");
         assert_eq!(by([f64::NAN, f64::INFINITY, 2.0]), Some(2));
         assert_eq!(
-            argmin_f64_over(hosts.iter().enumerate().filter(|_| false), |_| 0.0),
+            argmin_f64(std::iter::empty()),
             None,
             "empty slate is None, not a panic"
         );
@@ -719,13 +697,13 @@ mod tests {
         hosts[3].depth = 1;
         hosts[3].ewma_turnaround_ms = Some(5.0);
         hosts[2].ewma_turnaround_ms = Some(9.0);
-        assert_eq!(argmin_jsq_over(&hosts, 0..4), Some(0));
+        assert_eq!(argmin_jsq_over(hosts.iter().enumerate()), Some(0));
         assert_eq!(
-            argmin_jsq_over(&hosts, [1, 2, 3].into_iter()),
+            argmin_jsq_over([1, 2, 3].into_iter().map(|i| (i, &hosts[i]))),
             Some(3),
             "depth tie breaks on the lower EWMA"
         );
-        assert_eq!(argmin_jsq_over(&hosts, std::iter::empty()), None);
+        assert_eq!(argmin_jsq_over(std::iter::empty()), None);
     }
 
     #[test]
@@ -770,7 +748,8 @@ mod tests {
             let total: usize = hosts.iter().map(|h| h.depth).sum();
             let cap = bounded_load_cap(total, hosts_n);
             let key = rng.next_u64();
-            match ring_walk(&ring, &hosts, key, cap, |_| true) {
+            let under_cap = |h: usize| hosts[h].depth < cap;
+            match ring_walk(&ring, key, under_cap) {
                 Some(host) => assert!(
                     hosts[host].depth < cap,
                     "case {case}: placed on host {host} at depth {} >= cap {cap}",
@@ -785,7 +764,7 @@ mod tests {
             // at least one host sits below the cap, so the walk never
             // falls through when every host is eligible.
             assert!(
-                ring_walk(&ring, &hosts, key, cap, |_| true).is_some(),
+                ring_walk(&ring, key, under_cap).is_some(),
                 "case {case}: the mean-based cap always leaves headroom"
             );
         }
@@ -803,15 +782,18 @@ mod tests {
         for h in &mut hosts {
             h.depth = 5;
         }
-        assert_eq!(ring_walk(&ring, &hosts, 42, 5, |_| true), None);
-        assert_eq!(ring_walk(&ring, &hosts, 42, 5, |_| true), None);
+        let walk = |hosts: &[HostLoad], eligible: fn(usize) -> bool| {
+            ring_walk(&ring, 42, |h| eligible(h) && hosts[h].depth < 5)
+        };
+        assert_eq!(walk(&hosts, |_| true), None);
+        assert_eq!(walk(&hosts, |_| true), None);
         hosts[2].depth = 4; // still >= nothing: under this cap now
-        assert_eq!(ring_walk(&ring, &hosts, 42, 5, |_| true), Some(2));
+        assert_eq!(walk(&hosts, |_| true), Some(2));
         // Eligibility shrinks the slate the same way: only saturated hosts
         // eligible -> None, even though host 2 has headroom.
-        assert_eq!(ring_walk(&ring, &hosts, 42, 5, |h| h != 2), None);
+        assert_eq!(walk(&hosts, |h| h != 2), None);
         // The fallback (shallowest queue) is deterministic.
-        let shallowest = || argmin_f64_over(hosts.iter().enumerate(), |h| h.depth as f64);
+        let shallowest = || argmin_f64(hosts.iter().map(|h| h.depth as f64).enumerate());
         assert_eq!(shallowest(), Some(2));
         assert_eq!(shallowest(), Some(2));
     }

@@ -30,32 +30,35 @@
 //! # Determinism under parallel execution
 //!
 //! A run has two phases. *Routing* is one sequential event loop — a pure
-//! function of `(fleet config, placement, workload)` — over a single event
-//! heap ordered by `(time, class, sequence)`; fault plans derive from the
-//! fleet seed by pure
-//! [`SeedSequencer`] / [`SimRng`] functions before the loop starts.
+//! function of `(fleet config, placement, workload)` — run by a `Router`
+//! with one handler per event class. Its events sit on one
+//! [`EventQueue`] per class; the loop pops the earliest `(time, class)`
+//! head, and each queue is FIFO within an instant, so events run in
+//! `(time, class, push order)`. Fault plans derive from the fleet seed by
+//! pure [`SeedSequencer`] / [`SimRng`] functions before the loop starts.
+//! Everything the router tracks for one host lives on that host's slot:
+//! its load model, lifecycle state, in-flight dispatches (in dispatch
+//! order), warm pool, and one placement list per epoch (a host's epoch
+//! advances each time it rejoins after a crash, an outage or a cold boot,
+//! so pre- and post-crash placements never share a sim).
 //! *Execution* fans out over [`sfs_simcore::parallel::run_indexed`], one
-//! independent `Sim` per `(region, host, epoch)` unit with results written
-//! into index-ordered slots (a host's epoch increments each time a crash
-//! or re-provision resets it, so pre- and post-crash placements never
-//! share a sim). A 1000-host faulted fleet run is therefore bit-identical
-//! at any thread count. All bookkeeping that is ever iterated lives in
-//! `BTreeMap`s: iteration order is part of the routing function.
+//! independent `Sim` per non-empty `(region, host, epoch)` unit in that
+//! order, with results written into index-ordered slots. A 1000-host
+//! faulted fleet run is therefore bit-identical at any thread count.
 //!
 //! Execution maps outcomes back to requests by workload index
 //! ([`sfs_core::run_rebased`]), never by request id, so any set of unique
 //! ids — sparse, large, out of arrival order — routes and re-bases.
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 use sfs_core::{run_rebased, ControllerFactory, RequestOutcome, SfsConfig};
 use sfs_sched::Phase;
-use sfs_simcore::{parallel, SeedSequencer, SimDuration, SimRng, SimTime};
+use sfs_simcore::{parallel, EventQueue, SeedSequencer, SimDuration, SimRng, SimTime};
 use sfs_workload::{Table1Sampler, Workload};
 
 use crate::cluster::{
-    argmin_f64_over, argmin_jsq_over, bounded_load_cap, build_ring, func_key, ring_walk, Affinity,
+    argmin_f64, argmin_jsq_over, bounded_load_cap, build_ring, func_key, ring_walk, Affinity,
     HostLoad, Placement,
 };
 
@@ -295,11 +298,11 @@ enum HostState {
     Released,
 }
 
-/// Event classes: at equal timestamps, completions land before fault /
-/// lifecycle transitions, which land before autoscaler ticks, which land
-/// before the re-dispatches those transitions queued — so a re-dispatch
-/// never targets a host that died in the same instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Number of event classes, one queue each (see [`EventKind::class`]).
+const CLASSES: usize = 4;
+
+/// A routing event.
+#[derive(Debug, Clone, Copy)]
 enum EventKind {
     /// Predicted completion of dispatch `seq` on (region, host).
     Completion {
@@ -310,11 +313,7 @@ enum EventKind {
     /// Host crash (fault plan).
     Crash { region: usize, host: usize },
     /// Straggler onset (fault plan).
-    Straggler {
-        region: usize,
-        host: usize,
-        factor_bits: u64,
-    },
+    Straggler { region: usize, host: usize },
     /// AZ outage start: `group` = 0 for the low half of the slots, 1 high.
     OutageStart {
         region: usize,
@@ -332,7 +331,12 @@ enum EventKind {
 }
 
 impl EventKind {
-    fn class(&self) -> u8 {
+    /// The event's class, which is also its queue index. At equal
+    /// timestamps, completions land before fault / lifecycle transitions,
+    /// which land before autoscaler ticks, which land before the
+    /// re-dispatches those transitions queued — so a re-dispatch never
+    /// targets a host that died in the same instant.
+    fn class(&self) -> usize {
         match self {
             EventKind::Completion { .. } => 0,
             EventKind::Crash { .. }
@@ -346,33 +350,12 @@ impl EventKind {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Event {
-    at: SimTime,
-    class: u8,
-    /// Global push sequence: the deterministic final tie-break.
-    seq: u64,
-    kind: EventKind,
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.at, self.class, self.seq).cmp(&(other.at, other.class, other.seq))
-    }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// A dispatched request the routing model still considers in flight.
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
+    /// Dispatch sequence number: names the request's Completion event.
+    seq: u64,
     idx: usize,
-    region: usize,
-    host: usize,
     service_ms: f64,
     long: bool,
     turnaround_ms: f64,
@@ -389,18 +372,45 @@ struct PlacedReq {
     slow: f64,
 }
 
+/// One host slot: the dispatcher's model of the host plus everything the
+/// router tracks for it.
+struct Slot {
+    load: HostLoad,
+    state: HostState,
+    /// Current slowdown factor (1.0 = healthy).
+    straggle: f64,
+    /// Timestamp of the latest scheduled HostUp; earlier HostUp events
+    /// still queued are stale and must be ignored.
+    pending_up: Option<SimTime>,
+    /// Dispatches still running here, in dispatch order.
+    in_flight: Vec<InFlight>,
+    /// Warm pool: per function key, the predicted finish of its latest
+    /// dispatch here.
+    warm: BTreeMap<u64, SimTime>,
+    /// Placements per epoch; the last list is the current epoch. Each
+    /// rejoin (after a crash, an outage or a cold boot) starts a new one,
+    /// so pre- and post-reset placements never share an execution unit.
+    units: Vec<Vec<PlacedReq>>,
+}
+
+impl Slot {
+    fn new(cores: usize, state: HostState) -> Slot {
+        Slot {
+            load: HostLoad::new(cores),
+            state,
+            straggle: 1.0,
+            pending_up: None,
+            in_flight: Vec::new(),
+            warm: BTreeMap::new(),
+            units: vec![Vec::new()],
+        }
+    }
+}
+
 /// Mutable per-region routing state.
 struct RegionState {
     cfg: RegionConfig,
-    hosts: Vec<HostLoad>,
-    state: Vec<HostState>,
-    /// Current slowdown factor per slot (1.0 = healthy).
-    straggle: Vec<f64>,
-    /// Reset generation per slot: placements key execution units by it.
-    epoch: Vec<u32>,
-    /// Timestamp of the latest scheduled HostUp per slot; earlier HostUp
-    /// events in the heap are stale and must be ignored.
-    pending_up: Vec<Option<SimTime>>,
+    slots: Vec<Slot>,
     ring: Vec<(u64, usize)>,
     /// In-flight count across the region's hosts.
     depth: usize,
@@ -410,9 +420,9 @@ struct RegionState {
 
 impl RegionState {
     fn active_count(&self) -> usize {
-        self.state
+        self.slots
             .iter()
-            .filter(|s| matches!(s, HostState::Active))
+            .filter(|s| s.state == HostState::Active)
             .count()
     }
 
@@ -423,28 +433,64 @@ impl RegionState {
         if active == 0 {
             return f64::INFINITY;
         }
-        let backlog: f64 = self
-            .state
-            .iter()
-            .zip(self.hosts.iter())
-            .filter(|(s, _)| matches!(s, HostState::Active))
-            .map(|(_, h)| h.backlog_ms(now))
-            .sum();
+        let backlog: f64 = self.actives().map(|(_, l)| l.backlog_ms(now)).sum();
         backlog / (active * cores_per_host) as f64
     }
-}
 
-/// The sequential routing phase's full output.
-struct FleetPlan {
-    /// Execution units keyed `(region, host, epoch)` — BTreeMap order is
-    /// the deterministic fan-out order.
-    units: BTreeMap<(usize, usize, u32), Vec<PlacedReq>>,
-    shed: Vec<u64>,
-    lost: Vec<u64>,
-    per_region: Vec<RegionStats>,
-    cold_starts: u64,
-    redispatches: u64,
-    spilled: u64,
+    /// The active hosts' modelled loads, by slot index.
+    fn actives(&self) -> impl Iterator<Item = (usize, &HostLoad)> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.state == HostState::Active)
+            .map(|(h, s)| (h, &s.load))
+    }
+
+    /// Intra-region placement over the active hosts only — the
+    /// [`Placement`] disciplines, restricted to the slate the autoscaler
+    /// and fault injector currently allow. `None` when no host is active.
+    fn pick_host(
+        &mut self,
+        placement: Placement,
+        key: u64,
+        long: bool,
+        now: SimTime,
+    ) -> Option<usize> {
+        match placement {
+            Placement::RoundRobin => self.rr_next(),
+            Placement::LeastLoaded => {
+                argmin_f64(self.actives().map(|(h, l)| (h, l.backlog_ms(now))))
+            }
+            Placement::LongToLightest if long => {
+                argmin_f64(self.actives().map(|(h, l)| (h, l.outstanding_long_ms)))
+            }
+            Placement::LongToLightest => self.rr_next(),
+            Placement::JoinShortestQueue => argmin_jsq_over(self.actives()),
+            Placement::ConsistentHash => {
+                let active_n = self.active_count();
+                if active_n == 0 {
+                    return None;
+                }
+                let cap = bounded_load_cap(self.depth, active_n);
+                ring_walk(&self.ring, key, |h| {
+                    let s = &self.slots[h];
+                    s.state == HostState::Active && s.load.depth < cap
+                })
+                .or_else(|| argmin_f64(self.actives().map(|(h, l)| (h, l.depth as f64))))
+            }
+        }
+    }
+
+    /// Rotate over slots, skipping inactive ones; deterministic because
+    /// the cursor advances exactly to the chosen slot + 1.
+    fn rr_next(&mut self) -> Option<usize> {
+        let n = self.slots.len();
+        let h = (0..n)
+            .map(|step| (self.rr + step) % n)
+            .find(|&h| self.slots[h].state == HostState::Active)?;
+        self.rr = h + 1;
+        Some(h)
+    }
 }
 
 impl Fleet {
@@ -519,8 +565,7 @@ impl Fleet {
         workload: &Workload,
         threads: usize,
     ) -> FleetRun {
-        let plan = self.route(placement, workload);
-        let units: Vec<&Vec<PlacedReq>> = plan.units.values().collect();
+        let (units, mut run) = self.route(placement, workload);
         let unit_outcomes = parallel::run_indexed(units.len(), threads, |u| {
             // Sub-workload: this host-epoch's requests with arrivals moved
             // to host-arrival time, the cold penalty as a leading CPU
@@ -549,28 +594,70 @@ impl Fleet {
                 factory.run_on(self.cores_per_host, sub).outcomes
             })
         });
-        let mut outcomes: Vec<RequestOutcome> = unit_outcomes.into_iter().flatten().collect();
-        outcomes.sort_by_key(|o| o.id);
-        FleetRun {
-            outcomes,
-            shed: plan.shed,
-            lost: plan.lost,
-            placement,
-            per_region: plan.per_region,
-            cold_starts: plan.cold_starts,
-            redispatches: plan.redispatches,
-            spilled: plan.spilled,
-            requests: workload.len(),
-        }
+        run.outcomes = unit_outcomes.into_iter().flatten().collect();
+        run.outcomes.sort_by_key(|o| o.id);
+        run
     }
 
     /// The sequential routing phase: front door + autoscaler + fault
     /// injection in one event loop. Pure in `(self, placement, workload)`.
-    fn route(&self, placement: Placement, workload: &Workload) -> FleetPlan {
-        let t1 = Table1Sampler::new();
-        let aff = self.affinity;
-        let faults = self.faults.unwrap_or_default();
-        let mut regions: Vec<RegionState> = self
+    /// Returns the execution units and the run's routing results, its
+    /// outcomes still empty.
+    fn route(&self, placement: Placement, workload: &Workload) -> (Vec<Vec<PlacedReq>>, FleetRun) {
+        let order = workload.arrival_order();
+        let mut router = Router::new(self, placement, workload);
+        if let (Some(&first), Some(&last)) = (order.first(), order.last()) {
+            router.arm(
+                workload.requests[first].arrival,
+                workload.requests[last].arrival,
+            );
+        }
+        for &idx in &order {
+            let now = workload.requests[idx].arrival;
+            router.run_until(now);
+            router.dispatch(idx, now, 0);
+        }
+        // Arrivals done: drain the remaining events (late completions,
+        // rejoins, park expiries; ticks stop re-arming once idle).
+        router.arrivals_done = true;
+        router.run_until(SimTime::MAX);
+        router.finish()
+    }
+}
+
+/// The routing phase's state and its event handlers, one per event class:
+/// [`Router::complete`], the fault / lifecycle transitions
+/// ([`Router::take_host_down`], [`Router::host_up`],
+/// [`Router::park_expire`]), [`Router::scale`], and [`Router::dispatch`]
+/// for arrivals and re-dispatches alike.
+struct Router<'a> {
+    fleet: &'a Fleet,
+    workload: &'a Workload,
+    placement: Placement,
+    t1: Table1Sampler,
+    faults: FaultSpec,
+    /// The cheapest-RTT region is every request's "home"; placements
+    /// elsewhere count as spillover.
+    home: usize,
+    regions: Vec<RegionState>,
+    /// One queue per event class, indexed by [`EventKind::class`].
+    queues: [EventQueue<EventKind>; CLASSES],
+    /// Set once every arrival is dispatched: autoscaler ticks then re-arm
+    /// only while work is in flight, so the drain terminates.
+    arrivals_done: bool,
+    dispatch_seq: u64,
+    /// Shed and lost requests by workload index; ids are looked up once,
+    /// at the end.
+    shed: Vec<usize>,
+    lost: Vec<usize>,
+    cold_starts: u64,
+    redispatches: u64,
+    spilled: u64,
+}
+
+impl<'a> Router<'a> {
+    fn new(fleet: &'a Fleet, placement: Placement, workload: &'a Workload) -> Router<'a> {
+        let regions = fleet
             .regions
             .iter()
             .enumerate()
@@ -582,25 +669,20 @@ impl Fleet {
                     "region {i}: need 1 <= min <= initial <= max hosts"
                 );
                 RegionState {
-                    hosts: (0..cfg.max_hosts)
-                        .map(|_| HostLoad::new(self.cores_per_host))
-                        .collect(),
-                    state: (0..cfg.max_hosts)
+                    slots: (0..cfg.max_hosts)
                         .map(|h| {
-                            if h < cfg.initial_hosts {
+                            let state = if h < cfg.initial_hosts {
                                 HostState::Active
                             } else {
                                 HostState::Released
-                            }
+                            };
+                            Slot::new(fleet.cores_per_host, state)
                         })
                         .collect(),
-                    straggle: vec![1.0; cfg.max_hosts],
-                    epoch: vec![0; cfg.max_hosts],
-                    pending_up: vec![None; cfg.max_hosts],
                     ring: build_ring(
                         cfg.max_hosts,
-                        self.vnodes,
-                        SeedSequencer::new(self.seed).seed_for(i as u64),
+                        fleet.vnodes,
+                        SeedSequencer::new(fleet.seed).seed_for(i as u64),
                     ),
                     depth: 0,
                     rr: 0,
@@ -612,413 +694,221 @@ impl Fleet {
                 }
             })
             .collect();
-        // The cheapest-RTT region is every request's "home"; placements
-        // elsewhere count as spillover.
-        let home = argmin_index(self.regions.iter().map(|r| r.rtt_ms)).unwrap_or(0);
-
-        let order = workload.arrival_order();
-        let mut heap: BinaryHeap<std::cmp::Reverse<Event>> = BinaryHeap::new();
-        let mut event_seq = 0u64;
-        let push = |heap: &mut BinaryHeap<std::cmp::Reverse<Event>>,
-                    seq: &mut u64,
-                    at: SimTime,
-                    kind: EventKind| {
-            heap.push(std::cmp::Reverse(Event {
-                at,
-                class: kind.class(),
-                seq: *seq,
-                kind,
-            }));
-            *seq += 1;
-        };
-
-        // Seed-derived fault plan + first autoscaler ticks, both pinned to
-        // the workload's arrival span.
-        if let (Some(&first), Some(&last)) = (order.first(), order.last()) {
-            let t0 = workload.requests[first].arrival;
-            let span_ms = workload.requests[last].arrival.since(t0).as_millis_f64();
-            if faults.is_active() && !self.regions.is_empty() {
-                let mut rng =
-                    SimRng::seed_from_u64(SeedSequencer::new(self.seed).seed_for(0xFA017));
-                let at_frac = |rng: &mut SimRng, lo: f64, hi: f64| {
-                    t0 + SimDuration::from_millis_f64(rng.uniform(lo, hi) * span_ms.max(1.0))
-                };
-                for _ in 0..faults.crashes {
-                    let at = at_frac(&mut rng, 0.10, 0.80);
-                    let region = rng.uniform_u64(0, self.regions.len() as u64 - 1) as usize;
-                    let host =
-                        rng.uniform_u64(0, self.regions[region].initial_hosts as u64 - 1) as usize;
-                    push(
-                        &mut heap,
-                        &mut event_seq,
-                        at,
-                        EventKind::Crash { region, host },
-                    );
-                }
-                for _ in 0..faults.stragglers {
-                    let at = at_frac(&mut rng, 0.05, 0.40);
-                    let region = rng.uniform_u64(0, self.regions.len() as u64 - 1) as usize;
-                    let host =
-                        rng.uniform_u64(0, self.regions[region].initial_hosts as u64 - 1) as usize;
-                    push(
-                        &mut heap,
-                        &mut event_seq,
-                        at,
-                        EventKind::Straggler {
-                            region,
-                            host,
-                            factor_bits: faults.straggler_factor.to_bits(),
-                        },
-                    );
-                }
-                for _ in 0..faults.outages {
-                    let at = at_frac(&mut rng, 0.20, 0.60);
-                    let until = at + SimDuration::from_millis_f64(0.20 * span_ms.max(1.0));
-                    let region = rng.uniform_u64(0, self.regions.len() as u64 - 1) as usize;
-                    let group = rng.uniform_u64(0, 1) as usize;
-                    push(
-                        &mut heap,
-                        &mut event_seq,
-                        at,
-                        EventKind::OutageStart {
-                            region,
-                            group,
-                            until,
-                        },
-                    );
-                }
-            }
-            if let Some(auto) = self.autoscaler {
-                for r in 0..self.regions.len() {
-                    push(
-                        &mut heap,
-                        &mut event_seq,
-                        t0 + auto.tick,
-                        EventKind::ScaleTick { region: r },
-                    );
-                }
-            }
+        Router {
+            fleet,
+            workload,
+            placement,
+            t1: Table1Sampler::new(),
+            faults: fleet.faults.unwrap_or_default(),
+            home: argmin_f64(fleet.regions.iter().map(|r| r.rtt_ms).enumerate()).unwrap_or(0),
+            regions,
+            queues: Default::default(),
+            arrivals_done: false,
+            dispatch_seq: 0,
+            shed: Vec::new(),
+            lost: Vec::new(),
+            cold_starts: 0,
+            redispatches: 0,
+            spilled: 0,
         }
+    }
 
-        let mut units: BTreeMap<(usize, usize, u32), Vec<PlacedReq>> = BTreeMap::new();
-        let mut in_flight: BTreeMap<u64, InFlight> = BTreeMap::new();
-        let mut last_seen: BTreeMap<(usize, usize, u64), SimTime> = BTreeMap::new();
-        // Shed and lost requests by workload index; ids are looked up once,
-        // at the end.
-        let mut shed: Vec<usize> = Vec::new();
-        let mut lost: Vec<usize> = Vec::new();
-        let mut dispatch_seq = 0u64;
-        let mut cold_starts = 0u64;
-        let mut redispatches = 0u64;
-        let mut spilled = 0u64;
+    fn push(&mut self, at: SimTime, kind: EventKind) {
+        self.queues[kind.class()].push(at, kind);
+    }
 
-        // One dispatch: route the request at the front door, place it in
-        // the chosen region, admit it into the dispatcher model.
-        macro_rules! dispatch {
-            ($idx:expr, $now:expr, $attempts:expr) => {{
-                let idx: usize = $idx;
-                let now: SimTime = $now;
-                let attempts: u32 = $attempts;
-                let r = &workload.requests[idx];
-                match self.route_region(&regions, now) {
-                    None => {
-                        if attempts == 0 {
-                            shed.push(idx);
-                        } else {
-                            lost.push(idx);
-                        }
-                    }
-                    Some(region) => {
-                        let key = func_key(&t1, r);
-                        let long = r.duration_ms >= sfs_workload::LONG_THRESHOLD_MS;
-                        let at_host =
-                            now + SimDuration::from_millis_f64(regions[region].cfg.rtt_ms);
-                        let host = pick_host(placement, &mut regions[region], key, long, at_host);
-                        match host {
-                            None => {
-                                if attempts == 0 {
-                                    shed.push(idx);
-                                } else {
-                                    lost.push(idx);
-                                }
-                            }
-                            Some(host) => {
-                                let reg = &mut regions[region];
-                                let mut service_ms = r.spec.cpu_demand().as_millis_f64();
-                                let mut penalty = SimDuration::ZERO;
-                                if let Some(aff) = aff {
-                                    let warm = last_seen
-                                        .get(&(region, host, key))
-                                        .is_some_and(|&t| at_host <= t + aff.keep_alive);
-                                    if !warm {
-                                        penalty = aff.cold_start;
-                                        service_ms += aff.cold_start.as_millis_f64();
-                                        cold_starts += 1;
-                                        reg.stats.cold_starts += 1;
-                                    }
-                                }
-                                let slow = reg.straggle[host];
-                                service_ms *= slow;
-                                let finish = reg.hosts[host].admit(at_host, service_ms);
-                                reg.hosts[host].depth += 1;
-                                reg.depth += 1;
-                                if long {
-                                    reg.hosts[host].outstanding_long_ms += service_ms;
-                                }
-                                reg.stats.placed += 1;
-                                reg.stats.placed_per_host[host] += 1;
-                                if region != home {
-                                    spilled += 1;
-                                }
-                                if attempts > 0 {
-                                    redispatches += 1;
-                                }
-                                last_seen.insert((region, host, key), finish);
-                                in_flight.insert(
-                                    dispatch_seq,
-                                    InFlight {
-                                        idx,
-                                        region,
-                                        host,
-                                        service_ms,
-                                        long,
-                                        turnaround_ms: finish.since(at_host).as_millis_f64(),
-                                        attempts,
-                                    },
-                                );
-                                push(
-                                    &mut heap,
-                                    &mut event_seq,
-                                    finish,
-                                    EventKind::Completion {
-                                        region,
-                                        host,
-                                        seq: dispatch_seq,
-                                    },
-                                );
-                                dispatch_seq += 1;
-                                units
-                                    .entry((region, host, reg.epoch[host]))
-                                    .or_default()
-                                    .push(PlacedReq {
-                                        idx,
-                                        at_host,
-                                        penalty,
-                                        slow,
-                                    });
-                            }
-                        }
-                    }
-                }
-            }};
-        }
-
-        // One fleet event. `arrivals_done` gates autoscaler re-arming so
-        // the post-arrival drain terminates.
-        macro_rules! handle {
-            ($ev:expr, $arrivals_done:expr) => {{
-                let ev: Event = $ev;
-                match ev.kind {
-                    EventKind::Completion { region, host, seq } => {
-                        // Stale if the dispatch was evicted by a crash.
-                        if let Some(fl) = in_flight.remove(&seq) {
-                            let reg = &mut regions[region];
-                            reg.hosts[host].depth -= 1;
-                            reg.depth -= 1;
-                            if fl.long {
-                                reg.hosts[host].outstanding_long_ms =
-                                    (reg.hosts[host].outstanding_long_ms - fl.service_ms).max(0.0);
-                            }
-                            reg.hosts[host].ewma_turnaround_ms =
-                                Some(match reg.hosts[host].ewma_turnaround_ms {
-                                    Some(e) => {
-                                        self.ewma_alpha * fl.turnaround_ms
-                                            + (1.0 - self.ewma_alpha) * e
-                                    }
-                                    None => fl.turnaround_ms,
-                                });
-                        }
-                    }
-                    EventKind::Crash { region, host } => {
-                        if take_host_down(
-                            &mut regions[region],
-                            region,
-                            host,
-                            ev.at,
-                            &mut units,
-                            &mut in_flight,
-                            &mut last_seen,
-                            &mut lost,
-                            &faults,
-                            |at, kind| push(&mut heap, &mut event_seq, at, kind),
-                        ) {
-                            let up_at = ev.at + faults.repair;
-                            regions[region].pending_up[host] = Some(up_at);
-                            push(
-                                &mut heap,
-                                &mut event_seq,
-                                up_at,
-                                EventKind::HostUp { region, host },
-                            );
-                        }
-                    }
-                    EventKind::Straggler {
-                        region,
-                        host,
-                        factor_bits,
-                    } => {
-                        regions[region].straggle[host] = f64::from_bits(factor_bits);
-                    }
+    /// Queue the seed-derived fault plan and the first autoscaler ticks,
+    /// both pinned to the workload's arrival span `[t0, last]`.
+    fn arm(&mut self, t0: SimTime, last: SimTime) {
+        let fleet = self.fleet;
+        let faults = self.faults;
+        let span_ms = last.since(t0).as_millis_f64();
+        if faults.is_active() && !fleet.regions.is_empty() {
+            let mut rng = SimRng::seed_from_u64(SeedSequencer::new(fleet.seed).seed_for(0xFA017));
+            let target = |rng: &mut SimRng| {
+                let region = rng.uniform_u64(0, fleet.regions.len() as u64 - 1) as usize;
+                let host = rng.uniform_u64(0, fleet.regions[region].initial_hosts as u64 - 1);
+                (region, host as usize)
+            };
+            let at_frac = |rng: &mut SimRng, lo: f64, hi: f64| {
+                t0 + SimDuration::from_millis_f64(rng.uniform(lo, hi) * span_ms.max(1.0))
+            };
+            for _ in 0..faults.crashes {
+                let at = at_frac(&mut rng, 0.10, 0.80);
+                let (region, host) = target(&mut rng);
+                self.push(at, EventKind::Crash { region, host });
+            }
+            for _ in 0..faults.stragglers {
+                let at = at_frac(&mut rng, 0.05, 0.40);
+                let (region, host) = target(&mut rng);
+                self.push(at, EventKind::Straggler { region, host });
+            }
+            for _ in 0..faults.outages {
+                let at = at_frac(&mut rng, 0.20, 0.60);
+                let until = at + SimDuration::from_millis_f64(0.20 * span_ms.max(1.0));
+                let region = rng.uniform_u64(0, fleet.regions.len() as u64 - 1) as usize;
+                let group = rng.uniform_u64(0, 1) as usize;
+                self.push(
+                    at,
                     EventKind::OutageStart {
                         region,
                         group,
                         until,
-                    } => {
-                        // The whole group goes down now and rejoins
-                        // together at the outage end.
-                        for h in az_members(regions[region].cfg.max_hosts, group) {
-                            if take_host_down(
-                                &mut regions[region],
-                                region,
-                                h,
-                                ev.at,
-                                &mut units,
-                                &mut in_flight,
-                                &mut last_seen,
-                                &mut lost,
-                                &faults,
-                                |at, kind| push(&mut heap, &mut event_seq, at, kind),
-                            ) {
-                                regions[region].pending_up[h] = Some(until);
-                                push(
-                                    &mut heap,
-                                    &mut event_seq,
-                                    until,
-                                    EventKind::HostUp { region, host: h },
-                                );
-                            }
-                        }
-                    }
-                    EventKind::HostUp { region, host } => {
-                        let reg = &mut regions[region];
-                        // Stale unless this is the most recently scheduled
-                        // rejoin for the slot (a boot's HostUp must not
-                        // revive a host an outage took down in between).
-                        if reg.pending_up[host] == Some(ev.at)
-                            && matches!(reg.state[host], HostState::Down | HostState::Booting)
-                        {
-                            reg.pending_up[host] = None;
-                            reg.state[host] = HostState::Active;
-                            reg.hosts[host].reset(ev.at);
-                            reg.epoch[host] += 1;
-                            clear_warmth(&mut last_seen, region, host);
-                        }
-                    }
-                    EventKind::ParkExpire { region, host } => {
-                        let reg = &mut regions[region];
-                        if let HostState::ParkedWarm { since, until } = reg.state[host] {
-                            // Stale if the host was reactivated and parked
-                            // again with a fresher window.
-                            if until == ev.at {
-                                if reg.hosts[host].depth > 0 {
-                                    // Still draining: a slot cannot release
-                                    // with work on it — extend the window
-                                    // (the bill keeps running from `since`).
-                                    if let Some(auto) = self.autoscaler {
-                                        let next = ev.at + auto.warm_park;
-                                        reg.state[host] =
-                                            HostState::ParkedWarm { since, until: next };
-                                        push(
-                                            &mut heap,
-                                            &mut event_seq,
-                                            next,
-                                            EventKind::ParkExpire { region, host },
-                                        );
-                                    }
-                                } else {
-                                    reg.state[host] = HostState::Released;
-                                    reg.stats.warm_host_ms += until.since(since).as_millis_f64();
-                                    reg.stats.releases += 1;
-                                }
-                            }
-                        }
-                    }
-                    EventKind::ScaleTick { region } => {
-                        if let Some(auto) = self.autoscaler {
-                            scale_region(&mut regions[region], region, &auto, ev.at, |at, kind| {
-                                push(&mut heap, &mut event_seq, at, kind)
-                            });
-                            if !$arrivals_done || !in_flight.is_empty() {
-                                push(
-                                    &mut heap,
-                                    &mut event_seq,
-                                    ev.at + auto.tick,
-                                    EventKind::ScaleTick { region },
-                                );
-                            }
-                        }
-                    }
-                    EventKind::Redispatch { idx, attempts } => {
-                        dispatch!(idx, ev.at, attempts);
-                    }
-                }
-            }};
-        }
-
-        for &idx in &order {
-            let now = workload.requests[idx].arrival;
-            while let Some(&std::cmp::Reverse(ev)) = heap.peek() {
-                if ev.at > now {
-                    break;
-                }
-                heap.pop();
-                handle!(ev, false);
+                    },
+                );
             }
-            dispatch!(idx, now, 0);
         }
-        // Arrivals done: drain the remaining events (late completions,
-        // rejoins, park expiries; ticks stop re-arming once idle).
-        while let Some(std::cmp::Reverse(ev)) = heap.pop() {
-            handle!(ev, true);
+        if let Some(auto) = fleet.autoscaler {
+            for region in 0..fleet.regions.len() {
+                self.push(t0 + auto.tick, EventKind::ScaleTick { region });
+            }
         }
+    }
 
-        let ids = |idxs: Vec<usize>| {
-            let mut ids: Vec<u64> = idxs.into_iter().map(|i| workload.requests[i].id).collect();
-            ids.sort_unstable();
-            ids
-        };
-        FleetPlan {
-            units,
-            shed: ids(shed),
-            lost: ids(lost),
-            per_region: regions.into_iter().map(|r| r.stats).collect(),
-            cold_starts,
-            redispatches,
-            spilled,
+    /// Handle every event due at or before `until`, earliest first. The
+    /// earliest `(time, class)` head wins, and each class queue is FIFO
+    /// within an instant, so events run in `(time, class, push order)`.
+    fn run_until(&mut self, until: SimTime) {
+        loop {
+            let head = self
+                .queues
+                .iter()
+                .enumerate()
+                .filter_map(|(class, q)| q.peek_time().map(|at| (at, class)))
+                .min();
+            let Some((at, ev)) = head.and_then(|(_, class)| self.queues[class].pop_until(until))
+            else {
+                return;
+            };
+            match ev {
+                EventKind::Completion { region, host, seq } => self.complete(region, host, seq),
+                EventKind::Crash { region, host } => {
+                    if self.take_host_down(region, host, at) {
+                        self.schedule_up(region, host, at + self.faults.repair);
+                    }
+                }
+                EventKind::Straggler { region, host } => {
+                    self.regions[region].slots[host].straggle = self.faults.straggler_factor;
+                }
+                EventKind::OutageStart {
+                    region,
+                    group,
+                    until: end,
+                } => {
+                    // The whole group goes down now and rejoins together at
+                    // the outage end.
+                    for h in az_members(self.regions[region].cfg.max_hosts, group) {
+                        if self.take_host_down(region, h, at) {
+                            self.schedule_up(region, h, end);
+                        }
+                    }
+                }
+                EventKind::HostUp { region, host } => self.host_up(region, host, at),
+                EventKind::ParkExpire { region, host } => self.park_expire(region, host, at),
+                EventKind::ScaleTick { region } => self.scale(region, at),
+                EventKind::Redispatch { idx, attempts } => self.dispatch(idx, at, attempts),
+            }
         }
+    }
+
+    /// One dispatch: route the request at the front door, place it in the
+    /// chosen region, admit it into the dispatcher model. A request no
+    /// region or host can take is shed on first arrival and lost on
+    /// re-dispatch.
+    fn dispatch(&mut self, idx: usize, now: SimTime, attempts: u32) {
+        let workload = self.workload;
+        let r = &workload.requests[idx];
+        let placed = self.route_region(now).and_then(|region| {
+            let key = func_key(&self.t1, r);
+            let long = r.duration_ms >= sfs_workload::LONG_THRESHOLD_MS;
+            let reg = &mut self.regions[region];
+            let at_host = now + SimDuration::from_millis_f64(reg.cfg.rtt_ms);
+            let host = reg.pick_host(self.placement, key, long, at_host)?;
+            Some((region, host, key, long, at_host))
+        });
+        let Some((region, host, key, long, at_host)) = placed else {
+            if attempts == 0 {
+                self.shed.push(idx);
+            } else {
+                self.lost.push(idx);
+            }
+            return;
+        };
+        let reg = &mut self.regions[region];
+        let slot = &mut reg.slots[host];
+        let mut service_ms = r.spec.cpu_demand().as_millis_f64();
+        let mut penalty = SimDuration::ZERO;
+        if let Some(aff) = self.fleet.affinity {
+            let warm = slot
+                .warm
+                .get(&key)
+                .is_some_and(|&t| at_host <= t + aff.keep_alive);
+            if !warm {
+                penalty = aff.cold_start;
+                service_ms += aff.cold_start.as_millis_f64();
+                self.cold_starts += 1;
+                reg.stats.cold_starts += 1;
+            }
+        }
+        let slow = slot.straggle;
+        service_ms *= slow;
+        let finish = slot.load.admit(at_host, service_ms);
+        slot.load.depth += 1;
+        reg.depth += 1;
+        if long {
+            slot.load.outstanding_long_ms += service_ms;
+        }
+        reg.stats.placed += 1;
+        reg.stats.placed_per_host[host] += 1;
+        if region != self.home {
+            self.spilled += 1;
+        }
+        if attempts > 0 {
+            self.redispatches += 1;
+        }
+        slot.warm.insert(key, finish);
+        let seq = self.dispatch_seq;
+        self.dispatch_seq += 1;
+        slot.in_flight.push(InFlight {
+            seq,
+            idx,
+            service_ms,
+            long,
+            turnaround_ms: finish.since(at_host).as_millis_f64(),
+            attempts,
+        });
+        slot.units
+            .last_mut()
+            .expect("a slot always has a current epoch")
+            .push(PlacedReq {
+                idx,
+                at_host,
+                penalty,
+                slow,
+            });
+        self.push(finish, EventKind::Completion { region, host, seq });
     }
 
     /// Front-door routing: among regions under the spill threshold, the
     /// lowest `rtt + backlog/core` score wins; if none, any region under
     /// the shed threshold; if none (or no region has an active host), the
     /// request is shed. Ties resolve to the lowest region index.
-    fn route_region(&self, regions: &[RegionState], now: SimTime) -> Option<usize> {
-        let loads: Vec<f64> = regions
+    fn route_region(&self, now: SimTime) -> Option<usize> {
+        let loads: Vec<f64> = self
+            .regions
             .iter()
-            .map(|r| r.backlog_per_core_ms(now, self.cores_per_host))
+            .map(|r| r.backlog_per_core_ms(now, self.fleet.cores_per_host))
             .collect();
-        for threshold in [
-            self.front_door.spill_backlog_ms,
-            self.front_door.shed_backlog_ms,
-        ] {
-            let best = argmin_index(loads.iter().zip(regions.iter()).map(|(&l, r)| {
+        let door = self.fleet.front_door;
+        for threshold in [door.spill_backlog_ms, door.shed_backlog_ms] {
+            let scores = loads.iter().zip(&self.regions).map(|(&l, r)| {
                 if l < threshold {
                     r.cfg.rtt_ms + l
                 } else {
                     f64::INFINITY
                 }
-            }));
-            if let Some(b) = best {
+            });
+            if let Some(b) = argmin_f64(scores.enumerate()) {
                 if loads[b] < threshold {
                     return Some(b);
                 }
@@ -1026,73 +916,206 @@ impl Fleet {
         }
         None
     }
-}
 
-/// Intra-region placement over the active hosts only — the [`Placement`]
-/// disciplines, restricted to the slate the autoscaler and fault injector
-/// currently allow. `None` when no host is active.
-fn pick_host(
-    placement: Placement,
-    reg: &mut RegionState,
-    key: u64,
-    long: bool,
-    now: SimTime,
-) -> Option<usize> {
-    let n = reg.cfg.max_hosts;
-    let actives = || (0..n).filter(|&h| matches!(reg.state[h], HostState::Active));
-    let rr_next = |reg: &mut RegionState| {
-        // Rotate over slots, skipping inactive ones; deterministic because
-        // the cursor advances exactly to the chosen slot + 1.
-        for step in 0..n {
-            let h = (reg.rr + step) % n;
-            if matches!(reg.state[h], HostState::Active) {
-                reg.rr = h + 1;
-                return Some(h);
-            }
-        }
-        None
-    };
-    match placement {
-        Placement::RoundRobin => rr_next(reg),
-        Placement::LeastLoaded => {
-            argmin_f64_over(actives().map(|h| (h, &reg.hosts[h])), |h| h.backlog_ms(now))
-        }
-        Placement::LongToLightest => {
-            if long {
-                argmin_f64_over(actives().map(|h| (h, &reg.hosts[h])), |h| {
-                    h.outstanding_long_ms
-                })
-            } else {
-                rr_next(reg)
-            }
-        }
-        Placement::JoinShortestQueue => argmin_jsq_over(&reg.hosts, actives()),
-        Placement::ConsistentHash => {
-            let active_n = reg.active_count();
-            if active_n == 0 {
-                return None;
-            }
-            let cap = bounded_load_cap(reg.depth, active_n);
-            ring_walk(&reg.ring, &reg.hosts, key, cap, |h| {
-                matches!(reg.state[h], HostState::Active)
-            })
-            .or_else(|| argmin_f64_over(actives().map(|h| (h, &reg.hosts[h])), |h| h.depth as f64))
-        }
-    }
-}
-
-/// Index of the minimum of a float iterator under `total_cmp`, ties to the
-/// lowest index; `None` on empty input.
-fn argmin_index(scores: impl Iterator<Item = f64>) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, v) in scores.enumerate() {
-        best = match best {
-            Some((_, bv)) if v.total_cmp(&bv).is_lt() => Some((i, v)),
-            Some(b) => Some(b),
-            None => Some((i, v)),
+    /// A predicted completion: the request leaves the host's model and its
+    /// turnaround folds into the host's EWMA. Stale if a crash evicted the
+    /// dispatch first.
+    fn complete(&mut self, region: usize, host: usize, seq: u64) {
+        let alpha = self.fleet.ewma_alpha;
+        let reg = &mut self.regions[region];
+        let slot = &mut reg.slots[host];
+        let Some(i) = slot.in_flight.iter().position(|fl| fl.seq == seq) else {
+            return;
         };
+        let fl = slot.in_flight.remove(i);
+        let load = &mut slot.load;
+        load.depth -= 1;
+        reg.depth -= 1;
+        if fl.long {
+            load.outstanding_long_ms = (load.outstanding_long_ms - fl.service_ms).max(0.0);
+        }
+        load.ewma_turnaround_ms = Some(match load.ewma_turnaround_ms {
+            Some(e) => alpha * fl.turnaround_ms + (1.0 - alpha) * e,
+            None => fl.turnaround_ms,
+        });
     }
-    best.map(|(i, _)| i)
+
+    /// Take one host down (crash or outage member): evict its in-flight
+    /// work back through the front door, wipe its model and warm pool.
+    /// Returns whether the host actually went down (false for slots
+    /// already down or released — a fault on an unprovisioned slot is a
+    /// no-op).
+    fn take_host_down(&mut self, region: usize, host: usize, at: SimTime) -> bool {
+        let reg = &mut self.regions[region];
+        let slot = &mut reg.slots[host];
+        match slot.state {
+            HostState::Down | HostState::Released => return false,
+            HostState::ParkedWarm { since, .. } => {
+                reg.stats.warm_host_ms += at.since(since).as_millis_f64();
+            }
+            HostState::Active | HostState::Booting => {}
+        }
+        // Victims in dispatch order: still-running requests lose their
+        // progress and re-enter the front door now.
+        let victims = std::mem::take(&mut slot.in_flight);
+        slot.units
+            .last_mut()
+            .expect("a slot always has a current epoch")
+            .retain(|p| !victims.iter().any(|fl| fl.idx == p.idx));
+        reg.depth -= victims.len();
+        slot.state = HostState::Down;
+        slot.load.reset(at);
+        slot.warm.clear();
+        reg.stats.crashes += 1;
+        for fl in victims {
+            if fl.attempts >= self.faults.max_redispatch {
+                self.lost.push(fl.idx);
+            } else {
+                self.push(
+                    at,
+                    EventKind::Redispatch {
+                        idx: fl.idx,
+                        attempts: fl.attempts + 1,
+                    },
+                );
+            }
+        }
+        true
+    }
+
+    /// Schedule `host`'s rejoin at `at`, superseding any earlier one.
+    fn schedule_up(&mut self, region: usize, host: usize, at: SimTime) {
+        self.regions[region].slots[host].pending_up = Some(at);
+        self.push(at, EventKind::HostUp { region, host });
+    }
+
+    /// A booting / repaired / outage-ended host comes up cold, in a new
+    /// epoch. Stale unless this is the most recently scheduled rejoin for
+    /// the slot (a boot's HostUp must not revive a host an outage took
+    /// down in between).
+    fn host_up(&mut self, region: usize, host: usize, at: SimTime) {
+        let slot = &mut self.regions[region].slots[host];
+        if slot.pending_up == Some(at) && matches!(slot.state, HostState::Down | HostState::Booting)
+        {
+            slot.pending_up = None;
+            slot.state = HostState::Active;
+            slot.load.reset(at);
+            slot.units.push(Vec::new());
+            slot.warm.clear();
+        }
+    }
+
+    /// A parked host's keep-alive window ended: release the slot, or
+    /// extend the window while it still drains work.
+    fn park_expire(&mut self, region: usize, host: usize, at: SimTime) {
+        let reg = &mut self.regions[region];
+        let slot = &mut reg.slots[host];
+        // Stale if the host was reactivated and parked again with a
+        // fresher window.
+        let HostState::ParkedWarm { since, until } = slot.state else {
+            return;
+        };
+        if until != at {
+            return;
+        }
+        if slot.load.depth == 0 {
+            slot.state = HostState::Released;
+            reg.stats.warm_host_ms += until.since(since).as_millis_f64();
+            reg.stats.releases += 1;
+        } else if let Some(auto) = self.fleet.autoscaler {
+            // A slot cannot release with work on it: extend the window
+            // (the bill keeps running from `since`).
+            let next = at + auto.warm_park;
+            slot.state = HostState::ParkedWarm { since, until: next };
+            self.push(next, EventKind::ParkExpire { region, host });
+        }
+    }
+
+    /// An autoscaler tick: evaluate the region, then re-arm while
+    /// arrivals remain or any work is in flight.
+    fn scale(&mut self, region: usize, at: SimTime) {
+        let Some(auto) = self.fleet.autoscaler else {
+            return;
+        };
+        self.scale_region(region, &auto, at);
+        if !self.arrivals_done || self.regions.iter().any(|r| r.depth > 0) {
+            self.push(at + auto.tick, EventKind::ScaleTick { region });
+        }
+    }
+
+    /// One autoscaler evaluation for one region.
+    fn scale_region(&mut self, region: usize, auto: &Autoscaler, now: SimTime) {
+        let reg = &mut self.regions[region];
+        let active = reg.active_count();
+        if active == 0 {
+            return;
+        }
+        let depth_per_host = reg.depth as f64 / active as f64;
+        if depth_per_host > auto.up_depth_per_host {
+            // Prefer the cheapest capacity: a parked host is warm and
+            // instant.
+            if let Some(slot) = reg
+                .slots
+                .iter_mut()
+                .find(|s| matches!(s.state, HostState::ParkedWarm { .. }))
+            {
+                if let HostState::ParkedWarm { since, .. } = slot.state {
+                    reg.stats.warm_host_ms += now.since(since).as_millis_f64();
+                }
+                slot.state = HostState::Active;
+                reg.stats.reactivations += 1;
+            } else if let Some(h) = reg
+                .slots
+                .iter()
+                .position(|s| s.state == HostState::Released)
+            {
+                reg.slots[h].state = HostState::Booting;
+                reg.stats.boots += 1;
+                self.schedule_up(region, h, now + auto.boot_delay);
+            }
+        } else if depth_per_host < auto.down_depth_per_host && active > reg.cfg.min_hosts {
+            // Park the highest-index active host: it drains its queue warm
+            // and releases when the keep-alive window lapses.
+            if let Some(h) = reg.slots.iter().rposition(|s| s.state == HostState::Active) {
+                let until = now + auto.warm_park;
+                reg.slots[h].state = HostState::ParkedWarm { since: now, until };
+                reg.stats.parks += 1;
+                self.push(until, EventKind::ParkExpire { region, host: h });
+            }
+        }
+    }
+
+    /// The routing phase's output: the non-empty execution units in
+    /// region → slot → epoch order (the deterministic fan-out order) and
+    /// the run's routing results with shed / lost ids sorted.
+    fn finish(self) -> (Vec<Vec<PlacedReq>>, FleetRun) {
+        let workload = self.workload;
+        let ids = |idxs: Vec<usize>| {
+            let mut ids: Vec<u64> = idxs.into_iter().map(|i| workload.requests[i].id).collect();
+            ids.sort_unstable();
+            ids
+        };
+        let mut units = Vec::new();
+        let mut per_region = Vec::with_capacity(self.regions.len());
+        for reg in self.regions {
+            for slot in reg.slots {
+                units.extend(slot.units.into_iter().filter(|u| !u.is_empty()));
+            }
+            per_region.push(reg.stats);
+        }
+        let run = FleetRun {
+            outcomes: Vec::new(),
+            shed: ids(self.shed),
+            lost: ids(self.lost),
+            placement: self.placement,
+            per_region,
+            cold_starts: self.cold_starts,
+            redispatches: self.redispatches,
+            spilled: self.spilled,
+            requests: workload.len(),
+        };
+        (units, run)
+    }
 }
 
 /// The contiguous host slots of AZ `group` (0 = low half, 1 = high half).
@@ -1102,132 +1125,6 @@ fn az_members(max_hosts: usize, group: usize) -> std::ops::Range<usize> {
         0..mid.max(1)
     } else {
         mid.max(1)..max_hosts
-    }
-}
-
-/// Drop all warm-pool entries of one host (its containers died with it).
-fn clear_warmth(
-    last_seen: &mut BTreeMap<(usize, usize, u64), SimTime>,
-    region: usize,
-    host: usize,
-) {
-    let keys: Vec<(usize, usize, u64)> = last_seen
-        .range((region, host, 0)..=(region, host, u64::MAX))
-        .map(|(&k, _)| k)
-        .collect();
-    for k in keys {
-        last_seen.remove(&k);
-    }
-}
-
-/// Take one host down (crash or outage member): evict its in-flight work
-/// back through the front door, wipe its model and warm pool. Returns
-/// whether the host actually went down (false for slots already down or
-/// released — a fault on an unprovisioned slot is a no-op).
-#[allow(clippy::too_many_arguments)]
-fn take_host_down(
-    reg: &mut RegionState,
-    region: usize,
-    host: usize,
-    at: SimTime,
-    units: &mut BTreeMap<(usize, usize, u32), Vec<PlacedReq>>,
-    in_flight: &mut BTreeMap<u64, InFlight>,
-    last_seen: &mut BTreeMap<(usize, usize, u64), SimTime>,
-    lost: &mut Vec<usize>,
-    faults: &FaultSpec,
-    mut push: impl FnMut(SimTime, EventKind),
-) -> bool {
-    match reg.state[host] {
-        HostState::Down | HostState::Released => return false,
-        HostState::ParkedWarm { since, .. } => {
-            reg.stats.warm_host_ms += at.since(since).as_millis_f64();
-        }
-        HostState::Active | HostState::Booting => {}
-    }
-    // Victims in dispatch order (BTreeMap is seq-ordered): still-running
-    // requests lose their progress and re-enter the front door now.
-    let victims: Vec<(u64, InFlight)> = in_flight
-        .iter()
-        .filter(|(_, fl)| fl.region == region && fl.host == host)
-        .map(|(&s, &fl)| (s, fl))
-        .collect();
-    if !victims.is_empty() {
-        let epoch = reg.epoch[host];
-        let unit = units
-            .get_mut(&(region, host, epoch))
-            .expect("victims imply placements in the current epoch");
-        unit.retain(|p| !victims.iter().any(|(_, fl)| fl.idx == p.idx));
-        if unit.is_empty() {
-            units.remove(&(region, host, epoch));
-        }
-    }
-    for (seq, fl) in victims {
-        in_flight.remove(&seq);
-        reg.hosts[host].depth -= 1;
-        reg.depth -= 1;
-        if fl.attempts >= faults.max_redispatch {
-            lost.push(fl.idx);
-        } else {
-            push(
-                at,
-                EventKind::Redispatch {
-                    idx: fl.idx,
-                    attempts: fl.attempts + 1,
-                },
-            );
-        }
-    }
-    reg.state[host] = HostState::Down;
-    reg.hosts[host].reset(at);
-    clear_warmth(last_seen, region, host);
-    reg.stats.crashes += 1;
-    true
-}
-
-/// One autoscaler evaluation for one region.
-fn scale_region(
-    reg: &mut RegionState,
-    region: usize,
-    auto: &Autoscaler,
-    now: SimTime,
-    mut push: impl FnMut(SimTime, EventKind),
-) {
-    let active = reg.active_count();
-    if active == 0 {
-        return;
-    }
-    let depth_per_host = reg.depth as f64 / active as f64;
-    if depth_per_host > auto.up_depth_per_host {
-        // Prefer the cheapest capacity: a parked host is warm and instant.
-        if let Some(h) =
-            (0..reg.cfg.max_hosts).find(|&h| matches!(reg.state[h], HostState::ParkedWarm { .. }))
-        {
-            if let HostState::ParkedWarm { since, .. } = reg.state[h] {
-                reg.stats.warm_host_ms += now.since(since).as_millis_f64();
-            }
-            reg.state[h] = HostState::Active;
-            reg.stats.reactivations += 1;
-        } else if let Some(h) =
-            (0..reg.cfg.max_hosts).find(|&h| matches!(reg.state[h], HostState::Released))
-        {
-            reg.state[h] = HostState::Booting;
-            reg.stats.boots += 1;
-            let up_at = now + auto.boot_delay;
-            reg.pending_up[h] = Some(up_at);
-            push(up_at, EventKind::HostUp { region, host: h });
-        }
-    } else if depth_per_host < auto.down_depth_per_host && active > reg.cfg.min_hosts {
-        // Park the highest-index active host: it drains its queue warm and
-        // releases when the keep-alive window lapses.
-        if let Some(h) = (0..reg.cfg.max_hosts)
-            .rev()
-            .find(|&h| matches!(reg.state[h], HostState::Active))
-        {
-            let until = now + auto.warm_park;
-            reg.state[h] = HostState::ParkedWarm { since: now, until };
-            reg.stats.parks += 1;
-            push(until, EventKind::ParkExpire { region, host: h });
-        }
     }
 }
 

@@ -38,6 +38,9 @@
 //! inserted at construction and therefore always popped before same-instant
 //! controller timers.
 
+use std::borrow::Borrow;
+use std::iter::Peekable;
+
 use sfs_sched::{
     FinishedTask, KernelPolicyKind, Machine, MachineParams, Notification, Pid, Policy, ProcState,
     ScheduleTrace,
@@ -491,18 +494,15 @@ impl<'a> Sim<'a> {
         if self.tracing {
             machine.enable_tracing();
         }
-        let total = workload.len();
-        let order = workload.arrival_order();
-        let mut outcomes: Vec<RequestOutcome> = Vec::with_capacity(total);
-        let source: Source<'_, std::iter::Empty<Request>> = Source::Replay {
-            workload,
-            order,
-            cursor: 0,
-        };
+        let mut outcomes: Vec<RequestOutcome> = Vec::with_capacity(workload.len());
+        let arrivals = workload
+            .arrival_order()
+            .into_iter()
+            .map(|i| &workload.requests[i]);
         let res = drive(
             &mut machine,
             &mut *controller,
-            source,
+            arrivals,
             |o| outcomes.push(o),
             None,
         );
@@ -572,14 +572,10 @@ impl<'a> Sim<'a> {
             machine.enable_tracing();
         }
         machine.set_retain_finished(false);
-        let source = Source::Stream {
-            iter: arrivals.into_iter().peekable(),
-            last_arrival: SimTime::ZERO,
-        };
         let res = drive(
             &mut machine,
             &mut *controller,
-            source,
+            arrivals.into_iter(),
             &mut sink,
             Some(COMPACT_TASK_TABLE_LEN),
         );
@@ -624,88 +620,41 @@ pub struct StreamRun {
 /// is amortised, small enough that a streaming run's slab stays tiny.
 const COMPACT_TASK_TABLE_LEN: usize = 1024;
 
-/// Where the simulation loop pulls due requests from: a materialised
-/// workload replayed in stable `(arrival, index)` order, or a lazy
-/// non-decreasing arrival stream.
-enum Source<'a, I: Iterator<Item = Request>> {
-    Replay {
-        workload: &'a Workload,
-        order: Vec<usize>,
-        cursor: usize,
-    },
-    Stream {
-        iter: std::iter::Peekable<I>,
-        last_arrival: SimTime,
-    },
-}
-
-impl<I: Iterator<Item = Request>> Source<'_, I> {
-    /// Arrival time of the next pending request, if any.
-    fn peek_time(&mut self) -> Option<SimTime> {
-        match self {
-            Source::Replay {
-                workload,
-                order,
-                cursor,
-            } => order.get(*cursor).map(|&i| workload.requests[i].arrival),
-            Source::Stream { iter, .. } => iter.peek().map(|r| r.arrival),
-        }
+/// Dispatch every request due at or before `next`: clone its spec with
+/// the controller's dispatch policy applied, spawn it, and hand the
+/// *original* (policy-unmodified) request to the controller. Returns how
+/// many were spawned.
+fn spawn_due<I, C>(
+    arrivals: &mut Peekable<I>,
+    last_arrival: &mut SimTime,
+    next: SimTime,
+    view: &mut MachineView<'_>,
+    controller: &mut C,
+) -> usize
+where
+    I: Iterator,
+    I::Item: Borrow<Request>,
+    C: Controller + ?Sized,
+{
+    let mut spawned = 0;
+    while arrivals.peek().is_some_and(|r| r.borrow().arrival <= next) {
+        let item = arrivals.next().expect("peeked request present");
+        let req = item.borrow();
+        assert!(
+            req.arrival >= *last_arrival,
+            "arrivals must be non-decreasing in time (request {} at {} after {})",
+            req.id,
+            req.arrival,
+            last_arrival
+        );
+        *last_arrival = req.arrival;
+        let mut spec = req.spec.clone();
+        spec.policy = controller.dispatch_policy(req);
+        let pid = view.machine.spawn(spec);
+        controller.on_arrival(view, req, pid);
+        spawned += 1;
     }
-
-    /// True iff requests are still pending.
-    fn pending(&mut self) -> bool {
-        self.peek_time().is_some()
-    }
-
-    /// Dispatch every request due at or before `next`: clone its spec with
-    /// the controller's dispatch policy applied, spawn it, and hand the
-    /// *original* (policy-unmodified) request to the controller. Returns
-    /// how many were spawned.
-    fn spawn_due<C: Controller + ?Sized>(
-        &mut self,
-        next: SimTime,
-        view: &mut MachineView<'_>,
-        controller: &mut C,
-    ) -> usize {
-        let mut spawned = 0;
-        match self {
-            Source::Replay {
-                workload,
-                order,
-                cursor,
-            } => {
-                while *cursor < order.len() && workload.requests[order[*cursor]].arrival <= next {
-                    let req = &workload.requests[order[*cursor]];
-                    *cursor += 1;
-                    let mut spec = req.spec.clone();
-                    spec.policy = controller.dispatch_policy(req);
-                    let pid = view.machine.spawn(spec);
-                    controller.on_arrival(view, req, pid);
-                    spawned += 1;
-                }
-            }
-            Source::Stream { iter, last_arrival } => {
-                while iter.peek().is_some_and(|r| r.arrival <= next) {
-                    let req = iter.next().expect("peeked request present");
-                    assert!(
-                        req.arrival >= *last_arrival,
-                        "streaming arrivals must be non-decreasing in time \
-                         (request {} at {} after {})",
-                        req.id,
-                        req.arrival,
-                        last_arrival
-                    );
-                    *last_arrival = req.arrival;
-                    let mut spec = req.spec.clone();
-                    spec.policy = controller.dispatch_policy(&req);
-                    let pid = view.machine.spawn(spec);
-                    controller.on_arrival(view, &req, pid);
-                    spawned += 1;
-                }
-            }
-        }
-        spawned
-    }
+    spawned
 }
 
 /// Counters the shared simulation loop reports back to its caller.
@@ -717,20 +666,25 @@ struct DriveResult {
 /// The simulation loop shared by [`Sim::run`] and [`Sim::run_streaming`]:
 /// advance the machine to the next event (machine / arrival / controller
 /// wakeup), deliver notifications, emit outcomes, spawn due arrivals, fire
-/// controller timers — identically for both sources, so a streamed run is
-/// event-for-event the same simulation as a replayed one.
+/// controller timers. Arrivals come from one iterator in either case — a
+/// replayed workload's requests by reference in `(arrival, index)` order,
+/// or a stream's owned requests — so a streamed run is event-for-event
+/// the same simulation as a replayed one.
 fn drive<I, C, F>(
     machine: &mut Machine,
     controller: &mut C,
-    mut source: Source<'_, I>,
+    arrivals: I,
     mut emit: F,
     compact_threshold: Option<usize>,
 ) -> DriveResult
 where
-    I: Iterator<Item = Request>,
+    I: Iterator,
+    I::Item: Borrow<Request>,
     C: Controller + ?Sized,
     F: FnMut(RequestOutcome),
 {
+    let mut arrivals = arrivals.peekable();
+    let mut last_arrival = SimTime::ZERO;
     let mut sched_actions = 0u64;
     let mut spawned = 0usize;
     let mut completed = 0usize;
@@ -747,9 +701,9 @@ where
     let mut last_state = None;
     let mut stalled = 0u32;
 
-    while completed < spawned || source.pending() {
+    while completed < spawned || arrivals.peek().is_some() {
         let tm = machine.next_event_time();
-        let ta = source.peek_time();
+        let ta = arrivals.peek().map(|r| r.borrow().arrival);
         let tc = controller.next_wakeup();
         let state = (tm, tc, spawned, completed);
         if last_state == Some(state) {
@@ -789,7 +743,13 @@ where
                 completed += 1;
             }
         }
-        spawned += source.spawn_due(next, &mut view, controller);
+        spawned += spawn_due(
+            &mut arrivals,
+            &mut last_arrival,
+            next,
+            &mut view,
+            controller,
+        );
         controller.on_wakeup(&mut view);
         // Streaming runs reclaim the task table whenever the machine
         // quiesces with enough dead records — behaviour-transparent (see

@@ -128,6 +128,40 @@ fn get<T: std::str::FromStr>(flags: &BTreeMap<String, String>, key: &str, defaul
     }
 }
 
+/// As [`get`], and the value must also satisfy `valid`: one outside the
+/// flag's domain aborts naming the flag, the value, and what it must be.
+fn get_valid<T: std::str::FromStr>(
+    flags: &BTreeMap<String, String>,
+    key: &str,
+    default: T,
+    what: &str,
+    valid: impl Fn(&T) -> bool,
+) -> T {
+    let v = get(flags, key, default);
+    if !valid(&v) {
+        let raw = flags.get(key).map_or("", String::as_str);
+        eprintln!("--{key}: value `{raw}` is not {what}");
+        usage_and_exit();
+    }
+    v
+}
+
+/// `--cores`: cores of the simulated machine, at least 1.
+fn get_cores(flags: &BTreeMap<String, String>) -> usize {
+    get_valid(flags, "cores", 16usize, "a count >= 1", |&n| n >= 1)
+}
+
+/// `--threads`: worker threads for cluster and fleet hosts, at least 1.
+fn get_threads(flags: &BTreeMap<String, String>) -> usize {
+    get_valid(
+        flags,
+        "threads",
+        sfs_repro::simcore::parallel::default_threads(),
+        "a count >= 1",
+        |&n| n >= 1,
+    )
+}
+
 fn build_workload(flags: &BTreeMap<String, String>, cores: usize) -> Workload {
     if let Some(path) = flags.get("trace") {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -141,7 +175,9 @@ fn build_workload(flags: &BTreeMap<String, String>, cores: usize) -> Workload {
     }
     let n = get(flags, "requests", 2_000usize);
     let seed = get(flags, "seed", 42u64);
-    let load = get(flags, "load", 0.9f64);
+    let load = get_valid(flags, "load", 0.9f64, "a finite number > 0", |&x| {
+        x.is_finite() && x > 0.0
+    });
     let spec = match flags.get("mix").map(String::as_str) {
         Some("openlambda") => WorkloadSpec::openlambda(n, seed),
         Some("replay") => WorkloadSpec::azure_replay(n, seed),
@@ -151,7 +187,7 @@ fn build_workload(flags: &BTreeMap<String, String>, cores: usize) -> Workload {
 }
 
 fn cmd_gen(flags: &BTreeMap<String, String>) {
-    let cores = get(flags, "cores", 16usize);
+    let cores = get_cores(flags);
     let w = build_workload(flags, cores);
     let csv = workload::to_csv(&w);
     match flags.get("out") {
@@ -273,11 +309,7 @@ fn cmd_run_cluster(flags: &BTreeMap<String, String>, spec: &str) {
         eprintln!("unknown scheduler: {sched}");
         usage_and_exit();
     };
-    let threads = get(
-        flags,
-        "threads",
-        sfs_repro::simcore::parallel::default_threads(),
-    );
+    let threads = get_threads(flags);
     let w = build_workload(flags, hosts * cores);
     let mut cluster = Cluster::new(hosts, cores);
     if let Some((keep_ms, cold_ms)) = affinity {
@@ -313,11 +345,7 @@ fn cmd_run_fleet(flags: &BTreeMap<String, String>, spec: &str) {
         eprintln!("unknown scheduler: {sched}");
         usage_and_exit();
     };
-    let threads = get(
-        flags,
-        "threads",
-        sfs_repro::simcore::parallel::default_threads(),
-    );
+    let threads = get_threads(flags);
     let fleet = fleet_spec.build();
     let w = build_workload(
         flags,
@@ -371,7 +399,7 @@ fn cmd_run(flags: &BTreeMap<String, String>) {
     if let Some(spec) = flags.get("cluster") {
         return cmd_run_cluster(flags, spec);
     }
-    let cores = get(flags, "cores", 16usize);
+    let cores = get_cores(flags);
     let w = build_workload(flags, cores);
     let sched = flags.get("sched").map(String::as_str).unwrap_or("sfs");
     let gantt = flags.contains_key("gantt");
@@ -431,7 +459,7 @@ fn cmd_run(flags: &BTreeMap<String, String>) {
 }
 
 fn cmd_compare(flags: &BTreeMap<String, String>) {
-    let cores = get(flags, "cores", 16usize);
+    let cores = get_cores(flags);
     let w = build_workload(flags, cores);
     let sfs = run_with(&SfsConfig::new(cores), cores, &w).outcomes;
     let cfs = run_with(&Baseline::Cfs, cores, &w).outcomes;
@@ -461,7 +489,7 @@ fn cmd_compare(flags: &BTreeMap<String, String>) {
 }
 
 fn cmd_slo(flags: &BTreeMap<String, String>) {
-    let cores = get(flags, "cores", 16usize);
+    let cores = get_cores(flags);
     let w = build_workload(flags, cores);
     let mut table = MarkdownTable::new(&["scheduler", "soft SLO", "hard SLO"]);
     let mut row = |name: &str, outs: &[RequestOutcome]| {

@@ -1,5 +1,6 @@
 //! The `sfs` binary over hand-written traces: sparse ids run on every
 //! dispatch path, and a repeated id is a named parse error, never a panic.
+//! Numeric flags outside their domain are named usage errors too.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -61,4 +62,69 @@ fn duplicate_ids_are_a_named_error_on_every_dispatch_path() {
         );
     }
     std::fs::remove_file(trace).ok();
+}
+
+#[test]
+fn out_of_domain_numeric_flags_are_named_errors() {
+    let fleet = "regions=1,hosts=1,cores=1";
+    let cluster = "hosts=1,cores=1";
+    let cases: &[(&[&str], &str, &str)] = &[
+        (&["run", "--requests", "5", "--load", "0"], "--load", "0"),
+        (&["run", "--requests", "5", "--load", "-1"], "--load", "-1"),
+        (
+            &["run", "--requests", "5", "--load", "nan"],
+            "--load",
+            "nan",
+        ),
+        (
+            &["run", "--requests", "5", "--load", "inf"],
+            "--load",
+            "inf",
+        ),
+        (&["run", "--requests", "5", "--cores", "0"], "--cores", "0"),
+        (&["gen", "--requests", "5", "--cores", "0"], "--cores", "0"),
+        (
+            &["compare", "--requests", "5", "--cores", "0"],
+            "--cores",
+            "0",
+        ),
+        (&["slo", "--requests", "5", "--cores", "0"], "--cores", "0"),
+        (
+            &["run", "--fleet", fleet, "--requests", "5", "--load", "0"],
+            "--load",
+            "0",
+        ),
+        (
+            &["run", "--fleet", fleet, "--requests", "5", "--threads", "0"],
+            "--threads",
+            "0",
+        ),
+        (
+            &[
+                "run",
+                "--cluster",
+                cluster,
+                "--requests",
+                "5",
+                "--threads",
+                "0",
+            ],
+            "--threads",
+            "0",
+        ),
+    ];
+    for &(args, flag, value) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_sfs"))
+            .args(args)
+            .output()
+            .expect("spawn sfs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let what = args.join(" ");
+        assert_eq!(out.status.code(), Some(2), "{what}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{what}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag}: value `{value}`")),
+            "{what}: error must name the flag and value: {stderr}"
+        );
+    }
 }
