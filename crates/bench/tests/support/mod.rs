@@ -2,14 +2,16 @@
 //! suites: a fixed matrix of small-but-representative experiment points,
 //! each a pure function of `(name, n, seed)`.
 
+use std::cell::Cell;
+
 use sfs_core::{
-    Baseline, ControllerFactory, HistoryPriority, RequestOutcome, SfsConfig, SfsController, Sim,
-    UserMlfq,
+    Baseline, Controller, ControllerFactory, HistoryPriority, MachineView, RequestOutcome,
+    SfsConfig, SfsController, Sim, Telemetry, UserMlfq,
 };
 use sfs_faas::{Cluster, FaultSpec, Fleet, HostScheduler, OpenLambda, OpenLambdaParams, Placement};
-use sfs_sched::{MachineParams, SmpParams};
-use sfs_simcore::{Samples, SimDuration};
-use sfs_workload::WorkloadSpec;
+use sfs_sched::{MachineParams, Notification, Pid, Policy, SmpParams};
+use sfs_simcore::{Samples, SimDuration, SimTime};
+use sfs_workload::{Request, Workload, WorkloadSpec};
 
 /// Scenario names locked by `tests/golden/*.txt` (one file each).
 pub const SCENARIOS: &[&str] = &[
@@ -416,4 +418,43 @@ pub fn metrics_report(name: &str, outcomes: &[RequestOutcome]) -> String {
         f(throughput),
         fingerprint(outcomes),
     )
+}
+
+/// A delegating [`Controller`] that counts `on_wakeup` calls. `Sim` makes
+/// exactly one per drive step, so the count is the run's step count.
+#[allow(dead_code)] // each test binary compiles its own copy of this module
+pub struct StepCounter<'a, C> {
+    pub inner: C,
+    pub steps: &'a Cell<u64>,
+}
+
+impl<C: Controller> Controller for StepCounter<'_, C> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn dispatch_policy(&mut self, req: &Request) -> Policy {
+        self.inner.dispatch_policy(req)
+    }
+    fn on_arrival(&mut self, m: &mut MachineView<'_>, req: &Request, pid: Pid) {
+        self.inner.on_arrival(m, req, pid)
+    }
+    fn on_notification(&mut self, m: &mut MachineView<'_>, note: &Notification) {
+        self.inner.on_notification(m, note)
+    }
+    fn next_wakeup(&self) -> Option<SimTime> {
+        self.inner.next_wakeup()
+    }
+    fn on_wakeup(&mut self, m: &mut MachineView<'_>) {
+        self.steps.set(self.steps.get() + 1);
+        self.inner.on_wakeup(m)
+    }
+    fn annotate(&mut self, outcome: &mut RequestOutcome) {
+        self.inner.annotate(outcome)
+    }
+    fn finish(&mut self, telemetry: &mut Telemetry) {
+        self.inner.finish(telemetry)
+    }
+    fn analytic(&self, workload: &Workload) -> Option<Vec<RequestOutcome>> {
+        self.inner.analytic(workload)
+    }
 }

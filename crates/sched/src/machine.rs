@@ -14,7 +14,9 @@
 //! * [`Machine::proc_state`] / [`Machine::cpu_time`] — `/proc` polling
 //!   (how SFS detects I/O blocking, §V-D),
 //! * [`Machine::advance_to`] — advance virtual time, collecting
-//!   notifications (task blocked / woke / finished) the controller reacts to.
+//!   notifications (task blocked / woke / finished) the controller reacts to;
+//!   [`Machine::advance_until_notified`] stops at the first instant that
+//!   raises one, so a driver can cross silent instants in one call.
 //!
 //! The split of responsibilities: the machine owns time, cores, task
 //! lifecycle, accounting, and event delivery; *which task runs where, for
@@ -609,48 +611,68 @@ impl Machine {
     }
 
     /// As [`Machine::advance_to`], appending the notifications to a
-    /// caller-owned buffer instead of allocating a fresh vector — the
-    /// drain-and-reuse fast path for hot simulation loops (`Sim::run`
-    /// clears and refills one buffer per step, so steady-state advancing
-    /// performs zero notification-buffer allocations; the machine's
-    /// internal staging vector keeps its capacity across calls too).
-    ///
-    /// The internal event loop stays incremental (peek + pop per event)
-    /// rather than batch-popping: machine handlers legitimately schedule
-    /// follow-up events (wakes, slice renewals) that must be observed
-    /// within the same `advance` span.
-    /// Delivery contract: every event due at or before `t` is processed
-    /// within this call — **including events a handler schedules for
-    /// exactly `t` while the span is being processed** (e.g. an I/O block
-    /// at `t - d` scheduling its wake at `t`). The loop therefore re-polls
-    /// the queue after every handler instead of batch-popping the due
-    /// prefix; a batch pop would silently defer same-instant follow-ups to
-    /// the next call, which controllers observe as a late notification.
-    /// `tests/machine_scenarios.rs` pins this with end-of-span regression
-    /// cases.
+    /// caller-owned buffer instead of allocating a fresh vector (the
+    /// machine's internal staging vector keeps its capacity across calls
+    /// too). A loop over [`Machine::advance_until_notified`], so both share
+    /// its delivery contract: every event due at or before `t` is processed
+    /// within this call, including events a handler schedules for exactly
+    /// `t` while the span is being processed (e.g. an I/O block at `t - d`
+    /// scheduling its wake at `t`). `tests/machine_scenarios.rs` pins this
+    /// with end-of-span regression cases.
     pub fn advance_into(&mut self, t: SimTime, out: &mut Vec<Notification>) {
-        debug_assert!(t >= self.now, "time must not go backwards");
-        while let Some((at, ev)) = self.events.pop_until(t) {
-            self.now = at;
-            self.handle(ev);
-        }
+        while self.advance_until_notified(t, out) < t {}
         // The contract above, enforced: nothing due within the span may
         // survive it.
         debug_assert!(
             self.events.peek_time().map_or(true, |next| next > t),
             "advance_into deferred a due event past its span"
         );
+    }
+
+    /// Advance virtual time toward `t`, stopping at the first instant whose
+    /// events raise a notification. Every event due at that instant is
+    /// processed, including follow-ups its handlers schedule for the same
+    /// instant; the notifications are appended to `out` and the instant is
+    /// returned. With no notification by `t`, the clock moves to `t` and
+    /// `t` is returned. Notifications raised outside an advance (a
+    /// [`Machine::spawn`]'s `FirstRun`, say) are appended with those of the
+    /// next instant that has events, or at `t` if no event is due.
+    ///
+    /// This is what lets a driver step only where a controller has
+    /// something to see: the machine crosses any run of instants that
+    /// notify nobody (slice preemptions, slice renewals, stale core
+    /// timers, balance ticks) in one call.
+    ///
+    /// The loop re-polls the queue after every handler instead of
+    /// batch-popping an instant's events: handlers legitimately schedule
+    /// same-instant follow-ups (wakes, slice renewals), and a batch pop
+    /// would defer them to the next call, which controllers observe as a
+    /// late notification.
+    pub fn advance_until_notified(&mut self, t: SimTime, out: &mut Vec<Notification>) -> SimTime {
+        debug_assert!(t >= self.now, "time must not go backwards");
+        while let Some(instant) = self.events.peek_time().filter(|&at| at <= t) {
+            while let Some((at, ev)) = self.events.pop_until(instant) {
+                self.now = at;
+                self.handle(ev);
+            }
+            if !self.out.is_empty() {
+                out.append(&mut self.out);
+                return instant;
+            }
+        }
         self.now = t;
         out.append(&mut self.out);
+        t
     }
 
     /// Drain all pending events (run to quiescence).
     pub fn run_until_quiescent(&mut self) -> Vec<Notification> {
-        while let Some((at, ev)) = self.events.pop() {
-            self.now = at;
-            self.handle(ev);
+        let mut out = Vec::new();
+        while let Some(t) = self.events.peek_time() {
+            self.advance_until_notified(t, &mut out);
         }
-        std::mem::take(&mut self.out)
+        out.append(&mut self.out);
+        out
     }
 
     // ------------------------------------------------------------------

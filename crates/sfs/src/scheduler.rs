@@ -109,6 +109,9 @@ struct Assignment {
     budget: SimDuration,
     /// CPU time the process had consumed when this round started.
     cpu_at_start: SimDuration,
+    /// When this round's slice timer fires (round start + budget): the
+    /// worker's one live timer, reported by [`Controller::next_wakeup`].
+    expires: SimTime,
 }
 
 #[derive(Debug, Default)]
@@ -160,13 +163,26 @@ pub struct SfsController {
     blocked: Vec<u32>,
     /// Reusable scratch for wake detection in [`SfsController::on_poll`].
     rewoken: Vec<u32>,
+    /// Slice timers and the poll tick. A superseded slice timer stays here
+    /// until it is retired as stale; [`Controller::next_wakeup`] reports
+    /// only the live ones.
     events: EventQueue<SfsEv>,
-    /// Reusable batch buffer for [`Controller::on_wakeup`]: every SFS
-    /// handler schedules strictly future events (slice timers at
-    /// now + budget with budget > 0, polls at now + interval), so all
-    /// events due now can be drained in one peek-based batch.
+    /// Reusable batch buffer for [`Controller::on_wakeup`]: every hook
+    /// first retires the events due strictly before now
+    /// ([`SfsController::catch_up`]), and every SFS handler schedules
+    /// strictly future events (slice timers at now + budget with
+    /// budget > 0, polls at now + interval), so the events due now can be
+    /// drained in one peek-based batch.
     due: Vec<(SimTime, SfsEv)>,
-    poll_armed: bool,
+    /// When the pending poll tick fires, if one is armed.
+    poll_at: Option<SimTime>,
+    /// Whether the pending tick could act: the SLO variant is on, a
+    /// function is blocked on I/O, or a busy worker's process sleeps (a
+    /// spawn with a leading I/O wait raises no `Blocked`). Recomputed at
+    /// the end of every hook; nothing it reads changes between hooks. A
+    /// tick that cannot act only counts, so it is not reported as a
+    /// wakeup and [`SfsController::catch_up`] settles it in closed form.
+    poll_live: bool,
     queue_delay_series: TimeSeries,
     polls: u64,
     polled_tasks: u64,
@@ -197,7 +213,8 @@ impl SfsController {
             rewoken: Vec::new(),
             events: EventQueue::new(),
             due: Vec::with_capacity(64),
-            poll_armed: false,
+            poll_at: None,
+            poll_live: false,
             queue_delay_series: TimeSeries::new("queue_delay_s"),
             polls: 0,
             polled_tasks: 0,
@@ -329,14 +346,15 @@ impl SfsController {
         self.states[slot as usize].filter_rounds += 1;
         self.workers[w].gen += 1;
         let gen = self.workers[w].gen;
+        let expires = now + budget;
         self.workers[w].current = Some(Assignment {
             pid,
             slot,
             budget,
             cpu_at_start,
+            expires,
         });
-        self.events
-            .push(now + budget, SfsEv::SliceExpiry { w, gen });
+        self.events.push(expires, SfsEv::SliceExpiry { w, gen });
     }
 
     /// 4.2: the FILTER slice timer fired.
@@ -349,8 +367,11 @@ impl SfsController {
         };
         match m.proc_state(a.pid) {
             ProcState::Dead => {
-                // Completion notification is in flight at this same instant;
-                // it will free the worker.
+                // Finished before its timer: free the worker here, or its
+                // expired timer would stay the reported wakeup. The
+                // completion notification finds nothing left to free.
+                self.workers[w].current = None;
+                self.workers[w].gen += 1;
             }
             ProcState::Sleeping if self.cfg.io_aware => {
                 // Blocked between polls and the timer beat the next poll:
@@ -377,7 +398,7 @@ impl SfsController {
 
     /// 4.3: periodic kernel-status polling (§V-D).
     fn on_poll(&mut self, m: &mut MachineView<'_>) {
-        self.poll_armed = false;
+        self.poll_at = None;
         self.polls += 1;
         let mut freed = false;
 
@@ -489,17 +510,69 @@ impl SfsController {
         self.try_assign(m);
     }
 
-    fn arm_poll(&mut self, m: &MachineView<'_>) {
-        let work_pending = self.workers.iter().any(|w| w.current.is_some())
+    fn work_pending(&self) -> bool {
+        self.workers.iter().any(|w| w.current.is_some())
             || !self.blocked.is_empty()
             || !self.queue.is_empty()
-            || self.worker_queues.iter().any(|q| !q.is_empty());
+            || self.worker_queues.iter().any(|q| !q.is_empty())
+    }
+
+    fn arm_poll(&mut self, m: &MachineView<'_>) {
         let poll_needed = self.cfg.io_aware || self.slo_deadline.is_some();
-        if poll_needed && work_pending && !self.poll_armed {
-            self.poll_armed = true;
-            self.events
-                .push(m.now() + self.cfg.poll_interval, SfsEv::Poll);
+        if poll_needed && self.work_pending() && self.poll_at.is_none() {
+            let at = m.now() + self.cfg.poll_interval;
+            self.poll_at = Some(at);
+            self.events.push(at, SfsEv::Poll);
         }
+    }
+
+    /// Retire every event due strictly before `now`: the instants the
+    /// driver crossed without a step because no live timer was due there.
+    /// A slice timer due then is stale (live ones are reported wakeups). A
+    /// poll tick due then could not act, so the tick-by-tick chain it
+    /// heads is settled in closed form: each tick counts one poll and one
+    /// status read per busy worker, and re-arms one interval later while
+    /// work is pending. The re-armed tick is pushed before anything else
+    /// is pushed at `now`, the queue position the eager chain gives it.
+    fn catch_up(&mut self, now: SimTime) {
+        while self.events.peek_time().is_some_and(|at| at < now) {
+            let (at, ev) = self.events.pop().expect("peeked event present");
+            match ev {
+                SfsEv::SliceExpiry { w, gen } => debug_assert!(
+                    self.workers[w].gen != gen || self.workers[w].current.is_none(),
+                    "live slice timer of worker {w} at {at} skipped"
+                ),
+                SfsEv::Poll => {
+                    debug_assert!(!self.poll_live, "live poll tick at {at} skipped");
+                    self.poll_at = None;
+                    if !self.work_pending() {
+                        // Nothing to poll: the chain ends at its first tick.
+                        self.polls += 1;
+                        continue;
+                    }
+                    let interval = self.cfg.poll_interval;
+                    let ticks = now.since(at).as_nanos().div_ceil(interval.as_nanos());
+                    self.polls += ticks;
+                    if self.cfg.io_aware {
+                        let busy = self.workers.iter().filter(|w| w.current.is_some()).count();
+                        self.polled_tasks += ticks * busy as u64;
+                    }
+                    let next = at + interval * ticks;
+                    self.poll_at = Some(next);
+                    self.events.push(next, SfsEv::Poll);
+                }
+            }
+        }
+    }
+
+    /// Recompute [`SfsController::poll_live`] at the end of a hook.
+    fn refresh_liveness(&mut self, m: &MachineView<'_>) {
+        self.poll_live = self.slo_deadline.is_some()
+            || !self.blocked.is_empty()
+            || self.workers.iter().any(|w| {
+                w.current
+                    .is_some_and(|a| m.proc_state(a.pid) == ProcState::Sleeping)
+            });
     }
 }
 
@@ -516,6 +589,7 @@ impl Controller for SfsController {
     /// `(pid, T_inv)`.
     fn on_arrival(&mut self, m: &mut MachineView<'_>, req: &Request, pid: Pid) {
         let now = m.now();
+        self.catch_up(now);
         let id = req.id;
         // Slab slot = pid: the sim spawns one process per request with
         // densely allocated pids, so this is a plain push in practice.
@@ -541,9 +615,11 @@ impl Controller for SfsController {
         self.enqueue_req(slot as u32);
         self.try_assign(m);
         self.arm_poll(m);
+        self.refresh_liveness(m);
     }
 
     fn on_notification(&mut self, m: &mut MachineView<'_>, note: &Notification) {
+        self.catch_up(m.now());
         if let Notification::Finished(rec) = note {
             let slot = rec.pid.0 as usize;
             debug_assert_eq!(self.states[slot].id, rec.label, "pid/slot mismatch");
@@ -576,13 +652,23 @@ impl Controller for SfsController {
             }
             self.try_assign(m);
         }
+        self.refresh_liveness(m);
     }
 
+    /// The earliest live timer: a busy worker's slice expiry, or the poll
+    /// tick when it could act.
     fn next_wakeup(&self) -> Option<SimTime> {
-        self.events.peek_time()
+        let slice = self
+            .workers
+            .iter()
+            .filter_map(|w| w.current.map(|a| a.expires))
+            .min();
+        let poll = self.poll_at.filter(|_| self.poll_live);
+        slice.into_iter().chain(poll).min()
     }
 
     fn on_wakeup(&mut self, m: &mut MachineView<'_>) {
+        self.catch_up(m.now());
         let mut due = std::mem::take(&mut self.due);
         due.clear();
         self.events.pop_batch_until(m.now(), &mut due);
@@ -593,6 +679,7 @@ impl Controller for SfsController {
             }
         }
         self.due = due;
+        self.refresh_liveness(m);
     }
 
     fn annotate(&mut self, outcome: &mut RequestOutcome) {

@@ -29,14 +29,20 @@
 //!
 //! # Event ordering contract
 //!
-//! [`Sim::run`] is a faithful re-statement of the original `SfsSimulator`
-//! loop, so ports are bit-identical: at every simulated instant the machine
-//! advances first (its notifications are delivered via
+//! A run is a sequence of *steps*, one at each instant where a hook has
+//! something to see: a machine notification, a workload arrival, or a
+//! controller wakeup ([`Controller::next_wakeup`]). Within a step the
+//! machine advances first (its notifications are delivered via
 //! [`Controller::on_notification`]), then due workload arrivals are spawned
 //! in stable `(arrival, index)` order, then [`Controller::on_wakeup`] runs.
-//! This matches the old merged event queue, where all arrival events were
-//! inserted at construction and therefore always popped before same-instant
-//! controller timers.
+//! This is the order of the original `SfsSimulator` loop's merged event
+//! queue, where all arrival events were inserted at construction and
+//! therefore always popped before same-instant controller timers. Machine
+//! instants that notify nobody (CFS slice preemptions and renewals, stale
+//! core timers, balance ticks) are crossed inside one advance
+//! ([`sfs_sched::Machine::advance_until_notified`]) without a step: a step
+//! there would deliver no notification, spawn nothing and find no reported
+//! timer due.
 
 use std::borrow::Borrow;
 use std::iter::Peekable;
@@ -141,7 +147,12 @@ impl MachineView<'_> {
 /// Timing contract: any wakeup time returned by
 /// [`next_wakeup`](Controller::next_wakeup) must be strictly in the future
 /// once [`on_wakeup`](Controller::on_wakeup) returns, otherwise the
-/// simulation cannot make progress.
+/// simulation cannot make progress. The sim steps only at notifications,
+/// arrivals and reported wakeups, so `m.now()` can jump past any timer a
+/// controller leaves out of `next_wakeup`: leave out only timers that
+/// cannot act, and settle them at the next hook (as
+/// [`crate::SfsController`] does with poll ticks that have nothing to
+/// poll).
 pub trait Controller {
     /// Short display name ("sfs", "cfs", ...), used in labels.
     fn name(&self) -> &'static str {
@@ -167,15 +178,17 @@ pub trait Controller {
         let _ = (m, note);
     }
 
-    /// Earliest pending controller timer (poll tick, slice expiry, ...), if
-    /// any. The sim advances virtual time to the minimum of machine events,
-    /// workload arrivals, and this.
+    /// Earliest controller timer that must fire at its own instant (poll
+    /// tick, slice expiry, ...), if any. The sim runs the machine until its
+    /// first notifying instant, at the latest until the earlier of the next
+    /// arrival and this, and steps there.
     fn next_wakeup(&self) -> Option<SimTime> {
         None
     }
 
-    /// Called once per simulation step after notifications and arrivals;
-    /// the controller should fire every timer due at `m.now()`.
+    /// Called once per simulation step, after notifications and arrivals,
+    /// so also at instants where no timer is due; the controller should
+    /// fire every timer due at `m.now()`.
     fn on_wakeup(&mut self, m: &mut MachineView<'_>) {
         let _ = m;
     }
@@ -663,10 +676,12 @@ struct DriveResult {
     completed: usize,
 }
 
-/// The simulation loop shared by [`Sim::run`] and [`Sim::run_streaming`]:
-/// advance the machine to the next event (machine / arrival / controller
-/// wakeup), deliver notifications, emit outcomes, spawn due arrivals, fire
-/// controller timers. Arrivals come from one iterator in either case — a
+/// The simulation loop shared by [`Sim::run`] and [`Sim::run_streaming`].
+/// One pass is one step: run the machine to its first notifying instant,
+/// bounded by the next arrival and the controller's next wakeup, then at
+/// the instant reached deliver notifications, emit outcomes, spawn due
+/// arrivals and fire controller timers. Arrivals come from one iterator in
+/// either case — a
 /// replayed workload's requests by reference in `(arrival, index)` order,
 /// or a stream's owned requests — so a streamed run is event-for-event
 /// the same simulation as a replayed one.
@@ -720,16 +735,16 @@ where
             stalled = 0;
             last_state = Some(state);
         }
-        let next = [tm, ta, tc]
-            .into_iter()
-            .flatten()
-            .min()
-            .unwrap_or_else(|| {
-                unreachable!("simulation stalled with {completed} of {spawned} spawned")
-            })
-            .max(machine.now());
+        // The machine runs until its first notifying instant, at the latest
+        // until the next arrival or controller wakeup; with neither, until
+        // it notifies.
+        let bound = match ta.into_iter().chain(tc).min() {
+            Some(t) => t.max(machine.now()),
+            None if tm.is_some() => SimTime::MAX,
+            None => unreachable!("simulation stalled with {completed} of {spawned} spawned"),
+        };
         notes.clear();
-        machine.advance_into(next, &mut notes);
+        let now = machine.advance_until_notified(bound, &mut notes);
         let mut view = MachineView {
             machine: &mut *machine,
             sched_actions: &mut sched_actions,
@@ -743,13 +758,7 @@ where
                 completed += 1;
             }
         }
-        spawned += spawn_due(
-            &mut arrivals,
-            &mut last_arrival,
-            next,
-            &mut view,
-            controller,
-        );
+        spawned += spawn_due(&mut arrivals, &mut last_arrival, now, &mut view, controller);
         controller.on_wakeup(&mut view);
         // Streaming runs reclaim the task table whenever the machine
         // quiesces with enough dead records — behaviour-transparent (see

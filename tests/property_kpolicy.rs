@@ -7,12 +7,16 @@
 //! causally ordered, and the conservation walk (each live task in exactly
 //! one place) holds at arbitrary mid-run instants, including across
 //! `set_policy` churn. Each case is seeded through `SimRng`, so failures
-//! reproduce exactly.
+//! reproduce exactly. A second property pins
+//! [`Machine::advance_until_notified`], the advance a driver uses to cross
+//! instants that notify nobody in one call, against stepping one event
+//! instant at a time.
 
 use std::collections::BTreeSet;
 
 use sfs_repro::sched::{
-    KernelPolicyKind, Machine, MachineParams, Phase, Policy, ProcState, SmpParams, TaskSpec,
+    KernelPolicyKind, Machine, MachineParams, Notification, Phase, Pid, Policy, ProcState,
+    SmpParams, TaskSpec,
 };
 use sfs_repro::simcore::{SimDuration, SimRng, SimTime};
 
@@ -189,5 +193,155 @@ fn every_policy_is_deterministic() {
             format!("{:?}", m.finished())
         };
         assert_eq!(run(), run(), "{kind}: nondeterministic schedule");
+    }
+}
+
+/// One call's notifications, rendered for comparison.
+fn rendered(notes: &mut Vec<Notification>) -> Vec<String> {
+    notes.drain(..).map(|n| format!("{n:?}")).collect()
+}
+
+/// Bring the reference machine to `at` one event instant at a time
+/// (`advance_into(next_event_time())`), returning every non-empty batch
+/// with the instant it was delivered at.
+fn reference_to(m: &mut Machine, at: SimTime) -> Vec<(SimTime, Vec<String>)> {
+    let mut batches = Vec::new();
+    let mut notes = Vec::new();
+    while let Some(t) = m.next_event_time().filter(|&t| t <= at) {
+        m.advance_into(t, &mut notes);
+        if !notes.is_empty() {
+            batches.push((t, rendered(&mut notes)));
+        }
+    }
+    m.advance_into(at, &mut notes);
+    if !notes.is_empty() {
+        batches.push((at, rendered(&mut notes)));
+    }
+    batches
+}
+
+/// Advance `fast` with [`Machine::advance_until_notified`] up to `bound`
+/// and `slow` with the one-instant-at-a-time reference in lockstep,
+/// checking after every call that both deliver the same notifications at
+/// the same instant and agree on the clock, context switches and every
+/// task's state and CPU time, and that an early return stops at an
+/// instant that notified with nothing at or before it left queued.
+fn lockstep_to(fast: &mut Machine, slow: &mut Machine, bound: SimTime, tasks: u64, ctx: &str) {
+    let mut notes = Vec::new();
+    loop {
+        let at = fast.advance_until_notified(bound, &mut notes);
+        let got = rendered(&mut notes);
+        let want = reference_to(slow, at);
+        if at < bound {
+            assert!(
+                !got.is_empty(),
+                "{ctx}: early return at {at} without a notification"
+            );
+            assert!(
+                fast.next_event_time().map_or(true, |t| t > at),
+                "{ctx}: early return at {at} left a due event queued"
+            );
+        }
+        let got = if got.is_empty() {
+            vec![]
+        } else {
+            vec![(at, got)]
+        };
+        assert_eq!(got, want, "{ctx}: notifications delivered up to {at}");
+        assert_eq!(fast.now(), slow.now(), "{ctx}: clock");
+        assert_eq!(
+            fast.total_ctx_switches(),
+            slow.total_ctx_switches(),
+            "{ctx}: context switches at {at}"
+        );
+        for pid in (0..tasks).map(Pid) {
+            assert_eq!(
+                fast.proc_state(pid),
+                slow.proc_state(pid),
+                "{ctx}: {pid} state"
+            );
+            assert_eq!(
+                fast.cpu_time(pid),
+                slow.cpu_time(pid),
+                "{ctx}: {pid} cpu time"
+            );
+        }
+        if at == bound {
+            return;
+        }
+    }
+}
+
+/// Spawn/set_policy churn driven through [`Machine::advance_until_notified`]
+/// with random bounds (the next external operation, sometimes an earlier
+/// controller-style wakeup, and an unbounded drain at the end), matched
+/// against the one-instant-at-a-time reference.
+fn check_advance_until_notified(kind: KernelPolicyKind, cores: usize, seed: u64, smp: SmpParams) {
+    let mut rng = case_rng(kind, cores, seed).derive("advance_until_notified");
+    let params = MachineParams {
+        cores,
+        kpolicy: kind,
+        ..Default::default()
+    }
+    .with_smp(smp);
+    let ctx = format!("{kind} cores={cores} seed={seed} smp={}", smp.balancing());
+    let (mut fast, mut slow) = (Machine::new(params), Machine::new(params));
+    let n_tasks = rng.uniform_u64(20, 60);
+    let mut t = SimTime::ZERO;
+    for i in 0..n_tasks {
+        let gap_us = rng.uniform_u64(0, 3_000);
+        if rng.chance(0.3) {
+            let wake = t + SimDuration::from_micros(rng.uniform_u64(0, gap_us));
+            lockstep_to(&mut fast, &mut slow, wake, i, &ctx);
+        }
+        t += SimDuration::from_micros(gap_us);
+        lockstep_to(&mut fast, &mut slow, t, i, &ctx);
+        let spec = random_spec(&mut rng, i);
+        let pid = fast.spawn(spec.clone());
+        assert_eq!(slow.spawn(spec), pid, "{ctx}: pid numbering");
+        // A dispatch raised `FirstRun` outside any advance: the next call
+        // delivers it even though no event is due.
+        if fast.proc_state(pid) == ProcState::Running {
+            let mut notes = Vec::new();
+            assert_eq!(fast.advance_until_notified(t, &mut notes), t);
+            let got = rendered(&mut notes);
+            let first_run = format!("{:?}", Notification::FirstRun(pid, t));
+            assert!(
+                got.contains(&first_run),
+                "{ctx}: {pid}'s FirstRun not delivered by the next call"
+            );
+            assert_eq!(
+                vec![(t, got)],
+                reference_to(&mut slow, t),
+                "{ctx}: at spawn"
+            );
+        }
+        if rng.chance(0.3) {
+            let target = Pid(rng.uniform_u64(0, i));
+            let policy = random_policy(&mut rng);
+            fast.set_policy(target, policy);
+            slow.set_policy(target, policy);
+        }
+    }
+    while fast.next_event_time().is_some() {
+        lockstep_to(&mut fast, &mut slow, SimTime::MAX, n_tasks, &ctx);
+    }
+    assert_eq!(fast.live_tasks(), 0, "{ctx}: machine must quiesce empty");
+}
+
+#[test]
+fn advance_until_notified_matches_stepping_every_instant() {
+    let smp = SmpParams::balanced(
+        SimDuration::from_millis(1),
+        SimDuration::from_micros(300),
+        SimDuration::from_micros(100),
+    );
+    for kind in KernelPolicyKind::ALL {
+        for cores in CORES {
+            for seed in SEEDS {
+                check_advance_until_notified(kind, cores, seed, SmpParams::default());
+                check_advance_until_notified(kind, cores, seed, smp);
+            }
+        }
     }
 }
