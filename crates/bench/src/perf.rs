@@ -116,6 +116,38 @@ pub fn large_requests() -> usize {
 /// microbenchmarks are comparable across `SFS_PERF_REQUESTS` scales).
 const DISPATCH_BURST: usize = 512;
 
+/// Cores of the `micro/cfs_preempt` machine.
+const PREEMPT_CORES: usize = 4;
+/// Fair tasks per core on the `micro/cfs_preempt` machine.
+const PREEMPT_BACKLOG: usize = 4;
+
+/// The `micro/cfs_preempt` machine: 4 Linux cores, each time-sharing
+/// its own 4 never-ending nice-0 CFS tasks in 6 ms slices. Core `k`
+/// starts `k` ms after core 0, so no two cores' slice ends coincide and,
+/// once the setup's superseded boundaries are crossed, every machine
+/// event is exactly one slice preemption, forever.
+fn cfs_preempt_machine() -> Machine {
+    let mut m = Machine::new(MachineParams::linux(PREEMPT_CORES));
+    let endless = |label| TaskSpec {
+        phases: vec![Phase::Cpu(SimDuration::from_millis(1 << 30))],
+        policy: Policy::NORMAL,
+        label,
+    };
+    for core in 0..PREEMPT_CORES as u64 {
+        m.advance_to(SimTime::ZERO + SimDuration::from_millis(core));
+        m.spawn(endless(core));
+    }
+    // Least-loaded placement deals the rest round-robin.
+    for label in PREEMPT_CORES..PREEMPT_CORES * PREEMPT_BACKLOG {
+        m.spawn(endless(label as u64));
+    }
+    // Each enqueue shortened its core's slice and left the boundary it
+    // replaced queued, no later than the first 24 ms slice's end; cross
+    // those before measuring.
+    m.advance_to(SimTime::ZERO + SimDuration::from_millis(100));
+    m
+}
+
 /// The fixed scenario matrix at `requests` scale rooted at `seed`.
 ///
 /// `sim/` scenarios measure whole simulation runs (ns per request);
@@ -423,6 +455,23 @@ pub fn suite(requests: usize, seed: u64) -> Vec<PerfScenario> {
             smp_now += tick;
             smp_machine.advance_to(smp_now);
             std::hint::black_box(smp_machine.balance_migrations());
+        }),
+    });
+
+    // The price of one CFS slice preemption (charge, requeue, pick,
+    // dispatch, re-arm): each operation advances the machine to its next
+    // event, which is always one preemption on one core.
+    let mut preempt_machine = cfs_preempt_machine();
+    v.push(PerfScenario {
+        name: "micro/cfs_preempt",
+        items: 1,
+        cfg: MeasureConfig::default(),
+        body: Box::new(move || {
+            let next = preempt_machine
+                .next_event_time()
+                .expect("the backlog never drains");
+            preempt_machine.advance_to(next);
+            std::hint::black_box(preempt_machine.total_ctx_switches());
         }),
     });
 
@@ -871,10 +920,26 @@ mod tests {
         assert!(names.contains(&"micro/sfs_dispatch"));
         assert!(names.contains(&"sim/cluster4_ll_sfs"));
         assert!(names.contains(&"micro/smp_balance_tick"));
+        assert!(names.contains(&"micro/cfs_preempt"));
         assert!(names.contains(&"micro/eevdf_pick"));
         assert!(names.contains(&"micro/dl_pick"));
         assert!(names.contains(&"sim/sfs_azure_smp4"));
         assert!(names.contains(&"sim/sfs_azure_10m"));
+    }
+
+    #[test]
+    fn cfs_preempt_op_is_one_slice_preemption() {
+        let mut m = cfs_preempt_machine();
+        for op in 0..2_000u64 {
+            let at = m.next_event_time().expect("the backlog never drains");
+            let switches = m.total_ctx_switches();
+            m.advance_to(at);
+            assert_eq!(m.total_ctx_switches(), switches + 1, "op {op} at {at}");
+        }
+        assert_eq!(m.live_tasks(), PREEMPT_CORES * PREEMPT_BACKLOG);
+        for core in 0..PREEMPT_CORES {
+            assert_eq!(m.core_depth(core), PREEMPT_BACKLOG - 1, "core {core}");
+        }
     }
 
     #[test]

@@ -163,7 +163,7 @@ pub(crate) struct CoreSched {
 }
 
 impl CoreSched {
-    fn new() -> CoreSched {
+    pub(crate) fn new() -> CoreSched {
         CoreSched {
             current: None,
             gen: 0,

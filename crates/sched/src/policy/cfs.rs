@@ -89,9 +89,18 @@ impl CfsParams {
     }
 
     /// vruntime delta for `exec` real runtime at `weight`
-    /// (`delta_exec × NICE_0_LOAD / weight`).
+    /// (`delta_exec × NICE_0_LOAD / weight`, truncated to 64 bits). The
+    /// product is taken in 128 bits only when it overflows 64.
     pub fn vruntime_delta(exec: SimDuration, weight: u32) -> u64 {
-        ((exec.as_nanos() as u128 * NICE_0_WEIGHT as u128) / weight.max(1) as u128) as u64
+        let exec = exec.as_nanos();
+        if weight == NICE_0_WEIGHT {
+            return exec;
+        }
+        let weight = u64::from(weight.max(1));
+        match exec.checked_mul(u64::from(NICE_0_WEIGHT)) {
+            Some(scaled) => scaled / weight,
+            None => ((u128::from(exec) * u128::from(NICE_0_WEIGHT)) / u128::from(weight)) as u64,
+        }
     }
 }
 
@@ -359,6 +368,31 @@ mod tests {
         // Low-priority (light) tasks accrue faster.
         let d = CfsParams::vruntime_delta(ms(1), weight_of_nice(5));
         assert!(d > ms(3).as_nanos());
+    }
+
+    /// `vruntime_delta` equals the all-`u128` formula it replaced, for
+    /// every nice weight (and the degenerate 0 and 1), at spans up to and
+    /// past the point where `exec × 1024` overflows 64 bits.
+    #[test]
+    fn vruntime_delta_matches_u128_reference() {
+        let reference =
+            |exec: u64, w: u32| ((exec as u128 * NICE_0_WEIGHT as u128) / w.max(1) as u128) as u64;
+        let edge = u64::MAX / NICE_0_WEIGHT as u64;
+        let mut spans = vec![0, 1, 2, 1023, 1024, 1025, 999_999, 3_000_000, 24_000_000];
+        spans.extend((0..=4).flat_map(|d| [edge - d, edge + d]));
+        spans.extend([u64::MAX / 2, u64::MAX - 1, u64::MAX]);
+        let mut rng = sfs_simcore::SimRng::seed_from_u64(0x5EED).derive("vruntime");
+        spans.extend((0..2_000).map(|_| rng.next_u64() >> rng.uniform_u64(0, 63)));
+        let weights = NICE_TO_WEIGHT.iter().copied().chain([0, 1, u32::MAX]);
+        for w in weights {
+            for &exec in &spans {
+                assert_eq!(
+                    CfsParams::vruntime_delta(SimDuration(exec), w),
+                    reference(exec, w),
+                    "exec={exec} weight={w}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -23,6 +23,12 @@ pub struct LinuxPolicy {
     rt: RtRunqueue,
     /// Per-core CFS runqueues.
     rq: Vec<CfsRunqueue>,
+    /// Per-core memo of the last fair slice: `(nr, weight, total_weight)`
+    /// and [`CfsParams::slice`] of it. The machine's CFS tunables are fixed
+    /// for its lifetime, so the slice is recomputed only when the core's
+    /// runqueue composition changes. `nr` is never 0, so the initial key
+    /// matches nothing.
+    slice_memo: Vec<((u64, u32, u64), SimDuration)>,
 }
 
 impl LinuxPolicy {
@@ -31,6 +37,7 @@ impl LinuxPolicy {
         LinuxPolicy {
             rt: RtRunqueue::new(),
             rq: (0..cores).map(|_| CfsRunqueue::new()).collect(),
+            slice_memo: vec![((0, 0, 0), SimDuration::ZERO); cores],
         }
     }
 
@@ -159,7 +166,11 @@ impl KernelPolicy for LinuxPolicy {
                 let w = weight_of_nice(nice);
                 let nr = self.rq[core].len() as u64 + 1;
                 let total = self.rq[core].total_weight() + w as u64;
-                ctx.cfs_params().slice(nr, w, total)
+                let memo = &mut self.slice_memo[core];
+                if memo.0 != (nr, w, total) {
+                    *memo = ((nr, w, total), ctx.cfs_params().slice(nr, w, total));
+                }
+                memo.1
             }
         }
     }
@@ -250,5 +261,79 @@ impl KernelPolicy for LinuxPolicy {
 
     fn queued_places(&self, pid: Pid) -> usize {
         self.rq.iter().filter(|q| q.contains(pid)).count() + usize::from(self.rt.contains(pid))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use sfs_simcore::{SimRng, SimTime};
+
+    use super::*;
+    use crate::machine::CoreSched;
+    use crate::policy::cfs::NICE_TO_WEIGHT;
+    use crate::smp::SmpParams;
+    use crate::task::{Task, TaskSpec};
+
+    /// The memoised `slice_for` returns `CfsParams::slice` of the core's
+    /// current composition across a randomized run of enqueues, pops and
+    /// removals on every core, for tasks of any nice level.
+    #[test]
+    fn memoised_slice_matches_cfs_slice() {
+        const CORES: usize = 3;
+        const TASKS: u64 = 48;
+        let cfs = CfsParams::default();
+        let smp = SmpParams::default();
+        let mut rng = SimRng::seed_from_u64(0x511CE).derive("slice_memo");
+        let mut tasks: Vec<Task> = (0..TASKS)
+            .map(|i| {
+                Task::new(
+                    Pid(i),
+                    TaskSpec::cpu(i, SimDuration::from_millis(1)),
+                    SimTime::ZERO,
+                )
+            })
+            .collect();
+        let mut cores = vec![CoreSched::new(); CORES];
+        let mut lp = LinuxPolicy::new(CORES);
+        // The core and vruntime each queued task sits at.
+        let mut queued: Vec<Option<(usize, u64)>> = vec![None; TASKS as usize];
+        for step in 0..20_000 {
+            let core = rng.uniform_u64(0, CORES as u64 - 1) as usize;
+            let pid = Pid(rng.uniform_u64(0, TASKS - 1));
+            match (rng.uniform_u64(0, 3), queued[pid.0 as usize]) {
+                (0 | 1, None) => {
+                    let w = NICE_TO_WEIGHT[rng.uniform_u64(0, 39) as usize];
+                    let v = rng.uniform_u64(0, 1 << 40);
+                    lp.rq[core].enqueue(pid, v, w);
+                    queued[pid.0 as usize] = Some((core, v));
+                }
+                (2, Some((home, _))) => {
+                    let (_, popped) = lp.rq[home].pop().expect("non-empty");
+                    queued[popped.0 as usize] = None;
+                }
+                (3, Some((home, v))) => {
+                    assert!(lp.rq[home].remove(pid, v));
+                    queued[pid.0 as usize] = None;
+                }
+                _ => {}
+            }
+            let nice = rng.uniform_u64(0, 39) as i8 - 20;
+            tasks[pid.0 as usize].policy = Policy::Normal { nice };
+            let mut ctx = KernelCtx {
+                now: SimTime::ZERO,
+                cfs: &cfs,
+                smp: &smp,
+                tasks: &mut tasks,
+                cores: &mut cores,
+            };
+            let got = lp.slice_for(&mut ctx, core, pid);
+            let w = weight_of_nice(nice);
+            let want = cfs.slice(
+                lp.rq[core].len() as u64 + 1,
+                w,
+                lp.rq[core].total_weight() + w as u64,
+            );
+            assert_eq!(got, want, "step {step}: core {core}, {pid} at nice {nice}");
+        }
     }
 }

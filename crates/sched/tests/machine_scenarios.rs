@@ -3,8 +3,8 @@
 //! external-control (schedtool/procfs) surface under adversarial timing.
 
 use sfs_sched::{
-    run_open_loop, KernelPolicyKind, Machine, MachineParams, Notification, Phase, Policy,
-    ProcState, TaskSpec,
+    run_open_loop, KernelPolicyKind, Machine, MachineParams, Notification, Phase, Pid, Policy,
+    ProcState, SmpParams, TaskSpec,
 };
 use sfs_simcore::{SimDuration, SimTime};
 
@@ -341,4 +341,150 @@ fn heavily_oversubscribed_machine_terminates() {
     let total: SimDuration = done.iter().map(|t| t.cpu_time).sum();
     let expect: u64 = (0..400u64).map(|i| 1 + (i % 30)).sum();
     assert_eq!(total, ms(expect));
+}
+
+/// `(kind, pid, instant)` of each notification, in delivery order.
+fn brief(notes: &[Notification]) -> Vec<(&'static str, Pid, SimTime)> {
+    notes
+        .iter()
+        .map(|n| match n {
+            Notification::FirstRun(p, t) => ("first_run", *p, *t),
+            Notification::Blocked(p, t) => ("blocked", *p, *t),
+            Notification::Woke(p, t) => ("woke", *p, *t),
+            Notification::Finished(f) => ("finished", f.pid, f.finished),
+        })
+        .collect()
+}
+
+/// A core timer and an I/O wake due on the same nanosecond fire in the
+/// order they were armed, and that order decides the schedule. A lone
+/// CFS task `a` reaches the end of its 24 ms slice at t=24, the instant
+/// `b`'s I/O completes on the same core.
+#[test]
+fn core_timer_and_wake_on_one_instant_fire_in_push_order() {
+    let long = |label| TaskSpec::cpu(label, ms(100));
+    let sleeper = |label| TaskSpec::io_then_cpu(label, ms(24), ms(10));
+
+    // Timer first (`a`'s timer is armed before `b`'s wake is queued): the
+    // renewal charges `a` (vruntime 24 ms) and starts a fresh slice at 24.
+    // `b` is then placed at that vruntime, too close for a wakeup
+    // preemption, and only halves the fresh slice: `a` yields at 36.
+    let mut m = Machine::new(exact(1));
+    let a = m.spawn(long(0));
+    let b = m.spawn(sleeper(1));
+    let notes = m.advance_to(at(30));
+    assert_eq!(
+        brief(&notes),
+        [("first_run", a, at(0)), ("woke", b, at(24))]
+    );
+    assert_eq!((m.cpu_time(a), m.cpu_time(b)), (ms(30), ms(0)));
+    assert_eq!(m.total_ctx_switches(), 0);
+    let notes = m.run_until_quiescent();
+    assert_eq!(
+        brief(&notes),
+        [
+            ("first_run", b, at(36)),
+            ("finished", b, at(46)),
+            ("finished", a, at(110)),
+        ]
+    );
+    assert_eq!((m.cpu_time(a), m.cpu_time(b)), (ms(100), ms(10)));
+    assert_eq!(m.total_ctx_switches(), 1, "a yields once, at 36");
+
+    // Wake first (`b`'s wake is queued before `a`'s timer is armed): `b`
+    // arrives while `a`'s slice is spent but not yet charged, so `a` runs
+    // 24 ms of vruntime ahead of `b` and is preempted on the spot.
+    let mut m = Machine::new(exact(1));
+    let b = m.spawn(sleeper(1));
+    let a = m.spawn(long(0));
+    let notes = m.advance_to(at(30));
+    assert_eq!(
+        brief(&notes),
+        [
+            ("first_run", a, at(0)),
+            ("woke", b, at(24)),
+            ("first_run", b, at(24)),
+        ]
+    );
+    assert_eq!((m.cpu_time(a), m.cpu_time(b)), (ms(24), ms(6)));
+    assert_eq!(m.total_ctx_switches(), 1, "a is preempted at 24");
+    let notes = m.run_until_quiescent();
+    assert_eq!(
+        brief(&notes),
+        [("finished", b, at(34)), ("finished", a, at(110))]
+    );
+    assert_eq!((m.cpu_time(a), m.cpu_time(b)), (ms(100), ms(10)));
+    assert_eq!(m.total_ctx_switches(), 1);
+}
+
+/// A balance tick and a core timer due on the same nanosecond fire in the
+/// order they were armed. Two FIFO hogs hold both cores; `c` waits on core
+/// 0's fair queue. At t=5 demoting `r0` to CFS requeues it beside `c` (the
+/// queued FIFO task `w` takes core 0), so the fair depths read [2, 0]
+/// between the ticks at 4 and 8. At t=8 `x` finishes on core 1.
+#[test]
+fn core_timer_and_balance_tick_on_one_instant_fire_in_push_order() {
+    let params = MachineParams {
+        smp: SmpParams::balanced(ms(4), ms(1), SimDuration::ZERO),
+        ..exact(2)
+    };
+    let fifo = |label, prio, d| TaskSpec {
+        phases: vec![Phase::Cpu(ms(d))],
+        policy: Policy::Fifo { prio },
+        label,
+    };
+    // `rearm`: re-arm `x`'s timer at t=5 (a same-class priority change),
+    // after the tick at 4 queued the tick at 8, so the tick fires first.
+    // Otherwise `x`'s timer, armed at t=0, fires first.
+    // Expected: `c`'s CPU time at t=12, balance migrations, and when `c`
+    // and `r0` finish.
+    let cases = [
+        (false, ms(4), 0, at(18), at(113)),
+        (true, ms(3), 1, at(19), at(114)),
+    ];
+    for (rearm, c_cpu_at_12, migrations, c_done, r0_done) in cases {
+        let mut m = Machine::new(params);
+        let r0 = m.spawn(fifo(0, 90, 100));
+        let x = m.spawn(fifo(1, 90, 8));
+        let w = m.spawn(fifo(2, 10, 20));
+        let c = m.spawn(TaskSpec::cpu(3, ms(10)));
+        let mut notes = m.advance_to(at(5));
+        m.set_policy(r0, Policy::NORMAL);
+        if rearm {
+            m.set_policy(x, Policy::Fifo { prio: 91 });
+        }
+        m.advance_into(at(12), &mut notes);
+        // Timer first: core 1 empties and steals `c` from core 0, leaving
+        // the tick nothing to balance. Tick first: the tick migrates `c`
+        // to core 1, and `c` starts after its 1 ms migration cost.
+        assert_eq!(
+            brief(&notes),
+            [
+                ("first_run", r0, at(0)),
+                ("first_run", x, at(0)),
+                ("first_run", w, at(5)),
+                ("finished", x, at(8)),
+                ("first_run", c, at(8)),
+            ],
+            "rearm={rearm}"
+        );
+        assert_eq!(
+            [r0, x, w, c].map(|p| m.cpu_time(p)),
+            [ms(5), ms(8), ms(7), c_cpu_at_12],
+            "rearm={rearm}"
+        );
+        assert_eq!(m.balance_migrations(), migrations, "rearm={rearm}");
+        let notes = m.run_until_quiescent();
+        assert_eq!(
+            brief(&notes),
+            [
+                ("finished", c, c_done),
+                ("finished", w, at(25)),
+                ("finished", r0, r0_done),
+            ],
+            "rearm={rearm}"
+        );
+        assert_eq!(m.total_ctx_switches(), 1, "r0's demotion, rearm={rearm}");
+        assert_eq!(m.balance_migrations(), migrations, "rearm={rearm}");
+    }
 }

@@ -197,3 +197,87 @@ fn histogram_conserves_counts() {
         );
     }
 }
+
+/// `SimDuration::mul_f64` without its `k == 1.0` shortcut, kept as its
+/// reference.
+fn mul_f64_reference(x: u64, k: f64) -> u64 {
+    (x as f64 * k.max(0.0)).round() as u64
+}
+
+/// `mul_f64` equals the `f64::round` formula for every input, its
+/// `k == 1.0` shortcut included: exact halves, spans around 2^52, 2^53
+/// (where the shortcut stops), 2^54 and 2^64, the edge factors (0, −1, 1
+/// and its neighbours, 0.5, 1.5, NaN, ±∞), and a seeded sweep of a
+/// million pairs.
+#[test]
+fn mul_f64_matches_round_reference() {
+    let check = |x: u64, k: f64| {
+        assert_eq!(
+            SimDuration(x).mul_f64(k).as_nanos(),
+            mul_f64_reference(x, k),
+            "{x} × {k:e} ({:#x})",
+            k.to_bits()
+        );
+    };
+    let one = 1.0f64.to_bits();
+    let factors = [
+        0.0,
+        -0.0,
+        -1.0,
+        1.0,
+        f64::from_bits(one + 1),
+        f64::from_bits(one - 1),
+        0.5,
+        1.5,
+        2.5,
+        1.0 / 3.0,
+        0.1,
+        1e-300,
+        f64::MIN_POSITIVE,
+        1e300,
+        f64::MAX,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    let mut spans: Vec<u64> = (0..=16).collect();
+    for p in [52, 53, 54, 63] {
+        for d in 0..=8 {
+            spans.push((1u64 << p) - d);
+            spans.push((1u64 << p) + d);
+        }
+    }
+    spans.extend((0..=8).map(|d| u64::MAX - d));
+    for &x in &spans {
+        for &k in &factors {
+            check(x, k);
+        }
+    }
+    // Exact halves: an odd span times 0.5 or 1.5 lands on `n + 0.5`
+    // (below 2^53, where the product is exact), ties 2.5 and beyond too.
+    for x in (1..4_000u64)
+        .step_by(2)
+        .chain((0..64).map(|d| (1 << 53) - 1 - 2 * d))
+    {
+        for k in [0.5, 1.5, 2.5, 0.25, 0.75] {
+            check(x, k);
+        }
+    }
+    let mut rng = SimRng::seed_from_u64(0x3F_F000).derive("mul_f64");
+    for _ in 0..1_000_000 {
+        let x = match rng.uniform_u64(0, 3) {
+            0 => rng.next_u64(),
+            1 => rng.next_u64() >> rng.uniform_u64(0, 63),
+            2 => rng.uniform_u64(0, 100_000_000),
+            _ => (1u64 << rng.uniform_u64(50, 63)) + rng.uniform_u64(0, 64) - 32,
+        };
+        let k = match rng.uniform_u64(0, 4) {
+            0 => rng.uniform(0.0, 4.0),
+            1 => f64::from_bits(rng.next_u64()),
+            2 => f64::from_bits(one + rng.uniform_u64(0, 8) - 4),
+            3 => (rng.uniform_u64(0, 16) as f64) * 0.5,
+            _ => 1.0 / rng.uniform(0.5, 8.0),
+        };
+        check(x, k);
+    }
+}

@@ -88,7 +88,10 @@ fn usage_and_exit() -> ! {
            sfs run     --fleet regions=R,hosts=N[,cores=M][,placement=P][,affinity=KEEPMS:COLDMS][,faults=crash:A+straggler:B+outage:C][,spill=MS][,shed=MS][,seed=S]\n\
                        [--sched S] [--threads T] [--requests N --load X]\n\
            sfs compare [--requests N] [--cores C] [--load X] [--seed S]\n\
-           sfs slo     [--requests N] [--cores C] [--load X] [--seed S]"
+           sfs slo     [--requests N] [--cores C] [--load X] [--seed S]\n\
+         \n\
+         --requests N is 1 to {MAX_REQUESTS} (default 2000): the CLI holds the\n\
+         whole workload and every outcome in memory, ~830 bytes per request."
     );
     exit(2);
 }
@@ -146,6 +149,13 @@ fn get_valid<T: std::str::FromStr>(
     v
 }
 
+/// Most requests `--requests` accepts. The CLI materialises the whole
+/// workload and every outcome, about 830 bytes per request at peak
+/// (`run --sched sfs`, `compare` and `slo` read 783–794 MiB at 10^6
+/// requests on x86-64, linear from 2·10^5), so this ceiling keeps a run
+/// under ~8 GiB. A larger run belongs to `Sim::run_streaming`.
+const MAX_REQUESTS: usize = 10_000_000;
+
 /// `--cores`: cores of the simulated machine, at least 1.
 fn get_cores(flags: &BTreeMap<String, String>) -> usize {
     get_valid(flags, "cores", 16usize, "a count >= 1", |&n| n >= 1)
@@ -173,7 +183,13 @@ fn build_workload(flags: &BTreeMap<String, String>, cores: usize) -> Workload {
             exit(1);
         });
     }
-    let n = get(flags, "requests", 2_000usize);
+    let n = get_valid(
+        flags,
+        "requests",
+        2_000usize,
+        &format!("a count from 1 to {MAX_REQUESTS}"),
+        |n| (1..=MAX_REQUESTS).contains(n),
+    );
     let seed = get(flags, "seed", 42u64);
     let load = get_valid(flags, "load", 0.9f64, "a finite number > 0", |&x| {
         x.is_finite() && x > 0.0

@@ -89,6 +89,31 @@ fn out_of_domain_numeric_flags_are_named_errors() {
             "0",
         ),
         (&["slo", "--requests", "5", "--cores", "0"], "--cores", "0"),
+        (&["run", "--requests", "0"], "--requests", "0"),
+        (&["gen", "--requests", "0"], "--requests", "0"),
+        (&["compare", "--requests", "0"], "--requests", "0"),
+        (&["slo", "--requests", "0"], "--requests", "0"),
+        (&["run", "--requests", "10000001"], "--requests", "10000001"),
+        (
+            &["run", "--requests", "18446744073709551615"],
+            "--requests",
+            "18446744073709551615",
+        ),
+        (
+            &["gen", "--requests", "18446744073709551615"],
+            "--requests",
+            "18446744073709551615",
+        ),
+        (
+            &["run", "--requests", "18446744073709551616"],
+            "--requests",
+            "18446744073709551616",
+        ),
+        (
+            &["run", "--cluster", cluster, "--requests", "0"],
+            "--requests",
+            "0",
+        ),
         (
             &["run", "--fleet", fleet, "--requests", "5", "--load", "0"],
             "--load",
