@@ -47,15 +47,8 @@ pub fn run_factory(f: &dyn ControllerFactory, cores: usize, w: &Workload) -> Run
 /// error message. Pure in its inputs so tests never race on process-global
 /// environment state.
 pub fn parse_env_override<T: std::str::FromStr>(name: &str, value: Option<&str>, default: T) -> T {
-    match value {
-        None => default,
-        Some(raw) => raw.parse().unwrap_or_else(|_| {
-            panic!(
-                "{name} must be a valid {}, got {raw:?}",
-                std::any::type_name::<T>()
-            )
-        }),
-    }
+    let what = format!("a valid {}", std::any::type_name::<T>());
+    sfs_simcore::env::parse_override(name, value, default, &what, |_| true)
 }
 
 /// Number of requests for a harness, overridable via `SFS_BENCH_REQUESTS`.

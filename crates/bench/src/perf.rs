@@ -121,30 +121,53 @@ const PREEMPT_CORES: usize = 4;
 /// Fair tasks per core on the `micro/cfs_preempt` machine.
 const PREEMPT_BACKLOG: usize = 4;
 
+/// A CFS task that never finishes, at nice `nice`.
+fn endless(label: u64, nice: i8) -> TaskSpec {
+    TaskSpec {
+        phases: vec![Phase::Cpu(SimDuration::from_millis(1 << 30))],
+        policy: Policy::Normal { nice },
+        label,
+    }
+}
+
 /// The `micro/cfs_preempt` machine: 4 Linux cores, each time-sharing
-/// its own 4 never-ending nice-0 CFS tasks in 6 ms slices. Core `k`
-/// starts `k` ms after core 0, so no two cores' slice ends coincide and,
-/// once the setup's superseded boundaries are crossed, every machine
-/// event is exactly one slice preemption, forever.
+/// its own 4 never-ending CFS tasks at nice 0, 1, 2 and 3. Unequal
+/// weights keep every core out of a tickless window, so each boundary is
+/// one eager preemption. Core `k` starts `k` ms after core 0, so no two
+/// cores' slice ends coincide and, once the setup's superseded boundaries
+/// are crossed, every machine event is exactly one slice preemption,
+/// forever.
 fn cfs_preempt_machine() -> Machine {
     let mut m = Machine::new(MachineParams::linux(PREEMPT_CORES));
-    let endless = |label| TaskSpec {
-        phases: vec![Phase::Cpu(SimDuration::from_millis(1 << 30))],
-        policy: Policy::NORMAL,
-        label,
-    };
     for core in 0..PREEMPT_CORES as u64 {
         m.advance_to(SimTime::ZERO + SimDuration::from_millis(core));
-        m.spawn(endless(core));
+        m.spawn(endless(core, 0));
     }
-    // Least-loaded placement deals the rest round-robin.
+    // Least-loaded placement deals the rest round-robin: the n-th task
+    // dealt to a core runs at nice n.
     for label in PREEMPT_CORES..PREEMPT_CORES * PREEMPT_BACKLOG {
-        m.spawn(endless(label as u64));
+        m.spawn(endless(label as u64, (label / PREEMPT_CORES) as i8));
     }
     // Each enqueue shortened its core's slice and left the boundary it
     // replaced queued, no later than the first 24 ms slice's end; cross
     // those before measuring.
     m.advance_to(SimTime::ZERO + SimDuration::from_millis(100));
+    m
+}
+
+/// The `micro/cfs_window_settle` machine: one Linux core time-sharing 4
+/// never-ending nice-0 CFS tasks in 6 ms slices. Once every task has run,
+/// the core rotates in tickless windows, and every machine event is one
+/// window's end: a settle of its capped run of turns, one eager boundary,
+/// and the next window's opening.
+fn cfs_window_machine() -> Machine {
+    let mut m = Machine::new(MachineParams::linux(1));
+    for label in 0..PREEMPT_BACKLOG as u64 {
+        m.spawn(endless(label, 0));
+    }
+    m.advance_to(SimTime::ZERO + SimDuration::from_secs(1));
+    // Finish the window open at 1 s, so each operation crosses a whole one.
+    m.advance_to(m.next_event_time().expect("the backlog never drains"));
     m
 }
 
@@ -472,6 +495,23 @@ pub fn suite(requests: usize, seed: u64) -> Vec<PerfScenario> {
                 .expect("the backlog never drains");
             preempt_machine.advance_to(next);
             std::hint::black_box(preempt_machine.total_ctx_switches());
+        }),
+    });
+
+    // The price of settling one tickless window after its capped run of
+    // turns on a 4-task core (plus the eager boundary at its end and the
+    // next window's opening): each operation advances to the next event.
+    let mut window_machine = cfs_window_machine();
+    v.push(PerfScenario {
+        name: "micro/cfs_window_settle",
+        items: 1,
+        cfg: MeasureConfig::default(),
+        body: Box::new(move || {
+            let next = window_machine
+                .next_event_time()
+                .expect("the backlog never drains");
+            window_machine.advance_to(next);
+            std::hint::black_box(window_machine.total_ctx_switches());
         }),
     });
 
@@ -921,6 +961,7 @@ mod tests {
         assert!(names.contains(&"sim/cluster4_ll_sfs"));
         assert!(names.contains(&"micro/smp_balance_tick"));
         assert!(names.contains(&"micro/cfs_preempt"));
+        assert!(names.contains(&"micro/cfs_window_settle"));
         assert!(names.contains(&"micro/eevdf_pick"));
         assert!(names.contains(&"micro/dl_pick"));
         assert!(names.contains(&"sim/sfs_azure_smp4"));
@@ -940,6 +981,25 @@ mod tests {
         for core in 0..PREEMPT_CORES {
             assert_eq!(m.core_depth(core), PREEMPT_BACKLOG - 1, "core {core}");
         }
+    }
+
+    #[test]
+    fn cfs_window_settle_op_crosses_one_full_window() {
+        let mut m = cfs_window_machine();
+        let mut per_op = None;
+        for op in 0..200u64 {
+            let at = m.next_event_time().expect("the backlog never drains");
+            let switches = m.total_ctx_switches();
+            m.advance_to(at);
+            let crossed = m.total_ctx_switches() - switches;
+            assert_eq!(*per_op.get_or_insert(crossed), crossed, "op {op} at {at}");
+        }
+        let crossed = per_op.expect("ran");
+        assert!(
+            crossed > 1,
+            "each op must settle a window, not one boundary"
+        );
+        assert_eq!(m.core_depth(0), PREEMPT_BACKLOG - 1);
     }
 
     #[test]

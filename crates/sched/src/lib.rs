@@ -44,6 +44,7 @@ pub mod policy;
 pub mod smp;
 pub mod task;
 pub mod trace;
+mod window;
 
 /// The CFS runqueue/weight module (lives under [`policy`]; re-exported at
 /// the crate root for API compatibility).

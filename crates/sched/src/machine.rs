@@ -33,6 +33,7 @@ use crate::policy::{KernelCtx, KernelPolicy, KernelPolicyKind, Placed, PreemptKi
 use crate::smp::SmpParams;
 use crate::task::{FinishedTask, Phase, Pid, Policy, ProcState, Task, TaskSpec};
 use crate::trace::{ScheduleTrace, Segment};
+use crate::window::{now_key, Key, Tickless, Window, MAX_TURNS};
 
 /// Machine construction parameters.
 #[derive(Debug, Clone, Copy)]
@@ -126,7 +127,7 @@ pub enum Notification {
     Finished(Box<FinishedTask>),
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Ev {
     /// The running task on `core` reaches its slice or phase boundary.
     /// Ignored if the core's generation has moved on.
@@ -146,20 +147,20 @@ enum Ev {
 pub(crate) struct CoreSched {
     pub(crate) current: Option<Pid>,
     /// Invalidates in-flight CoreFire events when the assignment changes.
-    gen: u64,
+    pub(crate) gen: u64,
     /// Task the core last executed (context-switch cost bookkeeping).
-    last_ran: Option<Pid>,
+    pub(crate) last_ran: Option<Pid>,
     /// When the current task started consuming CPU (after switch cost).
     /// Reset at every accounting boundary (`charge`).
     pub(crate) run_start: SimTime,
     /// When the current slice began (dispatch or slice renewal) — the base
     /// for recomputing `slice_end` when runqueue membership changes.
-    slice_start: SimTime,
-    slice_end: SimTime,
+    pub(crate) slice_start: SimTime,
+    pub(crate) slice_end: SimTime,
     /// Core-local clock: the latest instant this core's accounting
     /// advanced (dispatch or charge). Monotone per core; lags the machine
     /// clock while the core idles.
-    clock: SimTime,
+    pub(crate) clock: SimTime,
 }
 
 impl CoreSched {
@@ -206,6 +207,10 @@ pub struct Machine {
     retain_finished: bool,
     /// Optional execution trace (who ran where, when).
     trace: Option<ScheduleTrace>,
+    /// Per-core windows of slice boundaries crossed in closed form (see
+    /// [`crate::window`]). Opened only while contention and tracing are
+    /// off: both observe every boundary.
+    tickless: Tickless,
 }
 
 impl Machine {
@@ -237,6 +242,7 @@ impl Machine {
             active_tasks: 0,
             retain_finished: true,
             trace: None,
+            tickless: Tickless::new(params.cores),
         }
     }
 
@@ -254,6 +260,7 @@ impl Machine {
             cores,
             params,
             now,
+            tickless,
             ..
         } = self;
         (
@@ -264,6 +271,7 @@ impl Machine {
                 smp: &params.smp,
                 tasks,
                 cores: cores.as_mut_slice(),
+                tickless,
             },
         )
     }
@@ -274,11 +282,15 @@ impl Machine {
             Placed::Queued => {}
             Placed::RescheduleIdle(core_id) => self.reschedule(core_id),
             Placed::Preempt(core_id) => {
+                self.close_window(core_id);
                 self.charge(core_id);
                 self.preempt_current(core_id, PreemptKind::Preempted);
                 self.reschedule(core_id);
             }
-            Placed::RefreshSlice(core_id) => self.refresh_current_slice(core_id),
+            Placed::RefreshSlice(core_id) => {
+                self.close_window(core_id);
+                self.refresh_current_slice(core_id);
+            }
         }
     }
 
@@ -326,6 +338,8 @@ impl Machine {
     /// policy). Cheap: one record per accounting boundary.
     pub fn enable_tracing(&mut self) {
         if self.trace.is_none() {
+            // A trace records every boundary: none may stay skipped.
+            self.close_windows();
             self.trace = Some(ScheduleTrace::new());
         }
     }
@@ -384,7 +398,11 @@ impl Machine {
 
     /// Machine-wide involuntary context-switch count.
     pub fn total_ctx_switches(&self) -> u64 {
-        self.total_ctx_switches
+        let open: u64 = (self.tickless.open.iter().copied())
+            .map(|c| &self.tickless.windows[c])
+            .map(|w| w.switches_in(w.turns_at(self.now)))
+            .sum();
+        self.total_ctx_switches + self.tickless.switches + open
     }
 
     // ------------------------------------------------------------------
@@ -406,6 +424,10 @@ impl Machine {
 
     /// The task currently running on `core`, if any.
     pub fn running_on(&self, core: usize) -> Option<Pid> {
+        if self.tickless.is_open(core) {
+            let w = &self.tickless.windows[core];
+            return Some(w.current_at(w.turns_at(self.now)));
+        }
         self.cores[core].current
     }
 
@@ -413,7 +435,15 @@ impl Machine {
     /// (a dispatch or a charge). Monotone per core; lags [`Machine::now`]
     /// while the core idles.
     pub fn core_clock(&self, core: usize) -> SimTime {
-        self.cores[core].clock
+        let clock = self.cores[core].clock;
+        if !self.tickless.is_open(core) {
+            return clock;
+        }
+        let w = &self.tickless.windows[core];
+        match w.turns_at(self.now) {
+            0 => clock,
+            k => clock.max(w.run_start(k)),
+        }
     }
 
     /// The core `pid` last executed on (the `processor` field of
@@ -441,10 +471,10 @@ impl Machine {
     /// tasks must be nowhere. Diagnostic hook for the SMP property suite;
     /// O(tasks × cores), so not for hot loops.
     pub fn assert_conservation(&self) {
-        for (i, c) in self.cores.iter().enumerate() {
-            if let Some(pid) = c.current {
+        for i in 0..self.cores.len() {
+            if let Some(pid) = self.running_on(i) {
                 assert_eq!(
-                    self.task(pid).state,
+                    self.proc_state(pid),
                     ProcState::Running,
                     "core {i} runs {pid} but its state disagrees"
                 );
@@ -456,14 +486,20 @@ impl Machine {
             }
         }
         for t in &self.tasks {
-            let queued = self.kpolicy.queued_places(t.pid);
-            let running = self
-                .cores
-                .iter()
-                .filter(|c| c.current == Some(t.pid))
+            let mut queued = self.kpolicy.queued_places(t.pid);
+            if self.window_of(t.pid).is_some() {
+                // The policy's queue lags the window by whole turns: it
+                // holds every task of the rotation but the one running at
+                // its last settle.
+                let home = t.home_core.expect("a window's task has a home");
+                queued += usize::from(self.cores[home].current == Some(t.pid));
+                queued -= usize::from(self.running_on(home) == Some(t.pid));
+            }
+            let running = (0..self.cores.len())
+                .filter(|&i| self.running_on(i) == Some(t.pid))
                 .count();
             let places = queued + running;
-            match t.state {
+            match self.proc_state(t.pid) {
                 ProcState::Running => assert_eq!(
                     (running, places),
                     (1, 1),
@@ -504,8 +540,7 @@ impl Machine {
             && !self.balance_armed
         {
             self.balance_armed = true;
-            self.events
-                .push(self.now + self.params.smp.balance_interval, Ev::Balance);
+            self.push(self.now + self.params.smp.balance_interval, Ev::Balance);
         }
         self.active_tasks += 1; // Task::new starts Runnable
         self.tasks.push(task);
@@ -513,10 +548,11 @@ impl Machine {
         // and instantly blocked); schedule its wake.
         if let Some(Phase::Io(d)) = leading_io {
             self.set_state(pid, ProcState::Sleeping);
-            self.events.push(self.now + d, Ev::Wake { pid, io: d });
+            self.push(self.now + d, Ev::Wake { pid, io: d });
         } else {
             self.make_runnable(pid);
         }
+        self.recheck_windows();
         pid
     }
 
@@ -531,6 +567,9 @@ impl Machine {
         if self.kpolicy.policy_change_inert() {
             self.task_mut(pid).policy = policy;
             return;
+        }
+        if let Some(core) = self.window_core(pid) {
+            self.close_window(core);
         }
         match self.task(pid).state {
             ProcState::Sleeping => {
@@ -568,11 +607,16 @@ impl Machine {
             }
             ProcState::Dead => unreachable!(),
         }
+        self.recheck_windows();
     }
 
     /// `/proc/<pid>/stat`-style state poll.
     pub fn proc_state(&self, pid: Pid) -> ProcState {
-        self.task(pid).state
+        match self.window_of(pid) {
+            Some((w, _)) if w.current_at(w.turns_at(self.now)) == pid => ProcState::Running,
+            Some(_) => ProcState::Runnable,
+            None => self.task(pid).state,
+        }
     }
 
     /// `/proc/<pid>/stat` utime: CPU time consumed so far, charged up to the
@@ -580,6 +624,19 @@ impl Machine {
     /// exposes via clock-tick accounting).
     pub fn cpu_time(&self, pid: Pid) -> SimDuration {
         let t = self.task(pid);
+        if let Some((w, j)) = self.window_of(pid) {
+            let k = w.turns_at(self.now);
+            let mut total = t.cpu_time + w.slice * w.turns_of(j, k);
+            if w.current_at(k) == pid {
+                let home = t.home_core.expect("a window's task has a home");
+                let start = match k {
+                    0 => self.cores[home].run_start,
+                    _ => w.run_start(k),
+                };
+                total += self.now.since(start);
+            }
+            return total;
+        }
         let mut total = t.cpu_time;
         if t.state == ProcState::Running {
             if let Some(core_id) = self.core_running(pid) {
@@ -597,7 +654,8 @@ impl Machine {
         self.task(pid).policy
     }
 
-    /// Earliest pending internal event, if any.
+    /// Earliest pending internal event, if any. A tickless core's skipped
+    /// slice boundaries are not events: only its window's end is queued.
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.events.peek_time()
     }
@@ -641,7 +699,10 @@ impl Machine {
     /// This is what lets a driver step only where a controller has
     /// something to see: the machine crosses any run of instants that
     /// notify nobody (slice preemptions, slice renewals, stale core
-    /// timers, balance ticks) in one call.
+    /// timers, balance ticks) in one call. The slice boundaries of a
+    /// tickless core's window are not instants at all: no event marks
+    /// them, and the core's state at `t` is settled in closed form when
+    /// something reads or writes it.
     ///
     /// The loop re-polls the queue after every handler instead of
     /// batch-popping an instant's events: handlers legitimately schedule
@@ -650,10 +711,35 @@ impl Machine {
     /// late notification.
     pub fn advance_until_notified(&mut self, t: SimTime, out: &mut Vec<Notification>) -> SimTime {
         debug_assert!(t >= self.now, "time must not go backwards");
-        while let Some(instant) = self.events.peek_time().filter(|&at| at <= t) {
+        loop {
+            let queued = self.peek_live().filter(|&at| at <= t);
+            if !self.out.is_empty() && !self.tickless.open.is_empty() {
+                // Notifications raised outside an advance go out at the
+                // next instant with an event, and a skipped boundary was
+                // one in the eager machine.
+                let skipped = (self.tickless.next_skipped(self.now))
+                    .filter(|&at| at <= t && queued.map_or(true, |q| at < q));
+                if let Some(at) = skipped {
+                    self.now = at;
+                    out.append(&mut self.out);
+                    return at;
+                }
+            }
+            let Some(instant) = queued else {
+                break;
+            };
             while let Some((at, ev)) = self.events.pop_until(instant) {
+                if self.take_superseded(&ev) {
+                    continue;
+                }
                 self.now = at;
+                debug_assert!(
+                    (self.tickless.open.iter().copied())
+                        .all(|c| self.tickless.windows[c].skipped_index(at).is_none()),
+                    "an event at {at} shares its instant with a skipped boundary"
+                );
                 self.handle(ev);
+                self.recheck_windows();
             }
             if !self.out.is_empty() {
                 out.append(&mut self.out);
@@ -668,7 +754,7 @@ impl Machine {
     /// Drain all pending events (run to quiescence).
     pub fn run_until_quiescent(&mut self) -> Vec<Notification> {
         let mut out = Vec::new();
-        while let Some(t) = self.events.peek_time() {
+        while let Some(t) = self.peek_live() {
             self.advance_until_notified(t, &mut out);
         }
         out.append(&mut self.out);
@@ -693,8 +779,290 @@ impl Machine {
             .filter(|&c| self.cores[c].current == Some(pid))
     }
 
+    /// True for a window's end event that a later window operation
+    /// superseded, which the caller then drops: the eager machine never
+    /// queued it, so it marks no instant (an eager event that went stale
+    /// still does).
+    fn take_superseded(&mut self, ev: &Ev) -> bool {
+        match *ev {
+            Ev::CoreFire { core, gen } => {
+                self.tickless.superseded > 0
+                    && gen != self.cores[core].gen
+                    && self.tickless.take_superseded(core, gen)
+            }
+            _ => false,
+        }
+    }
+
+    /// The instant of the earliest queued event, after dropping the
+    /// superseded window ends at the head of the queue: the clock never
+    /// moves to an instant the eager machine had no event at.
+    fn peek_live(&mut self) -> Option<SimTime> {
+        loop {
+            let (at, &head) = self.events.peek()?;
+            if !self.take_superseded(&head) {
+                return Some(at);
+            }
+            self.events.pop();
+        }
+    }
+
+    /// Queue `ev` at `at`, pushed by a handler or the driver at `now`.
+    fn push(&mut self, at: SimTime, ev: Ev) {
+        self.push_keyed(at, ev, now_key(self.now));
+    }
+
+    /// Queue `ev` at `at` where the eager machine would have pushed it
+    /// with `key`, keeping the windows' invariant: no skipped boundary
+    /// shares an instant with a queued event. A skipped boundary at `at`
+    /// becomes its window's end, a real event on the side of `ev` its key
+    /// puts it; an end event at `at` that must follow `ev` is superseded
+    /// and queued again after it.
+    fn push_keyed(&mut self, at: SimTime, ev: Ev, key: Key) {
+        if !self.tickless.meets(at) {
+            self.events.push(at, ev);
+            return;
+        }
+        let tl = &mut self.tickless;
+        let mut moved = std::mem::take(&mut tl.moved);
+        for j in 0..tl.open.len() {
+            let c = tl.open[j];
+            let w = &tl.windows[c];
+            if at == w.end {
+                let end_key = w.key_of(w.skipped);
+                if end_key > key {
+                    tl.supersede(c, self.cores[c].gen);
+                    self.cores[c].gen += 1;
+                    moved.push((end_key, c));
+                }
+            } else if let Some(i) = w.skipped_index(at) {
+                // No event is queued at a skipped instant, so every end
+                // queued here now is one of these.
+                moved.push((w.key_of(i - 1), c));
+                tl.end_at(c, i, at);
+                tl.supersede(c, self.cores[c].gen);
+                self.cores[c].gen += 1;
+            }
+        }
+        if moved.is_empty() {
+            self.events.push(at, ev);
+        } else {
+            moved.sort_unstable();
+            let split = moved.partition_point(|&(k, _)| k < key);
+            let end = |c: usize| Ev::CoreFire {
+                core: c,
+                gen: self.cores[c].gen,
+            };
+            for &(_, c) in &moved[..split] {
+                self.events.push(at, end(c));
+            }
+            self.events.push(at, ev);
+            for &(_, c) in &moved[split..] {
+                self.events.push(at, end(c));
+            }
+            moved.clear();
+        }
+        self.tickless.moved = moved;
+    }
+
+    /// The core whose open window holds `pid`'s queue: a queued or running
+    /// fair task's home core.
+    fn window_core(&self, pid: Pid) -> Option<usize> {
+        if self.tickless.open.is_empty() {
+            return None;
+        }
+        let t = self.task(pid);
+        if t.policy.is_realtime() || !matches!(t.state, ProcState::Runnable | ProcState::Running) {
+            return None;
+        }
+        t.home_core.filter(|&c| self.tickless.is_open(c))
+    }
+
+    /// The open window `pid` rotates in and its index in the cycle (a
+    /// parked task waits in the queue and does not rotate).
+    fn window_of(&self, pid: Pid) -> Option<(&Window, usize)> {
+        let w = &self.tickless.windows[self.window_core(pid)?];
+        Some((w, w.cycle.iter().position(|&p| p == pid)?))
+    }
+
+    /// Settle `core`'s window, if open, and close it: the writes that
+    /// follow see the eager machine's state, and the core's next boundary
+    /// is a real event again.
+    fn close_window(&mut self, core: usize) {
+        if self.tickless.is_open(core) {
+            self.settle(core);
+            self.flush_rearms();
+        }
+    }
+
+    /// Close every open window, re-arming their cores in key order.
+    fn close_windows(&mut self) {
+        while let Some(&c) = self.tickless.open.first() {
+            self.settle(c);
+        }
+        self.flush_rearms();
+    }
+
+    /// Settle and close `core`'s open window, leaving its re-arm queued.
+    fn settle(&mut self, core: usize) {
+        let (kp, mut ctx) = self.policy_ctx();
+        if ctx.settle_window(core) {
+            kp.rotation_settled(&mut ctx, core);
+        }
+    }
+
+    /// Queue the next boundary of every core whose window a policy hook
+    /// just closed, in key order.
+    fn flush_rearms(&mut self) {
+        if self.tickless.rearm.is_empty() {
+            return;
+        }
+        let mut rearm = std::mem::take(&mut self.tickless.rearm);
+        rearm.sort_unstable();
+        for &(key, core) in &rearm {
+            let (at, gen) = self.next_fire(core);
+            self.push_keyed(at, Ev::CoreFire { core, gen }, key);
+        }
+        rearm.clear();
+        self.tickless.rearm = rearm;
+    }
+
+    /// Bring open windows in line with what the operation just finished
+    /// changed outside their cores. A waiting RT task would be picked at
+    /// the next boundary of any of them: close them all. A lone task
+    /// renews or is repicked depending on
+    /// [`KernelPolicy::has_competition`], which other cores' queue lengths
+    /// decide; the two differ only in the context switch each boundary
+    /// counts, so its window stays open and counts the switches of its
+    /// later boundaries by the new choice. The policy flags when either
+    /// may have changed (`Tickless::recheck`), so most operations skip the
+    /// check.
+    fn recheck_windows(&mut self) {
+        if !self.tickless.recheck || self.tickless.open.is_empty() {
+            return;
+        }
+        self.tickless.recheck = false;
+        let (kp, ctx) = self.policy_ctx();
+        if kp.rt_depth() > 0 {
+            self.close_windows();
+            return;
+        }
+        // Every lone core's queue is empty, so the predicate is the same
+        // for all of them.
+        let tl = &*ctx.tickless;
+        if tl.lone == [0, 0] {
+            return;
+        }
+        let lone = tl.open.iter().find(|&&c| tl.windows[c].lone);
+        let competition = kp.has_competition(&ctx, *lone.expect("a lone window is open"));
+        if self.tickless.lone[usize::from(!competition)] > 0 {
+            self.tickless.set_lone_switches(self.now, competition);
+        }
+    }
+
+    /// After an eager slice-expiry boundary on `core`, with its next turn
+    /// already dispatched or renewed: if the policy describes the queue as
+    /// a fixed rotation, open a window that queues one `CoreFire` at its
+    /// end instead of one per boundary. False when no boundary can be
+    /// skipped; the caller then arms the next boundary eagerly. Contention
+    /// and tracing observe every boundary, so neither allows a window.
+    fn open_window(&mut self, core: usize) -> bool {
+        if self.params.contention_beta > 0.0 || self.trace.is_some() {
+            return false;
+        }
+        let mut cycle = std::mem::take(&mut self.tickless.windows[core].cycle);
+        cycle.clear();
+        let rotation = {
+            let (kp, ctx) = self.policy_ctx();
+            kp.rotation(&ctx, core, &mut cycle)
+        };
+        let plan = rotation.and_then(|r| self.plan_window(core, &cycle, r.slice, r.turns));
+        let w = &mut self.tickless.windows[core];
+        w.cycle = cycle;
+        let (Some(r), Some((lead, skipped, end))) = (rotation, plan) else {
+            return false;
+        };
+        w.start = self.now;
+        w.period = r.slice + lead;
+        w.slice = r.slice;
+        w.lead = lead;
+        w.vruntime_delta = r.vruntime_delta;
+        w.switches = r.switches;
+        (w.switched, w.mark) = (0, 0);
+        w.lone = w.cycle.len() == 1 && self.kpolicy.queue_depth(core) == 0;
+        w.skipped = skipped;
+        w.end = end;
+        w.order = self.tickless.next_order;
+        self.tickless.next_order += 1;
+        let key = w.key_of(skipped);
+        let gen = self.cores[core].gen;
+        self.push_keyed(end, Ev::CoreFire { core, gen }, key);
+        self.tickless.list(core);
+        true
+    }
+
+    /// The shape of a window over `cycle` opening now on `core`: the lead
+    /// (switch cost) before each turn, the boundaries it skips, and its
+    /// end instant. `None` if it would skip none.
+    fn plan_window(
+        &self,
+        core: usize,
+        cycle: &[Pid],
+        slice: SimDuration,
+        turns: u64,
+    ) -> Option<(SimDuration, u64, SimTime)> {
+        let n = cycle.len() as u64;
+        let lead = match n {
+            1 => SimDuration::ZERO,
+            _ => self.params.ctx_switch_cost,
+        };
+        let period = (slice + lead).as_nanos();
+        let c = &self.cores[core];
+        // Every turn, the one just dispatched included, must start `lead`
+        // after its boundary and run the whole slice.
+        if slice.is_zero() || c.run_start != self.now + lead || c.slice_end != c.run_start + slice {
+            return None;
+        }
+        let s = slice.as_nanos();
+        let rem = |j: usize| self.task(cycle[j]).phase_rem.as_nanos();
+        // The first turn in which a task's phase ends.
+        let phase_turn = (0..cycle.len())
+            .map(|j| j as u64 + n * (rem(j).saturating_sub(1) / s))
+            .min()?;
+        // Boundary `turns` hands the core to a parked task: it stays real.
+        let mut skipped = phase_turn.min(MAX_TURNS).min(turns - 1);
+        // Stop before the first boundary that shares an instant with a
+        // queued event.
+        for at in self.events.instants() {
+            let d = at.since(self.now).as_nanos();
+            if d > 0 && d <= skipped * period && d % period == 0 {
+                skipped = d / period - 1;
+            }
+        }
+        if skipped == 0 {
+            return None;
+        }
+        let boundary = |i: u64| self.now + SimDuration(period * i);
+        if skipped == phase_turn {
+            let j = (phase_turn % n) as usize;
+            let end = boundary(phase_turn) + lead + SimDuration(rem(j) - (phase_turn / n) * s);
+            if end > boundary(skipped) {
+                return Some((lead, skipped, end));
+            }
+            // A task preempted exactly at its phase end, dispatched without
+            // a switch cost: its phase ends on the boundary itself, which
+            // must then be real.
+            skipped -= 1;
+        }
+        (skipped > 0).then(|| (lead, skipped, boundary(skipped + 1)))
+    }
+
     /// Charge the running task on `core` for CPU consumed up to `self.now`.
     fn charge(&mut self, core_id: usize) {
+        debug_assert!(
+            !self.tickless.windows[core_id].open,
+            "charge inside a window"
+        );
         let Some(pid) = self.cores[core_id].current else {
             return;
         };
@@ -731,6 +1099,7 @@ impl Machine {
         self.set_state(pid, ProcState::Runnable);
         let (kp, mut ctx) = self.policy_ctx();
         let placed = kp.enqueue(&mut ctx, pid);
+        self.flush_rearms();
         self.apply_placed(placed);
     }
 
@@ -739,6 +1108,7 @@ impl Machine {
         debug_assert_eq!(self.task(pid).state, ProcState::Runnable);
         let (kp, mut ctx) = self.policy_ctx();
         kp.dequeue(&mut ctx, pid);
+        self.flush_rearms();
     }
 
     /// Recompute the running task's slice after its core's runqueue
@@ -788,22 +1158,36 @@ impl Machine {
         kp.requeue_preempted(&mut ctx, core_id, pid, why);
     }
 
-    /// Pick and dispatch the next task for an empty core.
+    /// Pick and dispatch the next task for an empty core, and arm its
+    /// boundary event.
     fn reschedule(&mut self, core_id: usize) {
+        if self.pick_and_dispatch(core_id) {
+            self.arm_core_event(core_id);
+        }
+    }
+
+    /// Pick and dispatch the next task for an empty core; false if it
+    /// stays idle.
+    fn pick_and_dispatch(&mut self, core_id: usize) -> bool {
         debug_assert!(self.cores[core_id].current.is_none());
         let next = {
             let (kp, mut ctx) = self.policy_ctx();
             kp.pick_next(&mut ctx, core_id)
         };
+        self.flush_rearms();
         match next {
-            Some(pid) => self.dispatch(core_id, pid),
+            Some(pid) => {
+                self.dispatch(core_id, pid);
+                true
+            }
             None => {
                 self.cores[core_id].gen += 1; // invalidate stale fires
+                false
             }
         }
     }
 
-    /// Put `pid` on `core` and arm its boundary event.
+    /// Put `pid` on `core` (the caller arms its boundary event).
     fn dispatch(&mut self, core_id: usize, pid: Pid) {
         debug_assert_eq!(self.task(pid).state, ProcState::Runnable);
         debug_assert!(
@@ -853,7 +1237,6 @@ impl Machine {
             kp.slice_for(&mut ctx, core_id, pid)
         };
         self.cores[core_id].slice_end = start.saturating_add(dur);
-        self.arm_core_event(core_id);
     }
 
     /// (Re-)arm the boundary event for the core's current assignment. The
@@ -861,15 +1244,20 @@ impl Machine {
     /// if contention changes before it fires, the fire handler re-charges
     /// and re-arms, converging on the true boundary.
     fn arm_core_event(&mut self, core_id: usize) {
-        let Some(pid) = self.cores[core_id].current else {
-            return;
-        };
-        let f = self.contention_factor();
+        if self.cores[core_id].current.is_some() {
+            let (at, gen) = self.next_fire(core_id);
+            self.push(at, Ev::CoreFire { core: core_id, gen });
+        }
+    }
+
+    /// When the running task on `core` next reaches a slice or phase
+    /// boundary, and the core's generation to arm it with.
+    fn next_fire(&self, core_id: usize) -> (SimTime, u64) {
         let c = &self.cores[core_id];
+        let pid = c.current.expect("a running core");
+        let f = self.contention_factor();
         let phase_end = c.run_start + self.task(pid).phase_rem.mul_f64(f);
-        let fire = phase_end.min(c.slice_end);
-        let gen = c.gen;
-        self.events.push(fire, Ev::CoreFire { core: core_id, gen });
+        (phase_end.min(c.slice_end), c.gen)
     }
 
     fn handle(&mut self, ev: Ev) {
@@ -878,6 +1266,8 @@ impl Machine {
                 if self.cores[core].gen != gen || self.cores[core].current.is_none() {
                     return; // stale
                 }
+                // A window's end: settle the boundaries it skipped first.
+                self.close_window(core);
                 self.charge(core);
                 let pid = self.cores[core].current.expect("checked above");
                 if self.task(pid).phase_rem.is_zero() {
@@ -900,8 +1290,7 @@ impl Machine {
         self.balance_armed = false;
         if self.live_tasks > 0 {
             self.balance_armed = true;
-            self.events
-                .push(self.now + self.params.smp.balance_interval, Ev::Balance);
+            self.push(self.now + self.params.smp.balance_interval, Ev::Balance);
         }
         if !self.kpolicy.participates_in_balance() {
             return;
@@ -910,6 +1299,7 @@ impl Machine {
             let (kp, mut ctx) = self.policy_ctx();
             kp.balance(&mut ctx)
         };
+        self.flush_rearms();
         let Some(placed) = placed else {
             return;
         };
@@ -947,7 +1337,7 @@ impl Machine {
                 self.set_state(pid, ProcState::Sleeping);
                 self.task_mut(pid).phase_rem = d;
                 self.out.push(Notification::Blocked(pid, self.now));
-                self.events.push(self.now + d, Ev::Wake { pid, io: d });
+                self.push(self.now + d, Ev::Wake { pid, io: d });
                 self.reschedule(core_id);
             }
             Some(Phase::Cpu(d)) => {
@@ -984,11 +1374,15 @@ impl Machine {
             self.cores[core_id].slice_start = self.now;
             self.cores[core_id].slice_end = self.now.saturating_add(renew);
             self.cores[core_id].gen += 1;
-            self.arm_core_event(core_id);
-            return;
+        } else {
+            self.preempt_current(core_id, PreemptKind::SliceExpired);
+            if !self.pick_and_dispatch(core_id) {
+                return;
+            }
         }
-        self.preempt_current(core_id, PreemptKind::SliceExpired);
-        self.reschedule(core_id);
+        if !self.open_window(core_id) {
+            self.arm_core_event(core_id);
+        }
     }
 
     /// I/O completed: account sleep time and requeue.
@@ -1019,7 +1413,83 @@ impl Machine {
             Some(Phase::Io(d)) => {
                 // Back-to-back I/O phases: keep sleeping.
                 self.task_mut(pid).phase_rem = d;
-                self.events.push(self.now + d, Ev::Wake { pid, io: d });
+                self.push(self.now + d, Ev::Wake { pid, io: d });
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+#[path = "../tests/support/rotation.rs"]
+mod rotation;
+
+#[cfg(test)]
+mod tests {
+    use super::rotation::{rotation_ops, Op};
+    use super::*;
+
+    /// On 24 cores, the rotation timelines `tests/kpolicy_diff.rs` diffs
+    /// against the eager machine keep enough windows open at once that the
+    /// machine looks boundaries up through its index.
+    #[test]
+    fn many_open_windows_use_the_index() {
+        for seed in [3, 11, 58, 2_022, 0x5F5] {
+            let mut m = Machine::new(MachineParams {
+                cores: 24,
+                ..Default::default()
+            });
+            let (mut pids, mut indexed) = (Vec::new(), 0);
+            for (t, op) in rotation_ops(seed, 240) {
+                m.advance_to(t);
+                indexed += usize::from(m.tickless.indexed());
+                match op {
+                    Op::Spawn(spec) => pids.push(m.spawn(spec)),
+                    Op::SetPolicy(i, p) => m.set_policy(pids[i], p),
+                }
+            }
+            assert!(indexed > 0, "seed {seed}: the index was never in use");
+        }
+    }
+
+    /// The rotation timelines `tests/kpolicy_diff.rs` diffs against the
+    /// eager machine really run in windows: on every machine shape and
+    /// seed it uses, windows open and settle skipped turns, so that suite
+    /// cannot pass by never leaving the eager path.
+    #[test]
+    fn windows_open_on_rotation_timelines() {
+        let ms = SimDuration::from_millis;
+        let balanced = SmpParams::balanced(ms(4), SimDuration::from_micros(500), ms(1));
+        let shapes = [1, 2, 4]
+            .map(|cores| (cores, SmpParams::default()))
+            .into_iter()
+            .chain([2, 4].map(|cores| (cores, balanced)));
+        for (cores, smp) in shapes {
+            for cost in [SimDuration::ZERO, ms(1), SimDuration::from_micros(5)] {
+                for seed in [3, 11, 58, 2_022, 0x5F5] {
+                    let params = MachineParams {
+                        cores,
+                        ctx_switch_cost: cost,
+                        ..Default::default()
+                    };
+                    let mut m = Machine::new(params.with_smp(smp));
+                    let mut pids = Vec::new();
+                    for (t, op) in rotation_ops(seed, 48) {
+                        m.advance_to(t);
+                        match op {
+                            Op::Spawn(spec) => pids.push(m.spawn(spec)),
+                            Op::SetPolicy(i, p) => m.set_policy(pids[i], p),
+                        }
+                    }
+                    m.run_until_quiescent();
+                    let ctx = format!("cores={cores} cost={cost} seed={seed} smp={smp:?}");
+                    let skipped = m.tickless.switches;
+                    assert!(m.tickless.next_order > 0, "no window opened ({ctx})");
+                    assert!(
+                        skipped * 4 > m.total_ctx_switches(),
+                        "windows settled only {skipped} of {} switches ({ctx})",
+                        m.total_ctx_switches()
+                    );
+                }
             }
         }
     }

@@ -211,6 +211,20 @@ impl CfsRunqueue {
         true
     }
 
+    /// Every queued `(vruntime, pid, weight)`, in no particular order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (u64, Pid, u32)> + '_ {
+        self.heap.iter().copied()
+    }
+
+    /// Empty the queue, keeping its `min_vruntime` floor.
+    pub(crate) fn clear(&mut self) {
+        for &(_, pid, _) in &self.heap {
+            self.pos[pid.0 as usize] = POS_NONE;
+        }
+        self.heap.clear();
+        self.total_weight = 0;
+    }
+
     /// Peek the leftmost (smallest-vruntime) task.
     pub fn peek(&self) -> Option<(u64, Pid)> {
         self.heap.first().map(|&(v, p, _)| (v, p))

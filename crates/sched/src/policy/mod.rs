@@ -50,6 +50,7 @@ use crate::machine::CoreSched;
 use crate::policy::cfs::{weight_of_nice, CfsParams};
 use crate::smp::SmpParams;
 use crate::task::{Pid, Policy, ProcState, Task};
+use crate::window::Tickless;
 
 /// Built-in kernel policies selectable by name — the value that travels
 /// through [`MachineParams`](crate::MachineParams), `SfsConfig`, CLI flags,
@@ -166,6 +167,7 @@ pub struct KernelCtx<'a> {
     pub(crate) smp: &'a SmpParams,
     pub(crate) tasks: &'a mut Vec<Task>,
     pub(crate) cores: &'a mut [CoreSched],
+    pub(crate) tickless: &'a mut Tickless,
 }
 
 impl KernelCtx<'_> {
@@ -248,6 +250,16 @@ impl KernelCtx<'_> {
         self.task(pid).home_core
     }
 
+    /// The core the task last executed on.
+    pub(crate) fn last_core(&self, pid: Pid) -> Option<usize> {
+        self.task(pid).last_core
+    }
+
+    /// Dispatch latency the task still owes from a balance migration.
+    pub(crate) fn pending_migration_cost(&self, pid: Pid) -> SimDuration {
+        self.task(pid).pending_migration_cost
+    }
+
     /// Record which core's runqueue owns the task.
     pub fn set_home_core(&mut self, pid: Pid, core: Option<usize>) {
         self.task_mut(pid).home_core = core;
@@ -312,7 +324,10 @@ impl KernelCtx<'_> {
 /// * a task dies → [`on_task_exit`](Self::on_task_exit) (reservation
 ///   reclamation);
 /// * the periodic balance tick fires → [`balance`](Self::balance), if
-///   [`participates_in_balance`](Self::participates_in_balance).
+///   [`participates_in_balance`](Self::participates_in_balance);
+/// * an eager slice-expiry boundary leaves a core running a fair task →
+///   [`rotation`](Self::rotation), and once the machine settles turns of
+///   a rotation → [`rotation_settled`](Self::rotation_settled).
 ///
 /// Determinism contract: every decision must be a pure function of the
 /// policy's own state plus what [`KernelCtx`] exposes, with ties broken on
@@ -411,6 +426,56 @@ pub trait KernelPolicy: std::fmt::Debug + Send {
     /// Conservation audits require exactly 1 for queued Runnable tasks and
     /// 0 otherwise.
     fn queued_places(&self, pid: Pid) -> usize;
+
+    /// Right after an eager slice-expiry boundary on `core`: describe its
+    /// runqueue as a fixed rotation, if it is one, so the machine can cross
+    /// the coming boundaries in closed form. On `Some`, `cycle` holds the
+    /// running task, then the queued tasks that rotate with it in the order
+    /// they will run, and each of the rotation's next turns must repeat
+    /// this boundary's outcome: turn `i` runs `cycle[i mod n]` for the
+    /// rotation's slice, then the same task is requeued behind the others
+    /// (with `n = 1`, renewed or repicked). Queued tasks outside `cycle`
+    /// must stay queued meanwhile.
+    /// Until the machine settles the turns ([`rotation_settled`](
+    /// Self::rotation_settled)), the policy's view of `core`'s queue may
+    /// lag by whole turns; only depths and the running task's class may be
+    /// read from it. A policy that describes rotations also reports, from
+    /// every hook that changes a queue, whether a lone task's
+    /// renew-or-repick choice may have flipped, through crate-internal
+    /// bookkeeping on [`KernelCtx`]. So only this crate builds a
+    /// [`Rotation`]: its fields are crate-private, and a policy from
+    /// outside can only decline, as the default does.
+    fn rotation(
+        &mut self,
+        _ctx: &KernelCtx<'_>,
+        _core: usize,
+        _cycle: &mut Vec<Pid>,
+    ) -> Option<Rotation> {
+        None
+    }
+
+    /// The machine settled whole turns of `core`'s rotation into task and
+    /// core state (vruntimes, [`KernelCtx::current`]): bring the policy's
+    /// view of `core`'s queue in line. Only called after a
+    /// [`rotation`](Self::rotation) returned `Some` for `core`.
+    fn rotation_settled(&mut self, _ctx: &mut KernelCtx<'_>, _core: usize) {}
+}
+
+/// A core's fair runqueue as a fixed rotation (see
+/// [`KernelPolicy::rotation`]). Only this crate can build one: the
+/// machine's windows rely on bookkeeping an outside policy cannot do.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rotation {
+    /// The slice every turn runs.
+    pub(crate) slice: SimDuration,
+    /// vruntime one turn adds to the task that runs it.
+    pub(crate) vruntime_delta: u64,
+    /// Whether each boundary counts an involuntary context switch against
+    /// the task it stops (a lone task that is preempted and repicked).
+    pub(crate) switches: bool,
+    /// Turns, the running one included, the rotation keeps before another
+    /// queued task's turn comes up (`u64::MAX` if none ever does).
+    pub(crate) turns: u64,
 }
 
 /// Shared RT-band enqueue used by every policy that layers the Linux

@@ -933,14 +933,9 @@ mod reference {
 // Differential driver
 // ----------------------------------------------------------------------
 
-/// One controller-visible operation, applied identically to both machines.
-#[derive(Debug, Clone)]
-enum Op {
-    /// Spawn the given spec; the n-th spawn receives pid n on both sides.
-    Spawn(TaskSpec),
-    /// `set_policy` on the task from the i-th spawn.
-    SetPolicy(usize, Policy),
-}
+#[path = "support/rotation.rs"]
+mod rotation;
+use rotation::{rotation_ops, Op};
 
 fn random_policy(rng: &mut SimRng) -> Policy {
     if rng.chance(0.65) {
@@ -1196,5 +1191,129 @@ fn cfs_port_matches_under_contention() {
             0.5,
             seed,
         );
+    }
+}
+
+// ----------------------------------------------------------------------
+// Rotation timelines: the frozen machine as the eager oracle for windows
+// ----------------------------------------------------------------------
+
+fn ms(v: u64) -> SimDuration {
+    SimDuration::from_millis(v)
+}
+
+/// Replay `ops` on the machine and on the frozen eager one, comparing every
+/// read a controller can make (each live task's state and CPU time, and the
+/// context-switch total) at each op instant, then the notification streams,
+/// completion records and totals.
+fn assert_rotation_identical(
+    cores: usize,
+    smp: SmpParams,
+    ctx_switch_cost: SimDuration,
+    seed: u64,
+) {
+    // Enough operations to keep every core of a many-core machine busy.
+    let ops = rotation_ops(seed, 48.max(10 * cores as u64));
+    let mut new = Machine::new(
+        MachineParams {
+            cores,
+            ctx_switch_cost,
+            ..Default::default()
+        }
+        .with_smp(smp),
+    );
+    let mut old = reference::RefMachine::new(reference::RefParams {
+        cores,
+        ctx_switch_cost,
+        smp,
+        ..Default::default()
+    });
+    let ctx = format!("cores={cores} cost={ctx_switch_cost} seed={seed}");
+    let (mut new_notes, mut old_notes) = (Vec::new(), Vec::new());
+    let mut pids = Vec::new();
+    for (t, op) in &ops {
+        new_notes.extend(new.advance_to(*t));
+        old_notes.extend(old.advance_to(*t));
+        for &pid in &pids {
+            assert_eq!(
+                (new.proc_state(pid), new.cpu_time(pid)),
+                (old.proc_state(pid), old.cpu_time(pid)),
+                "{pid} read at {t} ({ctx})"
+            );
+        }
+        assert_eq!(
+            new.total_ctx_switches(),
+            old.total_ctx_switches(),
+            "context switches at {t} ({ctx})"
+        );
+        match op {
+            Op::Spawn(spec) => {
+                let pid = new.spawn(spec.clone());
+                assert_eq!(pid, old.spawn(spec.clone()));
+                pids.push(pid);
+            }
+            Op::SetPolicy(i, p) => {
+                new.set_policy(pids[*i], *p);
+                old.set_policy(pids[*i], *p);
+            }
+        }
+    }
+    new_notes.extend(new.run_until_quiescent());
+    old_notes.extend(old.run_until_quiescent());
+    new.assert_conservation();
+    let (new_notes, old_notes) = (digest(&new_notes), digest(&old_notes));
+    assert_eq!(
+        new_notes.len(),
+        old_notes.len(),
+        "notification count ({ctx})"
+    );
+    for (i, (n, o)) in new_notes.iter().zip(&old_notes).enumerate() {
+        assert_eq!(n, o, "notification {i} diverged ({ctx})");
+    }
+    assert_eq!(
+        digest(new.finished()),
+        digest(old.finished()),
+        "completion records ({ctx})"
+    );
+    assert_eq!(
+        new.total_ctx_switches(),
+        old.total_ctx_switches(),
+        "context-switch totals ({ctx})"
+    );
+}
+
+const ROTATION_SEEDS: [u64; 5] = [3, 11, 58, 2_022, 0x5F5];
+
+#[test]
+fn rotating_cores_match_the_eager_machine() {
+    for cores in [1, 2, 4] {
+        for cost in [SimDuration::ZERO, ms(1), SimDuration::from_micros(5)] {
+            for seed in ROTATION_SEEDS {
+                assert_rotation_identical(cores, SmpParams::default(), cost, seed);
+            }
+        }
+    }
+}
+
+/// With this many cores, enough windows are open at once that the machine
+/// looks their boundaries up through its index rather than a scan.
+#[test]
+fn rotating_many_cores_match_the_eager_machine() {
+    for cost in [SimDuration::ZERO, ms(1)] {
+        for seed in ROTATION_SEEDS {
+            assert_rotation_identical(24, SmpParams::default(), cost, seed);
+        }
+    }
+}
+
+#[test]
+fn rotating_cores_match_the_eager_machine_with_smp_balancing() {
+    let smp = SmpParams::balanced(ms(4), SimDuration::from_micros(500), ms(1));
+    for cores in [2, 4] {
+        for cost in [SimDuration::ZERO, ms(1)] {
+            for seed in ROTATION_SEEDS {
+                assert_rotation_identical(cores, smp, cost, seed);
+            }
+        }
     }
 }

@@ -488,3 +488,248 @@ fn core_timer_and_balance_tick_on_one_instant_fire_in_push_order() {
         assert_eq!(m.balance_migrations(), migrations, "rearm={rearm}");
     }
 }
+
+// ----------------------------------------------------------------------
+// Tickless windows: every same-instant tie lands where the eager machine
+// puts it. Expected schedules were recorded on the machine before it
+// skipped any boundary.
+// ----------------------------------------------------------------------
+
+/// The run in one line per fact: each notification, then the
+/// context-switch total, then every task's CPU time.
+fn schedule(m: &Machine, notes: &[Notification], pids: &[Pid]) -> String {
+    let mut out: Vec<String> = brief(notes)
+        .into_iter()
+        .map(|(kind, pid, t)| format!("{kind} {pid} {t}"))
+        .collect();
+    out.push(format!("switches {}", m.total_ctx_switches()));
+    out.extend(pids.iter().map(|&p| format!("cpu {p} {}", m.cpu_time(p))));
+    out.join("\n")
+}
+
+fn phases(label: u64, phases: Vec<Phase>) -> TaskSpec {
+    TaskSpec {
+        phases,
+        policy: Policy::NORMAL,
+        label,
+    }
+}
+
+/// A wake queued by a handler onto an instant the lone core 1 skips in a
+/// window. Core 0 rotates `c`, `c2` and `e`; core 1's lone `a` renews every
+/// 24 ms from 17, in a window from 41. `e` blocks at 48 and wakes onto
+/// core 1 at `wake`: at 65 the skipped boundary's key (41) precedes the
+/// block, so `a` renews first and `e` only shortens its fresh slice; at
+/// 89 the key (65) follows it, so `e` finds `a`'s slice spent and
+/// preempts it.
+#[test]
+fn handler_push_at_a_skipped_boundary_sorts_by_its_key() {
+    for (wake, expected) in [(65, EXPECT_WAKE_65), (89, EXPECT_WAKE_89)] {
+        let mut m = Machine::new(exact(2));
+        let c = m.spawn(TaskSpec::cpu(0, ms(400)));
+        let a = m.spawn(TaskSpec::cpu(1, ms(400)));
+        let c2 = m.spawn(TaskSpec::cpu(2, ms(400)));
+        let y = m.spawn(TaskSpec::cpu(3, ms(5)));
+        let e = m.spawn(phases(
+            4,
+            vec![
+                Phase::Cpu(ms(16)),
+                Phase::Io(ms(wake - 48)),
+                Phase::Cpu(ms(50)),
+            ],
+        ));
+        let mut notes = m.advance_to(at(wake + 30));
+        notes.extend(m.run_until_quiescent());
+        let got = schedule(&m, &notes, &[c, a, c2, y, e]);
+        assert_eq!(got, expected, "wake at {wake}");
+    }
+}
+
+/// A driver push at the instant that keys a skipped boundary sorts after
+/// it: the machine handles every event due at an instant before the driver
+/// acts. Core 1's lone `a` renews every 24 ms in a window from 24; at 48
+/// the driver spawns `f`, whose I/O ends at 72. `a` renews at 72 first, so
+/// `f` only halves its fresh slice.
+#[test]
+fn driver_push_at_a_boundary_key_instant_sorts_after_the_boundary() {
+    let mut m = Machine::new(exact(2));
+    let c = m.spawn(TaskSpec::cpu(0, ms(300)));
+    let a = m.spawn(TaskSpec::cpu(1, ms(300)));
+    let c2 = m.spawn(TaskSpec::cpu(2, ms(300)));
+    let mut notes = m.advance_to(at(48));
+    let f = m.spawn(TaskSpec::io_then_cpu(3, ms(24), ms(30)));
+    m.advance_into(at(100), &mut notes);
+    let mid = schedule(&m, &notes, &[c, a, c2, f]);
+    notes.extend(m.run_until_quiescent());
+    let got = schedule(&m, &notes, &[c, a, c2, f]);
+    assert_eq!(mid, EXPECT_DRIVER_MID);
+    assert_eq!(got, EXPECT_DRIVER);
+}
+
+/// A closing window's re-armed boundary meets another window's skipped
+/// boundary. Core 0 rotates `c` and `c2` (windowed from 24), core 1's lone
+/// `a` renews every 24 ms (windowed from 24). At 40 `x` finishes and core
+/// 2 steals `c` from core 0, closing its window: its boundary at 48 is
+/// re-armed with key 36, after core 1's boundary at 48 (key 24). Both
+/// cores then renew lone tasks in lockstep, and `a` and `c2` finish at the
+/// same instant in that order.
+#[test]
+fn rearmed_boundary_meets_another_windows_boundary_in_key_order() {
+    let mut m = Machine::new(exact(3));
+    let c = m.spawn(TaskSpec::cpu(0, ms(300)));
+    let a = m.spawn(TaskSpec::cpu(1, ms(124)));
+    let x = m.spawn(TaskSpec::cpu(2, ms(40)));
+    let c2 = m.spawn(TaskSpec::cpu(3, ms(100)));
+    let notes = m.run_until_quiescent();
+    let got = schedule(&m, &notes, &[c, a, x, c2]);
+    assert_eq!(got, EXPECT_REARM);
+}
+
+/// Two lone cores open windows at the same instant with equal periods:
+/// their boundaries share every instant and key, and the window opened
+/// first fires first, so equal tasks finish in spawn order.
+#[test]
+fn windows_opened_at_one_instant_fire_in_opening_order() {
+    for first in [0, 1] {
+        let mut m = Machine::new(exact(2));
+        let p = m.spawn(TaskSpec::cpu(first, ms(100)));
+        let q = m.spawn(TaskSpec::cpu(1 - first, ms(100)));
+        let notes = m.run_until_quiescent();
+        let got = schedule(&m, &notes, &[p, q]);
+        let expected = format!(
+            "first_run {p} 0.000ms\nfirst_run {q} 0.000ms\nfinished {p} 100.000ms\n\
+             finished {q} 100.000ms\nswitches 0\ncpu {p} 100.000ms\ncpu {q} 100.000ms"
+        );
+        assert_eq!(got, expected, "first={first}");
+    }
+}
+
+/// A wake, a completion with its idle steal, and a rotation's boundary on
+/// one instant (60) that two windows had skipped. `d` blocks at 30 and
+/// queues its wake for 60, ahead of the window ends there (keyed 48), so
+/// both ends move behind it; then `x` finishes and core 2 steals, and
+/// core 0's boundary comes last.
+#[test]
+fn steal_and_wake_at_a_skipped_instant_keep_the_eager_order() {
+    let mut m = Machine::new(exact(3));
+    let c = m.spawn(TaskSpec::cpu(0, ms(300)));
+    let d = m.spawn(phases(
+        1,
+        vec![Phase::Cpu(ms(18)), Phase::Io(ms(30)), Phase::Cpu(ms(20))],
+    ));
+    let x = m.spawn(TaskSpec::cpu(2, ms(60)));
+    let c2 = m.spawn(TaskSpec::cpu(3, ms(300)));
+    let d2 = m.spawn(TaskSpec::cpu(4, ms(300)));
+    let mut notes = m.advance_to(at(61));
+    let mid = schedule(&m, &notes, &[c, d, x, c2, d2]);
+    notes.extend(m.run_until_quiescent());
+    let got = schedule(&m, &notes, &[c, d, x, c2, d2]);
+    assert_eq!(mid, EXPECT_STEAL_WAKE_MID);
+    assert_eq!(got, EXPECT_STEAL_WAKE);
+}
+
+const EXPECT_WAKE_65: &str = "first_run pid0 0.000ms\n\
+     first_run pid1 0.000ms\n\
+     first_run pid2 8.000ms\n\
+     first_run pid3 12.000ms\n\
+     first_run pid4 16.000ms\n\
+     finished pid3 17.000ms\n\
+     blocked pid4 48.000ms\n\
+     woke pid4 65.000ms\n\
+     finished pid4 175.000ms\n\
+     finished pid1 455.000ms\n\
+     finished pid0 635.000ms\n\
+     finished pid2 636.000ms\n\
+     switches 49\n\
+     cpu pid0 400.000ms\n\
+     cpu pid1 400.000ms\n\
+     cpu pid2 400.000ms\n\
+     cpu pid3 5.000ms\n\
+     cpu pid4 66.000ms";
+const EXPECT_WAKE_89: &str = "first_run pid0 0.000ms\n\
+     first_run pid1 0.000ms\n\
+     first_run pid2 8.000ms\n\
+     first_run pid3 12.000ms\n\
+     first_run pid4 16.000ms\n\
+     finished pid3 17.000ms\n\
+     blocked pid4 48.000ms\n\
+     woke pid4 89.000ms\n\
+     finished pid4 175.000ms\n\
+     finished pid1 455.000ms\n\
+     finished pid0 635.000ms\n\
+     finished pid2 636.000ms\n\
+     switches 48\n\
+     cpu pid0 400.000ms\n\
+     cpu pid1 400.000ms\n\
+     cpu pid2 400.000ms\n\
+     cpu pid3 5.000ms\n\
+     cpu pid4 66.000ms";
+const EXPECT_DRIVER_MID: &str = "first_run pid0 0.000ms\n\
+     first_run pid1 0.000ms\n\
+     first_run pid2 12.000ms\n\
+     woke pid3 72.000ms\n\
+     first_run pid3 84.000ms\n\
+     switches 10\n\
+     cpu pid0 52.000ms\n\
+     cpu pid1 88.000ms\n\
+     cpu pid2 48.000ms\n\
+     cpu pid3 12.000ms";
+const EXPECT_DRIVER: &str = "first_run pid0 0.000ms\n\
+     first_run pid1 0.000ms\n\
+     first_run pid2 12.000ms\n\
+     woke pid3 72.000ms\n\
+     first_run pid3 84.000ms\n\
+     finished pid3 138.000ms\n\
+     finished pid1 330.000ms\n\
+     finished pid0 462.000ms\n\
+     finished pid2 468.000ms\n\
+     switches 32\n\
+     cpu pid0 300.000ms\n\
+     cpu pid1 300.000ms\n\
+     cpu pid2 300.000ms\n\
+     cpu pid3 30.000ms";
+const EXPECT_REARM: &str = "first_run pid0 0.000ms\n\
+     first_run pid1 0.000ms\n\
+     first_run pid2 0.000ms\n\
+     first_run pid3 12.000ms\n\
+     finished pid2 40.000ms\n\
+     finished pid1 124.000ms\n\
+     finished pid3 124.000ms\n\
+     finished pid0 316.000ms\n\
+     switches 3\n\
+     cpu pid0 300.000ms\n\
+     cpu pid1 124.000ms\n\
+     cpu pid2 40.000ms\n\
+     cpu pid3 100.000ms";
+const EXPECT_STEAL_WAKE_MID: &str = "first_run pid0 0.000ms\n\
+     first_run pid1 0.000ms\n\
+     first_run pid2 0.000ms\n\
+     first_run pid3 12.000ms\n\
+     first_run pid4 12.000ms\n\
+     blocked pid1 30.000ms\n\
+     woke pid1 60.000ms\n\
+     finished pid2 60.000ms\n\
+     switches 8\n\
+     cpu pid0 36.000ms\n\
+     cpu pid1 19.000ms\n\
+     cpu pid2 60.000ms\n\
+     cpu pid3 25.000ms\n\
+     cpu pid4 43.000ms";
+const EXPECT_STEAL_WAKE: &str = "first_run pid0 0.000ms\n\
+     first_run pid1 0.000ms\n\
+     first_run pid2 0.000ms\n\
+     first_run pid3 12.000ms\n\
+     first_run pid4 12.000ms\n\
+     blocked pid1 30.000ms\n\
+     woke pid1 60.000ms\n\
+     finished pid2 60.000ms\n\
+     finished pid1 80.000ms\n\
+     finished pid4 318.000ms\n\
+     finished pid0 336.000ms\n\
+     finished pid3 344.000ms\n\
+     switches 9\n\
+     cpu pid0 300.000ms\n\
+     cpu pid1 38.000ms\n\
+     cpu pid2 60.000ms\n\
+     cpu pid3 300.000ms\n\
+     cpu pid4 300.000ms";

@@ -42,7 +42,11 @@
 //! core timers, balance ticks) are crossed inside one advance
 //! ([`sfs_sched::Machine::advance_until_notified`]) without a step: a step
 //! there would deliver no notification, spawn nothing and find no reported
-//! timer due.
+//! timer due. The slice boundaries of a tickless CFS core (one whose fair
+//! queue only rotates) are not instants at all: no event marks them, and
+//! the machine settles the core in closed form when a hook reads or writes
+//! it. Same-instant ties between machine events keep the order of the
+//! machine that handled every boundary as an event.
 
 use std::borrow::Borrow;
 use std::iter::Peekable;

@@ -101,6 +101,17 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|s| s.at)
     }
 
+    /// The earliest event as `(time, payload)`, left in the queue.
+    pub fn peek(&self) -> Option<(SimTime, &E)> {
+        self.heap.peek().map(|s| (s.at, &s.payload))
+    }
+
+    /// The instants of every pending event, in no particular order (one
+    /// per event, so an instant repeats once per event due then).
+    pub fn instants(&self) -> impl Iterator<Item = SimTime> + '_ {
+        self.heap.iter().map(|s| s.at)
+    }
+
     /// Remove and return the earliest event as `(time, payload)`.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|s| (s.at, s.payload))
@@ -205,6 +216,35 @@ mod tests {
         assert_eq!(q.pop_until(at(15)), None);
         assert_eq!(q.pop_until(at(20)).map(|(_, e)| e), Some(2));
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn instants_view_every_pending_event() {
+        let mut q = EventQueue::new();
+        for ms in [30, 10, 20, 10] {
+            q.push(at(ms), ms);
+        }
+        q.pop();
+        let mut seen: Vec<SimTime> = q.instants().collect();
+        seen.sort();
+        assert_eq!(seen, vec![at(10), at(20), at(30)]);
+        assert_eq!(q.len(), 3, "the view consumes nothing");
+    }
+
+    #[test]
+    fn peek_views_the_head_in_pop_order() {
+        let mut q = EventQueue::new();
+        for (ms, tag) in [(20, 'b'), (10, 'x'), (10, 'y')] {
+            q.push(at(ms), tag);
+        }
+        assert_eq!(q.peek(), Some((at(10), &'x')));
+        assert_eq!(q.pop(), Some((at(10), 'x')));
+        assert_eq!(
+            q.peek(),
+            Some((at(10), &'y')),
+            "same-instant ties in push order"
+        );
+        assert_eq!(q.len(), 2);
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time,
 //! * [`EventQueue`] — a deterministic discrete-event queue with stable
 //!   FIFO tie-breaking for simultaneous events,
+//! * [`mod@env`] — `SFS_*` environment overrides that abort on a malformed
+//!   value instead of falling back to the default,
 //! * [`rng`] — seeded, reproducible random number generation helpers,
 //! * [`parallel`] — deterministic trial fan-out: SplitMix64 seed
 //!   sequencing plus scoped-thread execution whose results are
@@ -21,6 +23,7 @@
 
 #![warn(missing_docs)]
 
+pub mod env;
 pub mod events;
 pub mod parallel;
 pub mod rng;

@@ -71,18 +71,17 @@ impl SeedSequencer {
     }
 }
 
-/// Number of worker threads to use: `SFS_BENCH_THREADS` if set (≥ 1),
-/// otherwise the machine's available parallelism.
+/// Number of worker threads to use: `SFS_BENCH_THREADS` if set, otherwise
+/// the machine's available parallelism. A set value that is not a count
+/// of at least 1 aborts naming it ([`crate::env::env_override`]).
 pub fn default_threads() -> usize {
-    std::env::var("SFS_BENCH_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+    let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+    crate::env::env_override(
+        "SFS_BENCH_THREADS",
+        available,
+        "a thread count >= 1",
+        |&t| t >= 1,
+    )
 }
 
 /// Run `f(0..n)` across `threads` workers and return the results in index

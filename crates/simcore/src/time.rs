@@ -3,7 +3,10 @@
 //! All simulated clocks are nanosecond-resolution `u64` wrappers. The paper's
 //! quantities of interest span seven orders of magnitude (sub-millisecond
 //! functions up to hundreds of seconds, §IV-A), which fits comfortably:
-//! `u64` nanoseconds cover ~584 years of virtual time.
+//! `u64` nanoseconds cover ~584 years of virtual time. Simulations stay
+//! below [`SimTime::HORIZON`] (2^62 ns, ~146 years), so arithmetic on
+//! in-range instants, such as a slice boundary `e + k × period`, cannot
+//! wrap; adding a span past it panics in every build.
 
 use std::fmt;
 use std::iter::Sum;
@@ -23,6 +26,11 @@ impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
     /// The maximum representable instant; used as an "infinitely far" sentinel.
     pub const MAX: SimTime = SimTime(u64::MAX);
+    /// The latest instant a simulation may reach: 2^62 ns, about 146
+    /// years. Input boundaries (trace rows, generated workloads) reject
+    /// anything whose arrival plus demand would cross it, and
+    /// `SimTime + SimDuration` past it panics instead of wrapping.
+    pub const HORIZON: SimTime = SimTime(1 << 62);
 
     /// Nanoseconds since the simulation epoch.
     #[inline]
@@ -175,18 +183,40 @@ impl SimDuration {
     }
 }
 
+/// `t + d`, or a panic naming both operands if the sum passes
+/// [`SimTime::HORIZON`] (checked in every build: release builds would
+/// otherwise wrap).
+#[inline]
+fn add_within_horizon(t: SimTime, d: SimDuration) -> SimTime {
+    match t.0.checked_add(d.0) {
+        Some(sum) if sum <= SimTime::HORIZON.0 => SimTime(sum),
+        _ => horizon_crossed(t, d),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn horizon_crossed(t: SimTime, d: SimDuration) -> ! {
+    panic!(
+        "simulated time {t} + {d} ({} ns + {} ns) crosses SimTime::HORIZON ({} ns)",
+        t.0,
+        d.0,
+        SimTime::HORIZON.0
+    )
+}
+
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        add_within_horizon(self, rhs)
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
     #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = add_within_horizon(*self, rhs);
     }
 }
 
@@ -316,6 +346,28 @@ mod tests {
         assert_eq!(t - u, SimDuration::ZERO);
         assert_eq!(u.since(t), SimDuration::from_millis(5));
         assert_eq!(t.since(u), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn adding_up_to_the_horizon_is_exact() {
+        let h = SimTime::HORIZON;
+        assert_eq!(SimTime::ZERO + SimDuration(h.0), h);
+        let mut t = SimTime(h.0 - 5);
+        t += SimDuration(5);
+        assert_eq!(t, h);
+    }
+
+    #[test]
+    #[should_panic(expected = "crosses SimTime::HORIZON")]
+    fn adding_past_the_horizon_panics() {
+        let _ = SimTime::HORIZON + SimDuration(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "18446744073709551615 ns + 1 ns")]
+    fn wrapping_add_panics_naming_both_operands() {
+        let mut t = SimTime::MAX;
+        t += SimDuration(1);
     }
 
     #[test]

@@ -324,7 +324,10 @@ impl Iterator for ArrivalIter {
             .spec
             .next_iat_ms(self.i, self.n, &mut self.bursting, &mut self.rng);
         self.i += 1;
-        self.t += SimDuration::from_millis_f64(iat_ms);
+        // Saturating: an absurd load spreads arrivals past the simulated-time
+        // horizon, which callers reject (`Workload::crosses_horizon`) rather
+        // than overflow on.
+        self.t = self.t.saturating_add(SimDuration::from_millis_f64(iat_ms));
         Some(self.t)
     }
 

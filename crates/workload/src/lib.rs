@@ -421,6 +421,17 @@ impl Workload {
         })
     }
 
+    /// Whether the last arrival plus every request's CPU and I/O demand
+    /// passes [`SimTime::HORIZON`]: simulating the workload could then need
+    /// instants past it.
+    pub fn crosses_horizon(&self) -> bool {
+        let last = self.requests.iter().map(|r| r.arrival).max();
+        let demand = (self.requests.iter())
+            .flat_map(|r| &r.spec.phases)
+            .fold(0u64, |sum, p| sum.saturating_add(p.duration().as_nanos()));
+        last.is_some_and(|t| t.as_nanos().saturating_add(demand) > SimTime::HORIZON.as_nanos())
+    }
+
     /// Total CPU demand (ms) across all requests.
     pub fn total_cpu_ms(&self) -> f64 {
         self.requests
@@ -447,6 +458,18 @@ impl Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_vanishing_load_crosses_the_horizon_without_overflow() {
+        assert!(!WorkloadSpec::azure_sampled(50, 1)
+            .generate()
+            .crosses_horizon());
+        let w = WorkloadSpec::azure_sampled(50, 1)
+            .with_load(8, 1e-12)
+            .generate();
+        assert!(w.crosses_horizon());
+        assert!(w.requests.windows(2).all(|p| p[0].arrival <= p[1].arrival));
+    }
 
     #[test]
     fn generation_is_deterministic() {

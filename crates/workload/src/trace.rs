@@ -74,6 +74,9 @@ pub fn from_csv(text: &str) -> Result<Workload, TraceError> {
     let mut requests = Vec::new();
     let mut first_line_of: BTreeMap<u64, usize> = BTreeMap::new();
     let mut prev_arrival = 0.0f64;
+    // CPU and I/O demand of the rows so far, in ms.
+    let mut demand_ms = 0.0f64;
+    let horizon_ms = SimTime::HORIZON.as_millis_f64();
     for (lineno, line) in lines {
         let line = line.trim();
         if line.is_empty() {
@@ -87,8 +90,10 @@ pub fn from_csv(text: &str) -> Result<Workload, TraceError> {
             ));
         }
         let parse_f = |s: &str, what: &str| -> Result<f64, TraceError> {
-            s.parse::<f64>()
-                .map_err(|_| TraceError::BadRow(lineno + 1, format!("bad {what}: {s:?}")))
+            match s.parse::<f64>() {
+                Ok(v) if v.is_finite() => Ok(v),
+                _ => Err(TraceError::BadRow(lineno + 1, format!("bad {what}: {s:?}"))),
+            }
         };
         let id: u64 = cols[0]
             .parse()
@@ -127,7 +132,22 @@ pub fn from_csv(text: &str) -> Result<Workload, TraceError> {
         } else {
             Some(parse_f(cols[4], "injected io")?)
         };
+        demand_ms += duration_ms + injected.unwrap_or(0.0);
+        if arrival_ms + demand_ms > horizon_ms {
+            return Err(TraceError::BadRow(
+                lineno + 1,
+                format!(
+                    "arrival {} ms plus the trace's CPU and I/O demand so far ({demand_ms:.3e} \
+                     ms) crosses the simulated-time horizon ({horizon_ms:.3e} ms)",
+                    cols[1]
+                ),
+            ));
+        }
         let spec = build_task(id, app, duration_ms, injected);
+        // Spans that round to zero nanoseconds make phases the machine
+        // cannot run.
+        spec.validate()
+            .map_err(|why| TraceError::BadRow(lineno + 1, why))?;
         requests.push(Request {
             id,
             arrival: SimTime::ZERO + SimDuration::from_millis_f64(arrival_ms),
@@ -164,6 +184,31 @@ mod tests {
             assert_eq!(a.injected_io_ms.is_some(), b.injected_io_ms.is_some());
             assert_eq!(a.spec.phases.len(), b.spec.phases.len());
         }
+    }
+
+    #[test]
+    fn rejects_rows_past_the_horizon_or_not_finite_naming_the_line() {
+        let head = "id,arrival_ms,app,duration_ms,injected_io_ms\n1,1,fib,5,\n";
+        let bad = |row: &str| match from_csv(&format!("{head}{row}")).unwrap_err() {
+            TraceError::BadRow(3, why) => why,
+            e => panic!("{row}: expected a bad row at line 3, got {e}"),
+        };
+        for row in [
+            "2,18446744073709.5,fib,5,",
+            "2,1,fib,1e300,",
+            "2,1,fib,5,1e300",
+        ] {
+            assert!(bad(row).contains("horizon"), "{row}: {}", bad(row));
+        }
+        for row in ["2,inf,fib,5,", "2,1,fib,nan,", "2,1,fib,5,-inf"] {
+            assert!(bad(row).starts_with("bad "), "{row}: {}", bad(row));
+        }
+        // An injected wait that rounds to zero nanoseconds cannot run.
+        assert!(bad("2,1,fib,5,-3").contains("zero duration"));
+        // The horizon counts the demand of every row so far, not one row's.
+        let near = SimTime::HORIZON.as_millis_f64() / 2.0;
+        let rows = format!("{head}2,2,fib,{near},\n3,3,fib,{near},\n");
+        assert!(matches!(from_csv(&rows), Err(TraceError::BadRow(4, _))));
     }
 
     #[test]

@@ -12,17 +12,20 @@ use sfs_repro::sched::MachineParams;
 use sfs_repro::sfs::{
     Baseline, ControllerFactory, Ideal, RequestOutcome, SfsConfig, SfsController, Sim,
 };
-use sfs_repro::simcore::Samples;
+use sfs_repro::simcore::{env::env_override, Samples};
 use sfs_repro::workload::WorkloadSpec;
 
 const CORES: usize = 12;
 
-/// Downsizing knob so CI can smoke-run every example quickly.
+/// Downsizing knob so CI can smoke-run every example quickly; a malformed
+/// value aborts naming it.
 fn n_requests(default: usize) -> usize {
-    std::env::var("SFS_EXAMPLE_REQUESTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    env_override(
+        "SFS_EXAMPLE_REQUESTS",
+        default,
+        "a request count >= 1",
+        |&n| n >= 1,
+    )
 }
 
 fn main() {

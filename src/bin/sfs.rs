@@ -199,7 +199,16 @@ fn build_workload(flags: &BTreeMap<String, String>, cores: usize) -> Workload {
         Some("replay") => WorkloadSpec::azure_replay(n, seed),
         _ => WorkloadSpec::azure_sampled(n, seed),
     };
-    spec.with_load(cores, load).generate()
+    let w = spec.with_load(cores, load).generate();
+    if w.crosses_horizon() {
+        let raw = flags.get("load").map_or("0.9", String::as_str);
+        eprintln!(
+            "--load: value `{raw}` spreads the workload's arrivals and demand past the \
+             simulated-time horizon (2^62 ns, ~146 years)"
+        );
+        usage_and_exit();
+    }
+    w
 }
 
 fn cmd_gen(flags: &BTreeMap<String, String>) {

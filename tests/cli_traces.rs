@@ -153,3 +153,92 @@ fn out_of_domain_numeric_flags_are_named_errors() {
         );
     }
 }
+
+/// Run `sfs` with `args` (stdout discarded), failing the test if it is
+/// still running after `secs` seconds.
+fn run_within(args: &[&str], secs: u64) -> (Option<i32>, String) {
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_sfs"))
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn sfs");
+    let deadline = Instant::now() + Duration::from_secs(secs);
+    while child.try_wait().expect("poll sfs").is_none() {
+        if Instant::now() > deadline {
+            child.kill().ok();
+            panic!("`sfs {}` still running after {secs} s", args.join(" "));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("collect sfs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// A load so low that generated arrivals pass the simulated-time horizon
+/// is a named usage error on every subcommand that generates, never a
+/// panic or a hang.
+#[test]
+fn a_load_that_crosses_the_horizon_is_a_named_error() {
+    let cases: &[&[&str]] = &[
+        &[
+            "run",
+            "--sched",
+            "sfs",
+            "--requests",
+            "100",
+            "--load",
+            "1e-12",
+        ],
+        &[
+            "run",
+            "--sched",
+            "mlfq",
+            "--requests",
+            "100",
+            "--load",
+            "1e-12",
+        ],
+        &["gen", "--requests", "5", "--cores", "8", "--load", "1e-12"],
+        &["compare", "--requests", "100", "--load", "1e-12"],
+        &["slo", "--requests", "100", "--load", "1e-12"],
+    ];
+    for args in cases {
+        let (code, stderr) = run_within(args, 20);
+        let what = args.join(" ");
+        assert_eq!(code, Some(2), "{what}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{what}: {stderr}");
+        assert!(
+            stderr.contains("--load: value `1e-12`") && stderr.contains("horizon"),
+            "{what}: error must name the flag, value and horizon: {stderr}"
+        );
+    }
+}
+
+/// One-row traces whose arrival or demand passes the simulated-time
+/// horizon are named parse errors, never a panic or a hang.
+#[test]
+fn traces_that_cross_the_horizon_are_named_errors() {
+    let rows = [
+        ("arrival", "1,18446744073709.5,fib,5,\n"),
+        ("duration", "1,1,fib,1e300,\n"),
+        ("injected", "1,1,fib,5,1e300\n"),
+    ];
+    for (name, row) in rows {
+        let trace = trace_file(&format!("horizon-{name}"), row);
+        let path = trace.to_str().expect("utf-8 temp path");
+        let (code, stderr) = run_within(&["run", "--sched", "sfs", "--trace", path], 20);
+        assert!(code.is_some_and(|c| c != 0), "{name}: accepted: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+        assert!(
+            stderr.contains("bad row at line 2") && stderr.contains("horizon"),
+            "{name}: error must name the line and the horizon: {stderr}"
+        );
+        std::fs::remove_file(trace).ok();
+    }
+}
