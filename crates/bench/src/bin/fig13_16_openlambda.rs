@@ -9,7 +9,7 @@
 
 use sfs_bench::{banner, rtes, save, section, turnarounds_ms, Sweep};
 use sfs_core::{Baseline, RequestOutcome, SfsConfig};
-use sfs_faas::{HostScheduler, OpenLambda, OpenLambdaParams};
+use sfs_faas::{OpenLambda, OpenLambdaParams};
 use sfs_metrics::{
     cdf_chart, ctx_switch_ratios, CdfReport, MarkdownTable, Paired, PercentileTable,
 };
@@ -54,19 +54,11 @@ fn main() {
     for &load in &LOADS {
         sweep.scenario(format!("OL+SFS {:.0}%", load * 100.0), move |_| {
             let ol = OpenLambda::new(OpenLambdaParams::default());
-            ol.run(
-                HostScheduler::Sfs(SfsConfig::new(CORES)),
-                CORES,
-                &gen(n, seed, load),
-            )
+            ol.run(&SfsConfig::new(CORES), CORES, &gen(n, seed, load))
         });
         sweep.scenario(format!("OL+CFS {:.0}%", load * 100.0), move |_| {
             let ol = OpenLambda::new(OpenLambdaParams::default());
-            ol.run(
-                HostScheduler::Kernel(Baseline::Cfs),
-                CORES,
-                &gen(n, seed, load),
-            )
+            ol.run(&Baseline::Cfs, CORES, &gen(n, seed, load))
         });
     }
     let results = sweep.run();

@@ -1,12 +1,10 @@
-//! Minimal wall-clock benchmarking harness (criterion stand-in).
+//! Minimal wall-clock measurement (criterion stand-in).
 //!
 //! The workspace builds hermetically with no external crates, so the
-//! `benches/` targets use this std-only harness instead of criterion:
-//! each benchmark auto-calibrates a batch size, runs a fixed number of
-//! timed batches, and reports median / p10 / p90 nanoseconds per
-//! iteration. Invoke with `cargo bench` (the targets set
-//! `harness = false`) — an optional CLI argument filters benchmarks by
-//! substring, mirroring criterion's behaviour.
+//! perf suite ([`crate::perf`]) times its scenarios with this std-only
+//! loop instead of criterion: each measurement auto-calibrates a batch
+//! size, runs a fixed number of timed batches, and reports median / p10 /
+//! p90 nanoseconds per iteration.
 
 use std::time::{Duration, Instant};
 
@@ -16,9 +14,9 @@ const BATCH_TARGET: Duration = Duration::from_millis(10);
 const BATCHES: usize = 25;
 
 /// Tunables for one measurement: how long a timed batch should run and how
-/// many batches feed the quantiles. The defaults match the classic
-/// microbenchmark harness; heavyweight operations (full simulation runs in
-/// the perf suite) use longer batches and fewer of them.
+/// many batches feed the quantiles. The defaults suit per-op
+/// microbenchmarks; heavyweight operations (full simulation runs) use
+/// longer batches and fewer of them.
 #[derive(Debug, Clone, Copy)]
 pub struct MeasureConfig {
     /// Calibration target: grow the batch until it runs at least this long.
@@ -49,79 +47,12 @@ pub struct Measurement {
     pub batch_iters: u64,
 }
 
-/// A named group of benchmarks, printed as an aligned report.
-pub struct Harness {
-    filter: Option<String>,
-    ran: usize,
-}
-
-impl Default for Harness {
-    fn default() -> Self {
-        Self::from_args()
-    }
-}
-
-impl Harness {
-    /// Build a harness, taking an optional substring filter from argv.
-    pub fn from_args() -> Harness {
-        Harness::with_filter(std::env::args().nth(1).filter(|a| !a.starts_with('-')))
-    }
-
-    /// Build a harness with an explicit substring filter (`None` runs
-    /// everything) — the testable constructor behind
-    /// [`Harness::from_args`].
-    pub fn with_filter(filter: Option<String>) -> Harness {
-        Harness { filter, ran: 0 }
-    }
-
-    /// Whether `name` passes the filter (i.e. [`Harness::bench`] would run
-    /// it).
-    pub fn matches(&self, name: &str) -> bool {
-        match self.filter.as_deref() {
-            Some(pat) => name.contains(pat),
-            None => true,
-        }
-    }
-
-    /// Number of benchmarks run so far.
-    pub fn ran(&self) -> usize {
-        self.ran
-    }
-
-    /// Run one benchmark: `f` is the operation to time, called repeatedly.
-    pub fn bench<F: FnMut()>(&mut self, name: &str, mut f: F) {
-        if !self.matches(name) {
-            return;
-        }
-        let m = measure(&mut f);
-        self.ran += 1;
-        println!(
-            "{name:<44} {:>12}/iter  (p10 {}, p90 {}, {} iters/batch)",
-            fmt_ns(m.median_ns),
-            fmt_ns(m.p10_ns),
-            fmt_ns(m.p90_ns),
-            m.batch_iters
-        );
-    }
-
-    /// Print a trailing summary; call once at the end of `main`.
-    pub fn finish(self) {
-        if self.ran == 0 {
-            println!("(no benchmarks matched the filter)");
-        }
-    }
-}
-
 /// Calibration ceiling: give up growing the batch past this many
 /// iterations (guards against closures the optimizer deletes entirely).
 const MAX_BATCH_ITERS: u64 = 1 << 30;
 
-/// Time `f`, returning the per-iteration cost distribution.
-pub fn measure<F: FnMut()>(f: &mut F) -> Measurement {
-    measure_with(f, &MeasureConfig::default())
-}
-
-/// As [`measure`], with explicit batch tunables.
+/// Time `f` under the batch tunables `cfg`, returning the per-iteration
+/// cost distribution.
 pub fn measure_with<F: FnMut()>(f: &mut F, cfg: &MeasureConfig) -> Measurement {
     assert!(cfg.batches >= 1, "need at least one timed batch");
     // Calibrate: grow the batch until it runs for at least the target.
@@ -182,7 +113,7 @@ mod tests {
         let mut f = || {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
         };
-        let m = measure(&mut f);
+        let m = measure_with(&mut f, &MeasureConfig::default());
         assert!(m.p10_ns <= m.median_ns && m.median_ns <= m.p90_ns);
         assert!(m.median_ns > 0.0);
         assert!(m.batch_iters >= 1);
@@ -237,33 +168,5 @@ mod tests {
 
     fn black_box_u64(v: u64) {
         std::hint::black_box(v);
-    }
-
-    #[test]
-    fn filter_runs_the_matching_subset() {
-        let mut h = Harness::with_filter(Some("cfs".to_string()));
-        assert!(h.matches("cfs_runqueue/pick"));
-        assert!(h.matches("micro/cfs_pick_64"));
-        assert!(!h.matches("rt_runqueue/push_pop"));
-        let mut hits = Vec::new();
-        for name in ["cfs/a", "rt/b", "event/cfs_c"] {
-            if h.matches(name) {
-                hits.push(name);
-            }
-        }
-        assert_eq!(hits, ["cfs/a", "event/cfs_c"]);
-        // bench() itself honours the filter: only the matching name runs.
-        h.bench("rt/skipped", || unreachable!("filtered out"));
-        assert_eq!(h.ran(), 0);
-        let mut x = 0u64;
-        h.bench("cfs/tiny", || x = x.wrapping_add(1));
-        assert_eq!(h.ran(), 1);
-    }
-
-    #[test]
-    fn no_filter_matches_everything() {
-        let h = Harness::with_filter(None);
-        assert!(h.matches("anything/at_all"));
-        assert_eq!(h.ran(), 0);
     }
 }

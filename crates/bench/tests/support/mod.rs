@@ -8,7 +8,7 @@ use sfs_core::{
     Baseline, Controller, ControllerFactory, HistoryPriority, MachineView, RequestOutcome,
     SfsConfig, SfsController, Sim, Telemetry, UserMlfq,
 };
-use sfs_faas::{Cluster, FaultSpec, Fleet, HostScheduler, OpenLambda, OpenLambdaParams, Placement};
+use sfs_faas::{Cluster, FaultSpec, Fleet, OpenLambda, OpenLambdaParams, Placement};
 use sfs_sched::{MachineParams, Notification, Pid, Policy, SmpParams};
 use sfs_simcore::{Samples, SimDuration, SimTime};
 use sfs_workload::{Request, Workload, WorkloadSpec};
@@ -169,11 +169,7 @@ pub fn run_scenario(name: &str) -> Vec<RequestOutcome> {
             let w = WorkloadSpec::openlambda(N, SEED)
                 .with_duration_load(24, 0.88)
                 .generate();
-            OpenLambda::new(OpenLambdaParams::default()).run(
-                HostScheduler::Sfs(SfsConfig::new(24)),
-                24,
-                &w,
-            )
+            OpenLambda::new(OpenLambdaParams::default()).run(&SfsConfig::new(24), 24, &w)
         }
         "azure100_history" => {
             let w = WorkloadSpec::azure_sampled(N, SEED)
@@ -271,11 +267,7 @@ fn smp_scenario(cores: usize, baseline: Option<Baseline>, burst: bool) -> Vec<Re
 /// load on the plain machine, or an overload burst (sampled traces at
 /// 1.5× capacity) on the balancing SMP machine when `burst` is set.
 ///
-/// Policy selection normally flows through
-/// [`Baseline::configure_machine`]; with `SFS_KPOLICY_EXPLICIT` set in
-/// the environment it flows through the [`Sim::kernel_policy`] builder
-/// instead. CI runs the golden suite both ways — the snapshots must not
-/// care which plumbing path picked the policy.
+/// The policy is selected by [`Baseline::configure_machine`].
 fn kpolicy_scenario(b: Baseline, burst: bool) -> Vec<RequestOutcome> {
     let cores = 4;
     let w = if burst {
@@ -291,15 +283,12 @@ fn kpolicy_scenario(b: Baseline, burst: bool) -> Vec<RequestOutcome> {
     if burst {
         params = params.with_smp(smp_on());
     }
-    let explicit = std::env::var_os("SFS_KPOLICY_EXPLICIT").is_some_and(|v| !v.is_empty());
-    if !explicit {
-        b.configure_machine(&mut params);
-    }
-    let mut sim = Sim::on(params).workload(&w);
-    if explicit {
-        sim = sim.kernel_policy(b.kernel_policy());
-    }
-    sim.boxed_controller(b.build()).run().outcomes
+    b.configure_machine(&mut params);
+    Sim::on(params)
+        .workload(&w)
+        .boxed_controller(b.build())
+        .run()
+        .outcomes
 }
 
 /// A 2-region × 4-host × 4-core fleet under the warm-container affinity

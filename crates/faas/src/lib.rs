@@ -28,4 +28,4 @@ pub use cluster::{Affinity, Cluster, ClusterRun, HostLoad, Placement};
 pub use containers::{Acquire, ContainerPool};
 pub use fleet::{Autoscaler, FaultSpec, Fleet, FleetRun, FrontDoor, RegionConfig, RegionStats};
 pub use pipeline::{Pipeline, Stage};
-pub use platform::{Dispatched, HostScheduler, OpenLambda, OpenLambdaParams};
+pub use platform::{Dispatched, OpenLambda, OpenLambdaParams};

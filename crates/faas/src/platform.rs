@@ -6,11 +6,7 @@
 //! from the HTTP invocation, so platform overhead is part of every
 //! distribution exactly as in Fig. 13–15.
 
-use std::sync::Arc;
-
-use sfs_core::{
-    run_rebased, Baseline, Controller, ControllerFactory, RequestOutcome, SfsConfig, Sim,
-};
+use sfs_core::{run_rebased, ControllerFactory, RequestOutcome, Sim};
 use sfs_sched::MachineParams;
 use sfs_simcore::{SimDuration, SimRng, SimTime};
 use sfs_workload::Workload;
@@ -80,55 +76,6 @@ pub struct Dispatched {
     pub container_peak: usize,
     /// Whether the pre-warmed pool ever blocked a dispatch.
     pub pool_blocked: bool,
-}
-
-/// Which scheduler runs on the host. Any [`ControllerFactory`] works via
-/// [`HostScheduler::Custom`]; the two named variants cover the paper's
-/// comparison (SFS-ported OpenLambda vs stock CFS).
-#[derive(Clone)]
-pub enum HostScheduler {
-    /// SFS-ported OpenLambda.
-    Sfs(SfsConfig),
-    /// A pure kernel baseline (the paper compares against CFS).
-    Kernel(Baseline),
-    /// Any other user-space policy, built fresh per run.
-    Custom(Arc<dyn ControllerFactory + Send + Sync>),
-}
-
-impl std::fmt::Debug for HostScheduler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            HostScheduler::Sfs(cfg) => f.debug_tuple("Sfs").field(cfg).finish(),
-            HostScheduler::Kernel(b) => f.debug_tuple("Kernel").field(b).finish(),
-            HostScheduler::Custom(c) => f.debug_tuple("Custom").field(&c.label()).finish(),
-        }
-    }
-}
-
-impl ControllerFactory for HostScheduler {
-    fn build(&self) -> Box<dyn Controller> {
-        match self {
-            HostScheduler::Sfs(cfg) => cfg.build(),
-            HostScheduler::Kernel(b) => b.build(),
-            HostScheduler::Custom(c) => c.build(),
-        }
-    }
-
-    fn label(&self) -> String {
-        match self {
-            HostScheduler::Sfs(cfg) => cfg.label(),
-            HostScheduler::Kernel(b) => b.label(),
-            HostScheduler::Custom(c) => c.label(),
-        }
-    }
-
-    fn configure_machine(&self, params: &mut MachineParams) {
-        match self {
-            HostScheduler::Sfs(cfg) => cfg.configure_machine(params),
-            HostScheduler::Kernel(b) => b.configure_machine(params),
-            HostScheduler::Custom(c) => c.configure_machine(params),
-        }
-    }
 }
 
 /// The platform model.
@@ -208,22 +155,15 @@ impl OpenLambda {
         }
     }
 
-    /// Run a workload end-to-end on `cores` host cores under the chosen
-    /// scheduler. Outcomes are re-based to HTTP invocation time (turnaround
-    /// includes platform overhead; RTE uses the same ideal numerator as the
-    /// paper, so platform overhead depresses RTE).
+    /// Run a workload end-to-end on `cores` host cores under one fresh
+    /// controller from `sched` (SFS-ported OpenLambda is an [`SfsConfig`],
+    /// stock OpenLambda a [`Baseline`](sfs_core::Baseline)). Outcomes are
+    /// re-based to HTTP invocation time (turnaround includes platform
+    /// overhead; RTE uses the same ideal numerator as the paper, so
+    /// platform overhead depresses RTE).
+    ///
+    /// [`SfsConfig`]: sfs_core::SfsConfig
     pub fn run(
-        &self,
-        sched: HostScheduler,
-        cores: usize,
-        workload: &Workload,
-    ) -> Vec<RequestOutcome> {
-        self.run_with(&sched, cores, workload)
-    }
-
-    /// As [`OpenLambda::run`], for any controller recipe: one fresh
-    /// controller is built for the host.
-    pub fn run_with(
         &self,
         sched: &dyn ControllerFactory,
         cores: usize,
@@ -250,6 +190,7 @@ impl OpenLambda {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sfs_core::{Baseline, SfsConfig};
     use sfs_workload::WorkloadSpec;
 
     fn small_workload() -> Workload {
@@ -283,7 +224,7 @@ mod tests {
     fn run_rebases_turnaround_to_http_invocation() {
         let ol = OpenLambda::new(OpenLambdaParams::default());
         let w = small_workload();
-        let out = ol.run(HostScheduler::Kernel(Baseline::Cfs), 8, &w);
+        let out = ol.run(&Baseline::Cfs, 8, &w);
         assert_eq!(out.len(), w.len());
         for o in &out {
             // Turnaround includes at least the pipeline overhead + ideal.
@@ -303,8 +244,8 @@ mod tests {
         let w = WorkloadSpec::openlambda(1_200, 99)
             .with_load(8, 1.0)
             .generate();
-        let sfs = ol.run(HostScheduler::Sfs(SfsConfig::new(8)), 8, &w);
-        let cfs = ol.run(HostScheduler::Kernel(Baseline::Cfs), 8, &w);
+        let sfs = ol.run(&SfsConfig::new(8), 8, &w);
+        let cfs = ol.run(&Baseline::Cfs, 8, &w);
         let mean = |v: &[RequestOutcome]| {
             v.iter().map(|o| o.turnaround.as_millis_f64()).sum::<f64>() / v.len() as f64
         };
@@ -324,7 +265,7 @@ mod tests {
         let w = WorkloadSpec::openlambda(300, 101)
             .with_load(8, 0.5)
             .generate();
-        let out = ol.run(HostScheduler::Sfs(SfsConfig::new(8)), 8, &w);
+        let out = ol.run(&SfsConfig::new(8), 8, &w);
         let short = out
             .iter()
             .filter(|o| o.ideal < SimDuration::from_millis(50))
@@ -339,8 +280,8 @@ mod tests {
 
     #[test]
     fn custom_controllers_run_behind_the_platform() {
-        // HostScheduler::Custom plugs any ControllerFactory into the
-        // OpenLambda pipeline — here the user-space MLFQ policy.
+        // Any ControllerFactory runs behind the OpenLambda pipeline — here
+        // the user-space MLFQ policy.
         struct Mlfq;
         impl sfs_core::ControllerFactory for Mlfq {
             fn build(&self) -> Box<dyn sfs_core::Controller> {
@@ -352,9 +293,7 @@ mod tests {
         }
         let ol = OpenLambda::new(OpenLambdaParams::default());
         let w = small_workload();
-        let sched = HostScheduler::Custom(Arc::new(Mlfq));
-        assert_eq!(format!("{sched:?}"), "Custom(\"user-mlfq\")");
-        let out = ol.run(sched, 8, &w);
+        let out = ol.run(&Mlfq, 8, &w);
         assert_eq!(out.len(), w.len());
         for o in &out {
             assert!(o.rte > 0.0 && o.rte <= 1.0);

@@ -6,7 +6,7 @@
 //! platform.
 
 use sfs_core::{Baseline, RequestOutcome};
-use sfs_faas::{Cluster, FaultSpec, Fleet, HostScheduler, OpenLambda, OpenLambdaParams, Placement};
+use sfs_faas::{Cluster, FaultSpec, Fleet, OpenLambda, OpenLambdaParams, Placement};
 use sfs_simcore::SimDuration;
 use sfs_workload::{Workload, WorkloadSpec};
 
@@ -88,8 +88,7 @@ fn cluster_fleet_and_openlambda_run_sparse_ids_like_dense_ones() {
     assert_eq!(resparse(&d.lost), s.lost, "lost ids are submitted ids");
 
     let ol = OpenLambda::new(OpenLambdaParams::default());
-    let sched = HostScheduler::Kernel(Baseline::Cfs);
-    let d = ol.run(sched.clone(), 8, &dense);
-    let s = ol.run(sched, 8, &sparse);
+    let d = ol.run(&Baseline::Cfs, 8, &dense);
+    let s = ol.run(&Baseline::Cfs, 8, &sparse);
     assert_same_modulo_ids("openlambda", &d, &s);
 }

@@ -470,55 +470,6 @@ mod tests {
     }
 
     #[test]
-    fn determinism_same_input_same_schedule() {
-        let mk = || {
-            let arrivals: Vec<_> = (0..200)
-                .map(|i| (at(i * 3), TaskSpec::cpu(i, ms(1 + (i * 7) % 40))))
-                .collect();
-            run_open_loop(exact_params(4, KernelPolicyKind::Cfs), arrivals)
-        };
-        let a = mk();
-        let b = mk();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.pid, y.pid);
-            assert_eq!(x.finished, y.finished);
-            assert_eq!(x.ctx_switches, y.ctx_switches);
-        }
-    }
-
-    #[test]
-    fn conservation_of_cpu_time() {
-        // Total CPU time charged equals total demand, regardless of policy mix.
-        let mut arrivals = Vec::new();
-        let mut demand = SimDuration::ZERO;
-        for i in 0..100u64 {
-            let d = ms(1 + (i * 13) % 80);
-            demand += d;
-            let spec = if i % 3 == 0 {
-                TaskSpec {
-                    phases: vec![Phase::Cpu(d)],
-                    policy: Policy::Fifo { prio: 50 },
-                    label: i,
-                }
-            } else {
-                TaskSpec::cpu(i, d)
-            };
-            arrivals.push((at(i), spec));
-        }
-        let done = run_open_loop(exact_params(3, KernelPolicyKind::Cfs), arrivals);
-        let total: SimDuration = done.iter().map(|t| t.cpu_time).sum();
-        assert_eq!(total, demand);
-        for t in &done {
-            assert_eq!(
-                t.cpu_time, t.cpu_demand,
-                "task {} over/under-charged",
-                t.pid
-            );
-        }
-    }
-
-    #[test]
     fn contention_inflates_oversubscribed_execution() {
         // 8 equal CFS tasks on 1 core with contention on: the makespan must
         // exceed the raw demand, and every task's charged CPU time must
@@ -734,35 +685,5 @@ mod tests {
             a_base.finished + ms(1),
             "exactly one affinity charge on A's cross-core resume"
         );
-    }
-
-    #[test]
-    fn single_core_is_immune_to_smp_knobs() {
-        // cores = 1 with every SMP mechanism enabled must be bit-identical
-        // to the default machine: there is no second core to balance toward
-        // and no cross-core resume to charge. This is the unit-level face of
-        // the golden bit-exactness gate.
-        let arrivals = || {
-            let mut v = Vec::new();
-            for i in 0..40u64 {
-                let spec = if i % 3 == 0 {
-                    TaskSpec::io_then_cpu(i, ms(2 + i % 7), ms(4 + i % 11))
-                } else {
-                    TaskSpec::cpu(i, ms(1 + i % 13))
-                };
-                v.push((at(i * 3), spec));
-            }
-            v
-        };
-        let plain = run_open_loop(exact_params(1, KernelPolicyKind::Cfs), arrivals());
-        let smp_on = run_open_loop(
-            exact_params(1, KernelPolicyKind::Cfs).with_smp(SmpParams::balanced(
-                SimDuration::from_micros(500),
-                ms(1),
-                ms(1),
-            )),
-            arrivals(),
-        );
-        assert_eq!(format!("{plain:?}"), format!("{smp_on:?}"));
     }
 }

@@ -89,57 +89,13 @@ impl ControllerFactory for Baseline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policies::Ideal;
-    use crate::sim::Sim;
     use crate::stats::RequestOutcome;
     use sfs_simcore::SimDuration;
     use sfs_workload::{Workload, WorkloadSpec};
 
-    fn workload() -> Workload {
-        WorkloadSpec::azure_sampled(400, 21)
-            .with_load(4, 0.8)
-            .generate()
-    }
-
     /// New-API equivalent of the old `run_baseline` helper.
     fn baseline_outcomes(b: Baseline, cores: usize, w: &Workload) -> Vec<RequestOutcome> {
         b.run_on(cores, w).outcomes
-    }
-
-    #[test]
-    fn all_baselines_complete_every_request() {
-        let w = workload();
-        for b in [Baseline::Cfs, Baseline::Fifo, Baseline::Rr, Baseline::Srtf] {
-            let out = baseline_outcomes(b, 4, &w);
-            assert_eq!(out.len(), w.len(), "{} lost requests", b.name());
-            // Outcomes sorted by id and complete.
-            for (i, o) in out.iter().enumerate() {
-                assert_eq!(o.id, i as u64);
-                assert!(o.turnaround >= SimDuration::ZERO);
-                assert!(o.rte > 0.0 && o.rte <= 1.0);
-            }
-        }
-    }
-
-    #[test]
-    fn ideal_is_a_lower_bound() {
-        let w = workload();
-        let ideal = Sim::on(MachineParams::linux(4))
-            .workload(&w)
-            .controller(Ideal)
-            .run()
-            .outcomes;
-        for b in [Baseline::Cfs, Baseline::Srtf] {
-            let out = baseline_outcomes(b, 4, &w);
-            for (o, i) in out.iter().zip(ideal.iter()) {
-                assert!(
-                    o.turnaround >= i.turnaround,
-                    "{}: request {} beat IDEAL",
-                    b.name(),
-                    o.id
-                );
-            }
-        }
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! (§V-C), status-polling interval 4 ms (§V-D), overload factor O = 3
 //! (§V-E), and FILTER functions at `SCHED_FIFO` priority 50.
 
-use sfs_sched::KernelPolicyKind;
 use sfs_simcore::SimDuration;
 
 /// How the FILTER time slice `S` is chosen.
@@ -69,11 +68,6 @@ pub struct SfsConfig {
     /// the figure harnesses need them. Streaming runs turn this off so
     /// telemetry memory stays O(1) in request count.
     pub record_series: bool,
-    /// Kernel scheduling policy on the machine under SFS (paper: the
-    /// stock Linux CFS+RT model). Swapping it answers "does SFS still
-    /// help on an EEVDF/deadline kernel?" without touching the
-    /// controller.
-    pub kpolicy: KernelPolicyKind,
 }
 
 impl SfsConfig {
@@ -93,15 +87,7 @@ impl SfsConfig {
             filter_prio: 50,
             queue_mode: QueueMode::Global,
             record_series: true,
-            kpolicy: KernelPolicyKind::Cfs,
         }
-    }
-
-    /// Run SFS over a different kernel scheduling policy (default: the
-    /// Linux CFS+RT model).
-    pub fn with_kernel_policy(mut self, kpolicy: KernelPolicyKind) -> SfsConfig {
-        self.kpolicy = kpolicy;
-        self
     }
 
     /// Streaming-run mode: skip series recording (queue-delay series, slice
@@ -175,7 +161,6 @@ mod tests {
         assert!(c.hybrid_overload);
         assert_eq!(c.slice_mode, SliceMode::Adaptive);
         assert_eq!(c.queue_mode, QueueMode::Global);
-        assert_eq!(c.kpolicy, KernelPolicyKind::Cfs);
         assert!(c.validate().is_ok());
     }
 
@@ -194,12 +179,6 @@ mod tests {
         );
         assert!(SfsConfig::new(4).record_series);
         assert!(!SfsConfig::new(4).without_series().record_series);
-        assert_eq!(
-            SfsConfig::new(4)
-                .with_kernel_policy(KernelPolicyKind::Eevdf)
-                .kpolicy,
-            KernelPolicyKind::Eevdf
-        );
     }
 
     #[test]

@@ -718,8 +718,4 @@ impl crate::sim::ControllerFactory for SfsConfig {
     fn label(&self) -> String {
         "SFS".to_string()
     }
-
-    fn configure_machine(&self, params: &mut sfs_sched::MachineParams) {
-        params.kpolicy = self.kpolicy;
-    }
 }

@@ -52,8 +52,7 @@ use std::borrow::Borrow;
 use std::iter::Peekable;
 
 use sfs_sched::{
-    FinishedTask, KernelPolicyKind, Machine, MachineParams, Notification, Pid, Policy, ProcState,
-    ScheduleTrace,
+    FinishedTask, Machine, MachineParams, Notification, Pid, Policy, ProcState, ScheduleTrace,
 };
 use sfs_simcore::{SimDuration, SimTime, TimeSeries};
 use sfs_workload::{Request, Workload};
@@ -442,13 +441,6 @@ impl<'a> Sim<'a> {
     /// only at dispatch time).
     pub fn workload(mut self, w: &'a Workload) -> Sim<'a> {
         self.workload = Some(w);
-        self
-    }
-
-    /// Select the machine's kernel scheduling policy, overriding whatever
-    /// the [`MachineParams`] carried (the `--kpolicy` plumbing point).
-    pub fn kernel_policy(mut self, kpolicy: KernelPolicyKind) -> Sim<'a> {
-        self.params.kpolicy = kpolicy;
         self
     }
 

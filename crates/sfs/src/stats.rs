@@ -1,6 +1,6 @@
 //! Per-request outcomes and run-level results for SFS experiments.
 
-use sfs_simcore::{OnlineStats, QuantileSketch, SimDuration, SimTime, TimeSeries};
+use sfs_simcore::{OnlineStats, QuantileSketch, SimDuration, SimTime};
 use sfs_workload::{Request, Workload};
 
 /// Everything measured about one completed function request.
@@ -222,7 +222,7 @@ impl OutcomeSummary {
     }
 
     /// Exact mean turnaround in ms (mirrors
-    /// [`SfsRunResult::mean_turnaround_ms`]).
+    /// [`RunOutcome::mean_turnaround_ms`](crate::RunOutcome::mean_turnaround_ms)).
     pub fn mean_turnaround_ms(&self) -> f64 {
         if self.requests == 0 {
             0.0
@@ -272,118 +272,10 @@ impl Default for OutcomeSummary {
     }
 }
 
-/// Result of one SFS simulation run (legacy shape; new code reads the
-/// same data from [`crate::RunOutcome`] and its
-/// [`Telemetry`](crate::Telemetry) instead).
-#[derive(Debug, Clone)]
-pub struct SfsRunResult {
-    /// Per-request outcomes, sorted by request id.
-    pub outcomes: Vec<RequestOutcome>,
-    /// Adapted time slice timeline (Fig. 10).
-    pub slice_timeline: TimeSeries,
-    /// Window-mean IAT timeline (Fig. 10).
-    pub iat_timeline: TimeSeries,
-    /// Per-request global-queue delay, indexed by invocation time (Fig. 12a).
-    pub queue_delay_series: TimeSeries,
-    /// Number of polling ticks performed.
-    pub polls: u64,
-    /// Number of per-task status reads across all polling ticks.
-    pub polled_tasks: u64,
-    /// Number of `schedtool`-equivalent policy switches issued.
-    pub sched_actions: u64,
-    /// Requests sent to CFS by the overload bypass.
-    pub offloaded: u64,
-    /// Requests demoted to CFS on slice expiry.
-    pub demoted: u64,
-    /// Adaptive slice recalculations.
-    pub slice_recalcs: u64,
-    /// Machine-wide involuntary context switches.
-    pub machine_ctx_switches: u64,
-    /// Total simulated span.
-    pub sim_span: SimDuration,
-    /// Cores in the simulated machine.
-    pub cores: usize,
-    /// Execution trace, if requested via `Sim::tracing`.
-    pub schedule_trace: Option<sfs_sched::ScheduleTrace>,
-}
-
-impl From<crate::RunOutcome> for SfsRunResult {
-    fn from(run: crate::RunOutcome) -> SfsRunResult {
-        SfsRunResult {
-            outcomes: run.outcomes,
-            slice_timeline: run.telemetry.slice_timeline,
-            iat_timeline: run.telemetry.iat_timeline,
-            queue_delay_series: run.telemetry.queue_delay_series,
-            polls: run.telemetry.polls,
-            polled_tasks: run.telemetry.polled_tasks,
-            sched_actions: run.sched_actions,
-            offloaded: run.telemetry.offloaded,
-            demoted: run.telemetry.demoted,
-            slice_recalcs: run.telemetry.slice_recalcs,
-            machine_ctx_switches: run.machine_ctx_switches,
-            sim_span: run.sim_span,
-            cores: run.cores,
-            schedule_trace: run.schedule_trace,
-        }
-    }
-}
-
-impl SfsRunResult {
-    /// Mean turnaround in ms.
-    pub fn mean_turnaround_ms(&self) -> f64 {
-        if self.outcomes.is_empty() {
-            return 0.0;
-        }
-        self.outcomes
-            .iter()
-            .map(|o| o.turnaround.as_millis_f64())
-            .sum::<f64>()
-            / self.outcomes.len() as f64
-    }
-
-    /// Fraction of requests with RTE at least `x`.
-    pub fn fraction_rte_at_least(&self, x: f64) -> f64 {
-        if self.outcomes.is_empty() {
-            return 0.0;
-        }
-        self.outcomes.iter().filter(|o| o.rte >= x).count() as f64 / self.outcomes.len() as f64
-    }
-
-    /// Estimate SFS's user-space CPU overhead as a fraction of machine
-    /// capacity (Table II's metric), from a simple cost model:
-    /// `poll_cost` per per-task status read plus `action_cost` per
-    /// `schedtool` invocation.
-    ///
-    /// Defaults calibrated to the paper's measured numbers (≈3.6% for a
-    /// 72-core deployment at 4 ms polling, ~74% of it from polling):
-    /// 120 µs per status read (gopsutil parses several `/proc` files per
-    /// call), 150 µs per policy switch (fork+exec of `schedtool`).
-    pub fn overhead_fraction(&self, poll_cost: SimDuration, action_cost: SimDuration) -> f64 {
-        let busy = self.polled_tasks as f64 * poll_cost.as_nanos() as f64
-            + self.sched_actions as f64 * action_cost.as_nanos() as f64;
-        let capacity = self.sim_span.as_nanos() as f64 * self.cores as f64;
-        if capacity == 0.0 {
-            0.0
-        } else {
-            busy / capacity
-        }
-    }
-
-    /// Fraction of the modelled overhead attributable to polling.
-    pub fn polling_overhead_share(&self, poll_cost: SimDuration, action_cost: SimDuration) -> f64 {
-        let poll = self.polled_tasks as f64 * poll_cost.as_nanos() as f64;
-        let act = self.sched_actions as f64 * action_cost.as_nanos() as f64;
-        if poll + act == 0.0 {
-            0.0
-        } else {
-            poll / (poll + act)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::{RunOutcome, Telemetry};
 
     fn mk_outcome(turn_ms: u64, ideal_ms: u64) -> RequestOutcome {
         RequestOutcome {
@@ -511,24 +403,33 @@ mod tests {
         assert!((left.mean_turnaround_ms() - whole.mean_turnaround_ms()).abs() < 1e-9);
     }
 
+    /// A run with these outcomes and controller counters, over `span` on
+    /// `cores` cores.
+    fn run(
+        outcomes: Vec<RequestOutcome>,
+        polled_tasks: u64,
+        sched_actions: u64,
+        span: SimDuration,
+        cores: usize,
+    ) -> RunOutcome {
+        RunOutcome {
+            outcomes,
+            sched_actions,
+            machine_ctx_switches: 0,
+            sim_span: span,
+            cores,
+            schedule_trace: None,
+            telemetry: Telemetry {
+                polled_tasks,
+                ..Telemetry::default()
+            },
+        }
+    }
+
     #[test]
     fn run_result_aggregates() {
-        let r = SfsRunResult {
-            outcomes: vec![mk_outcome(10, 10), mk_outcome(30, 15), mk_outcome(20, 20)],
-            slice_timeline: TimeSeries::new("s"),
-            iat_timeline: TimeSeries::new("i"),
-            queue_delay_series: TimeSeries::new("q"),
-            polls: 0,
-            polled_tasks: 0,
-            sched_actions: 0,
-            offloaded: 0,
-            demoted: 0,
-            slice_recalcs: 0,
-            machine_ctx_switches: 0,
-            sim_span: SimDuration::from_secs(1),
-            cores: 4,
-            schedule_trace: None,
-        };
+        let outcomes = vec![mk_outcome(10, 10), mk_outcome(30, 15), mk_outcome(20, 20)];
+        let r = run(outcomes, 0, 0, SimDuration::from_secs(1), 4);
         assert!((r.mean_turnaround_ms() - 20.0).abs() < 1e-12);
         assert!((r.fraction_rte_at_least(0.95) - 2.0 / 3.0).abs() < 1e-12);
         assert!((r.fraction_rte_at_least(0.0) - 1.0).abs() < 1e-12);
@@ -536,22 +437,7 @@ mod tests {
 
     #[test]
     fn overhead_model_accounts_polls_and_actions() {
-        let r = SfsRunResult {
-            outcomes: vec![],
-            slice_timeline: TimeSeries::new("s"),
-            iat_timeline: TimeSeries::new("i"),
-            queue_delay_series: TimeSeries::new("q"),
-            polls: 1_000,
-            polled_tasks: 72_000,
-            sched_actions: 10_000,
-            offloaded: 0,
-            demoted: 0,
-            slice_recalcs: 0,
-            machine_ctx_switches: 0,
-            sim_span: SimDuration::from_secs(100),
-            cores: 72,
-            schedule_trace: None,
-        };
+        let r = run(vec![], 72_000, 10_000, SimDuration::from_secs(100), 72);
         let poll_cost = SimDuration::from_micros(120);
         let act_cost = SimDuration::from_micros(150);
         let f = r.overhead_fraction(poll_cost, act_cost);

@@ -1,7 +1,8 @@
 //! Environment-variable overrides under one rule: an unset variable yields
 //! the default, and a set one must parse and be accepted, or the process
-//! aborts naming the variable and the value. A typo never falls back to
-//! the default without a word.
+//! aborts naming the variable and the value ([`try_env_override`] hands
+//! that message back instead). A typo never falls back to the default
+//! without a word.
 
 use std::env::VarError;
 use std::str::FromStr;
@@ -17,13 +18,7 @@ pub fn parse_override<T: FromStr>(
     what: &str,
     accept: impl Fn(&T) -> bool,
 ) -> T {
-    let Some(raw) = value else {
-        return default;
-    };
-    match raw.parse() {
-        Ok(v) if accept(&v) => v,
-        _ => panic!("{name} must be {what}, got {raw:?}"),
-    }
+    checked(name, value, default, what, accept).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`parse_override`] of the variable `name` in this process's environment.
@@ -34,10 +29,41 @@ pub fn env_override<T: FromStr>(
     what: &str,
     accept: impl Fn(&T) -> bool,
 ) -> T {
+    try_env_override(name, default, what, accept).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// As [`env_override`], but a rejected value is returned as the message
+/// naming the variable and the value, for a front end that reports it as
+/// a usage error rather than aborting.
+pub fn try_env_override<T: FromStr>(
+    name: &str,
+    default: T,
+    what: &str,
+    accept: impl Fn(&T) -> bool,
+) -> Result<T, String> {
     match std::env::var(name) {
-        Ok(raw) => parse_override(name, Some(&raw), default, what, accept),
-        Err(VarError::NotPresent) => default,
-        Err(VarError::NotUnicode(raw)) => panic!("{name} must be {what}, got {raw:?}"),
+        Ok(raw) => checked(name, Some(&raw), default, what, accept),
+        Err(VarError::NotPresent) => Ok(default),
+        Err(VarError::NotUnicode(raw)) => Err(format!("{name} must be {what}, got {raw:?}")),
+    }
+}
+
+/// The rule behind every override: `default` when unset, the parsed value
+/// when it parses and `accept` takes it, else the message naming `name`,
+/// the value and `what` it must be.
+fn checked<T: FromStr>(
+    name: &str,
+    value: Option<&str>,
+    default: T,
+    what: &str,
+    accept: impl Fn(&T) -> bool,
+) -> Result<T, String> {
+    let Some(raw) = value else {
+        return Ok(default);
+    };
+    match raw.parse() {
+        Ok(v) if accept(&v) => Ok(v),
+        _ => Err(format!("{name} must be {what}, got {raw:?}")),
     }
 }
 

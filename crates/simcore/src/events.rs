@@ -78,13 +78,8 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// An empty queue.
     pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// An empty queue with pre-reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            heap: BinaryHeap::with_capacity(cap),
+            heap: BinaryHeap::new(),
             next_seq: 0,
         }
     }
@@ -144,22 +139,6 @@ impl<E> EventQueue<E> {
             out.push(pair);
         }
         out.len() - before
-    }
-
-    /// Retained allocation of the queue, preserved across
-    /// [`EventQueue::recycle`].
-    pub fn capacity(&self) -> usize {
-        self.heap.capacity()
-    }
-
-    /// Reset the queue for a fresh run while keeping its allocation: all
-    /// pending events are dropped and the FIFO sequence counter restarts,
-    /// so a recycled queue behaves exactly like a new one — minus the
-    /// reallocation. Trial loops that simulate many runs back to back use
-    /// this to keep the event structures warm.
-    pub fn recycle(&mut self) {
-        self.heap.clear();
-        self.next_seq = 0;
     }
 
     /// Number of pending events.
@@ -273,24 +252,6 @@ mod tests {
         assert_eq!(out.len(), 6);
         assert!(q.is_empty());
         assert_eq!(q.pop_batch_until(at(100), &mut out), 0);
-    }
-
-    #[test]
-    fn recycle_keeps_capacity_and_restarts_fifo_numbering() {
-        let mut q = EventQueue::with_capacity(64);
-        for i in 0..50 {
-            q.push(at(1), i);
-        }
-        let cap = q.capacity();
-        assert!(cap >= 50);
-        q.recycle();
-        assert!(q.is_empty());
-        assert_eq!(q.capacity(), cap, "recycle must keep the allocation");
-        // FIFO ordering restarts cleanly after recycling.
-        q.push(at(5), 100);
-        q.push(at(5), 200);
-        assert_eq!(q.pop().unwrap().1, 100);
-        assert_eq!(q.pop().unwrap().1, 200);
     }
 
     #[test]

@@ -75,8 +75,15 @@ impl SeedSequencer {
 /// the machine's available parallelism. A set value that is not a count
 /// of at least 1 aborts naming it ([`crate::env::env_override`]).
 pub fn default_threads() -> usize {
+    try_default_threads().unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// As [`default_threads`], but a malformed `SFS_BENCH_THREADS` comes back
+/// as the message naming it and its value
+/// ([`crate::env::try_env_override`]).
+pub fn try_default_threads() -> Result<usize, String> {
     let available = std::thread::available_parallelism().map_or(1, |n| n.get());
-    crate::env::env_override(
+    crate::env::try_env_override(
         "SFS_BENCH_THREADS",
         available,
         "a thread count >= 1",

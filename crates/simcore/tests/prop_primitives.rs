@@ -50,8 +50,8 @@ fn event_queue_total_order() {
 /// The model is a plain `Vec<(time, push_order, payload)>` with a stable
 /// sort: the specification of "ascending time, FIFO within ties". Every
 /// queue operation — `push`, `pop`, `pop_until`, the `pop_batch_until`
-/// fast path, and `recycle` — must agree with it at every step, so the
-/// capacity-reuse fast paths cannot drift from the reference semantics.
+/// fast path, and `clear` — must agree with it at every step, so the
+/// batch fast path cannot drift from the reference semantics.
 #[test]
 fn event_queue_matches_reference_model() {
     for case in 0..CASES {
@@ -108,7 +108,7 @@ fn event_queue_matches_reference_model() {
                     assert_eq!(batch, expect, "batch order (case {case} op {op})");
                 }
                 _ => {
-                    q.recycle();
+                    q.clear();
                     model.clear();
                 }
             }

@@ -162,14 +162,17 @@ fn get_cores(flags: &BTreeMap<String, String>) -> usize {
 }
 
 /// `--threads`: worker threads for cluster and fleet hosts, at least 1.
+/// Without the flag, `SFS_BENCH_THREADS` or the machine's parallelism; a
+/// malformed variable is a usage error naming it and its value, as a bad
+/// flag is.
 fn get_threads(flags: &BTreeMap<String, String>) -> usize {
-    get_valid(
-        flags,
-        "threads",
-        sfs_repro::simcore::parallel::default_threads(),
-        "a count >= 1",
-        |&n| n >= 1,
-    )
+    if flags.contains_key("threads") {
+        return get_valid(flags, "threads", 1, "a count >= 1", |&n| n >= 1);
+    }
+    sfs_repro::simcore::parallel::try_default_threads().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage_and_exit();
+    })
 }
 
 fn build_workload(flags: &BTreeMap<String, String>, cores: usize) -> Workload {

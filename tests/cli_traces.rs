@@ -154,6 +154,43 @@ fn out_of_domain_numeric_flags_are_named_errors() {
     }
 }
 
+/// A malformed `SFS_BENCH_THREADS` is a usage error naming the variable
+/// and the value on the cluster and fleet paths, never a panic. `--threads`
+/// beats the variable, as in the harness binaries, so with the flag the
+/// variable is not read.
+#[test]
+fn a_malformed_thread_count_variable_is_a_named_error() {
+    let cluster = ["run", "--cluster", "hosts=2,cores=2,placement=ll"];
+    let fleet = ["run", "--fleet", "regions=1,hosts=2"];
+    for value in ["abc", "0"] {
+        let sfs = |args: &[&str], threads: Option<&str>| {
+            let mut cmd = Command::new(env!("CARGO_BIN_EXE_sfs"));
+            cmd.args(args).args(["--requests", "5"]);
+            if let Some(t) = threads {
+                cmd.args(["--threads", t]);
+            }
+            let out = cmd
+                .env("SFS_BENCH_THREADS", value)
+                .output()
+                .expect("spawn sfs");
+            let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+            let what = format!("SFS_BENCH_THREADS={value} sfs {}", args.join(" "));
+            assert!(!stderr.contains("panicked"), "{what}: {stderr}");
+            (out.status.code(), stderr, what)
+        };
+        for args in [&cluster[..], &fleet[..]] {
+            let (code, stderr, what) = sfs(args, None);
+            assert_eq!(code, Some(2), "{what}: {stderr}");
+            assert!(
+                stderr.contains("SFS_BENCH_THREADS") && stderr.contains(&format!("{value:?}")),
+                "{what}: error must name the variable and value: {stderr}"
+            );
+            let (code, stderr, what) = sfs(args, Some("2"));
+            assert_eq!(code, Some(0), "{what} --threads 2: {stderr}");
+        }
+    }
+}
+
 /// Run `sfs` with `args` (stdout discarded), failing the test if it is
 /// still running after `secs` seconds.
 fn run_within(args: &[&str], secs: u64) -> (Option<i32>, String) {

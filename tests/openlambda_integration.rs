@@ -2,7 +2,7 @@
 //! accounting, contention model, and SFS-vs-CFS behaviour behind the
 //! platform.
 
-use sfs_repro::faas::{HostScheduler, OpenLambda, OpenLambdaParams};
+use sfs_repro::faas::{OpenLambda, OpenLambdaParams};
 use sfs_repro::sfs::{Baseline, SfsConfig};
 use sfs_repro::simcore::Samples;
 use sfs_repro::workload::{IatSpec, Spike, WorkloadSpec};
@@ -15,7 +15,7 @@ fn platform_preserves_request_identity() {
     let w = WorkloadSpec::openlambda(400, 3)
         .with_duration_load(CORES, 0.7)
         .generate();
-    let out = ol.run(HostScheduler::Sfs(SfsConfig::new(CORES)), CORES, &w);
+    let out = ol.run(&SfsConfig::new(CORES), CORES, &w);
     assert_eq!(out.len(), 400);
     for (i, o) in out.iter().enumerate() {
         assert_eq!(o.id, i as u64);
@@ -56,8 +56,8 @@ fn contention_hurts_cfs_more_than_sfs_under_bursts() {
         spikes: Spike::evenly_spaced(2, n / 10, 10.0, n),
     };
     let w = spec.with_duration_load(CORES, 0.9).generate();
-    let sfs = ol.run(HostScheduler::Sfs(SfsConfig::new(CORES)), CORES, &w);
-    let cfs = ol.run(HostScheduler::Kernel(Baseline::Cfs), CORES, &w);
+    let sfs = ol.run(&SfsConfig::new(CORES), CORES, &w);
+    let cfs = ol.run(&Baseline::Cfs, CORES, &w);
     let median = |outs: &[sfs_repro::sfs::RequestOutcome]| {
         let mut s = Samples::from_vec(outs.iter().map(|o| o.turnaround.as_millis_f64()).collect());
         s.percentile(50.0)
@@ -94,7 +94,7 @@ fn disabling_contention_restores_ideal_substrate() {
     let w = WorkloadSpec::openlambda(500, 13)
         .with_duration_load(CORES, 0.5)
         .generate();
-    let out = ol.run(HostScheduler::Kernel(Baseline::Cfs), CORES, &w);
+    let out = ol.run(&Baseline::Cfs, CORES, &w);
     // At 50% duration load with no contention, the vast majority of
     // requests should complete near-ideally (only pipeline overhead).
     let near_ideal = out

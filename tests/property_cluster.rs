@@ -4,27 +4,35 @@
 //! dispatcher must account for every request exactly once: placement
 //! counts sum to the workload size, every host runs to completion, and
 //! the merged outcome list contains each request id exactly once — no
-//! request lost in dispatch, none duplicated across hosts.
+//! request lost in dispatch, none duplicated across hosts. The request
+//! identities are `support/audit.rs`'s; a cluster is the dispatcher that
+//! sheds and loses nothing.
 //!
 //! Seeded case-loop style (like `property_invariants.rs`): fixed seeds,
 //! exactly reproducible failures.
 
-use std::collections::HashSet;
+#[path = "support/audit.rs"]
+mod audit;
 
-use sfs_repro::faas::{Cluster, Placement};
-use sfs_repro::simcore::{SimDuration, SimRng};
-use sfs_repro::workload::WorkloadSpec;
+use sfs_repro::faas::{Cluster, ClusterRun, Placement};
+use sfs_repro::simcore::SimDuration;
+use sfs_repro::workload::{Workload, WorkloadSpec};
 
-fn case_rng(test: &str, case: u64) -> SimRng {
-    SimRng::seed_from_u64(0x0C10_57E4)
-        .derive(test)
-        .derive(&case.to_string())
+/// Root seed of every case in this suite.
+const ROOT: u64 = 0x0C10_57E4;
+
+/// Every request placed once and completed once, on `hosts` hosts.
+fn assert_conserved(run: &ClusterRun, w: &Workload, hosts: usize, ctx: &str) {
+    audit::requests(w, &run.outcomes, ctx);
+    // Placement conserves requests: per-host counts sum to n.
+    assert_eq!(run.per_host.len(), hosts, "{ctx}");
+    assert_eq!(run.per_host.iter().sum::<usize>(), w.len(), "{ctx}");
 }
 
 #[test]
 fn every_request_is_placed_and_completed_exactly_once() {
     for case in 0..12u64 {
-        let mut rng = case_rng("conservation", case);
+        let mut rng = audit::case_rng(ROOT, &["conservation", &case.to_string()]);
         let n = rng.uniform_u64(40, 220) as usize;
         let seed = rng.uniform_u64(0, 9_999);
         let hosts = [1usize, 2, 3, 5, 8][rng.uniform_u64(0, 4) as usize];
@@ -33,8 +41,6 @@ fn every_request_is_placed_and_completed_exactly_once() {
         let w = WorkloadSpec::azure_sampled(n, seed)
             .with_load(hosts * cores, load)
             .generate();
-        let expected_ids: HashSet<u64> = w.requests.iter().map(|r| r.id).collect();
-        assert_eq!(expected_ids.len(), n, "workload ids unique (case {case})");
 
         for affinity in [false, true] {
             let mut cluster = Cluster::new(hosts, cores);
@@ -50,28 +56,14 @@ fn every_request_is_placed_and_completed_exactly_once() {
                     "case {case}: {} hosts={hosts} cores={cores} affinity={affinity}",
                     placement.name()
                 );
-
-                // Placement conserves requests: per-host counts sum to n.
-                assert_eq!(run.per_host.len(), hosts, "{ctx}");
-                assert_eq!(run.per_host.iter().sum::<usize>(), n, "{ctx}");
-
-                // Every request id appears in the merged outcomes exactly
-                // once (sorted by id, so uniqueness = strict monotonicity).
-                assert_eq!(run.outcomes.len(), n, "{ctx}");
-                let ids: Vec<u64> = run.outcomes.iter().map(|o| o.id).collect();
-                assert!(
-                    ids.windows(2).all(|p| p[0] < p[1]),
-                    "{ctx}: dup/unsorted ids"
-                );
-                assert!(
-                    ids.iter().all(|id| expected_ids.contains(id)),
-                    "{ctx}: unknown outcome id"
-                );
+                assert_conserved(&run, &w, hosts, &ctx);
 
                 // Cold starts only exist under the affinity model, and
-                // never exceed one per request.
+                // never exceed one per request; without them each host
+                // runs the submitted requests unchanged.
                 if !affinity {
                     assert_eq!(run.cold_starts, 0, "{ctx}");
+                    audit::demand_as_submitted(&w, &run.outcomes, &ctx);
                 } else {
                     assert!(run.cold_starts <= n as u64, "{ctx}");
                 }
@@ -91,10 +83,8 @@ fn conservation_holds_for_degenerate_shapes() {
             let run = Cluster::new(hosts, 2)
                 .with_affinity(SimDuration::from_millis(500), SimDuration::from_millis(20))
                 .run(placement, &w);
-            assert_eq!(run.per_host.iter().sum::<usize>(), n);
-            assert_eq!(run.outcomes.len(), n);
-            let ids: Vec<u64> = run.outcomes.iter().map(|o| o.id).collect();
-            assert!(ids.windows(2).all(|p| p[0] < p[1]));
+            let ctx = format!("{} hosts={hosts} n={n}", placement.name());
+            assert_conserved(&run, &w, hosts, &ctx);
         }
     }
 }

@@ -6,7 +6,7 @@
 //! three populations disjoint and summing to the workload size. Crashes
 //! may move work, stragglers may stretch it, an AZ outage may take half
 //! a region down mid-run: nothing may be double-counted or silently
-//! dropped.
+//! dropped. The attribution identities are `support/audit.rs`'s.
 //!
 //! The second test is the ISSUE's acceptance gate verbatim: a 2-region ×
 //! 64-host faulted run is bit-identical at `--threads 1` vs `--threads 8`
@@ -15,40 +15,30 @@
 //! Seeded case-loop style (like `property_cluster.rs`): fixed seeds,
 //! exactly reproducible failures.
 
-use std::collections::BTreeSet;
+#[path = "support/audit.rs"]
+mod audit;
 
 use sfs_repro::faas::{FaultSpec, Fleet, FleetRun, Placement};
-use sfs_repro::simcore::{SimDuration, SimRng};
-use sfs_repro::workload::WorkloadSpec;
+use sfs_repro::simcore::SimDuration;
+use sfs_repro::workload::{Workload, WorkloadSpec};
 
-fn case_rng(test: &str, case: u64) -> SimRng {
-    SimRng::seed_from_u64(0xF1EE_7CA5)
-        .derive(test)
-        .derive(&case.to_string())
-}
+/// Root seed of every case in this suite.
+const ROOT: u64 = 0xF1EE_7CA5;
 
-/// Every id in 0..n lands in exactly one of completed / shed / lost.
-fn assert_conserved(run: &FleetRun, n: usize, ctx: &str) {
-    assert!(run.conservation_holds(), "{ctx}: counts do not sum to {n}");
-    let mut seen = BTreeSet::new();
-    for id in run
-        .outcomes
-        .iter()
-        .map(|o| o.id)
-        .chain(run.shed.iter().copied())
-        .chain(run.lost.iter().copied())
-    {
-        assert!(seen.insert(id), "{ctx}: id {id} attributed twice");
-    }
-    assert_eq!(seen.len(), n, "{ctx}: id set incomplete");
-    if let (Some(&lo), Some(&hi)) = (seen.first(), seen.last()) {
-        assert_eq!((lo, hi), (0, n as u64 - 1), "{ctx}: ids out of range");
-    }
+/// Every submitted id lands in exactly one of completed / shed / lost, and
+/// the fleet's own counters agree.
+fn assert_conserved(run: &FleetRun, w: &Workload, ctx: &str) {
+    audit::partition(w, &run.outcomes, &run.shed, &run.lost, ctx);
+    assert!(
+        run.conservation_holds(),
+        "{ctx}: counts do not sum to {}",
+        w.len()
+    );
     // Attribution side-channels agree with the populations they count.
     let placed: u64 = run.per_region.iter().map(|r| r.placed).sum();
     assert_eq!(
         placed,
-        (n - run.shed.len()) as u64 + run.redispatches,
+        (w.len() - run.shed.len()) as u64 + run.redispatches,
         "{ctx}: placements != routed + re-dispatched"
     );
 }
@@ -72,7 +62,7 @@ fn faulted_fleet(regions: usize, hosts: usize, cores: usize, mix: &str) -> Fleet
 #[test]
 fn every_request_is_attributed_exactly_once_under_every_fault_mix() {
     for case in 0..8u64 {
-        let mut rng = case_rng("conservation", case);
+        let mut rng = audit::case_rng(ROOT, &["conservation", &case.to_string()]);
         let n = rng.uniform_u64(60, 240) as usize;
         let seed = rng.uniform_u64(0, 9_999);
         let regions = [1usize, 2, 3][rng.uniform_u64(0, 2) as usize];
@@ -85,7 +75,8 @@ fn every_request_is_attributed_exactly_once_under_every_fault_mix() {
 
         for mix in FAULT_MIXES {
             let mut fleet = faulted_fleet(regions, hosts, cores, mix);
-            if case % 2 == 0 {
+            let cold_starts = case % 2 == 0;
+            if cold_starts {
                 fleet = fleet.with_affinity(
                     SimDuration::from_millis(rng.uniform_u64(100, 3_000)),
                     SimDuration::from_millis(rng.uniform_u64(1, 80)),
@@ -97,11 +88,16 @@ fn every_request_is_attributed_exactly_once_under_every_fault_mix() {
                     "case {case}: {} {regions}x{hosts}x{cores} faults={mix}",
                     placement.name()
                 );
-                assert_conserved(&run, n, &ctx);
+                assert_conserved(&run, &w, &ctx);
                 // Loss is a fault outcome: fault-free runs complete or
                 // shed, never lose.
                 if mix == "none" {
                     assert!(run.lost.is_empty(), "{ctx}: lost without faults");
+                }
+                // Cold starts add CPU on the host and stragglers stretch
+                // it; without either, hosts run what was submitted.
+                if mix == "none" && !cold_starts {
+                    audit::demand_as_submitted(&w, &run.outcomes, &ctx);
                 }
             }
         }
@@ -136,7 +132,7 @@ fn faulted_64_host_fleet_is_bit_identical_at_1_vs_8_threads() {
     };
 
     let one = fleet.run_with_threads(Placement::JoinShortestQueue, &fleet.sfs, &w, 1);
-    assert_conserved(&one, n, "threads=1");
+    assert_conserved(&one, &w, "threads=1");
     for threads in [2usize, 8] {
         let multi = fleet.run_with_threads(Placement::JoinShortestQueue, &fleet.sfs, &w, threads);
         assert_eq!(fingerprint(&one), fingerprint(&multi), "threads={threads}");
@@ -163,7 +159,7 @@ fn conservation_holds_for_degenerate_shapes() {
             let run = faulted_fleet(regions, hosts, 2, "crash:2+straggler:2+outage:1")
                 .with_affinity(SimDuration::from_millis(500), SimDuration::from_millis(20))
                 .run(placement, &w);
-            assert_conserved(&run, n, &format!("{regions}x{hosts} n={n}"));
+            assert_conserved(&run, &w, &format!("{regions}x{hosts} n={n}"));
         }
     }
 }

@@ -1,25 +1,23 @@
 //! Property-style invariants over randomly generated workloads and
 //! scheduler configurations: nothing is lost, time is conserved, and the
-//! metrics stay in range, for every scheduling policy.
+//! metrics stay in range, for every scheduling policy. The identities
+//! themselves live in `support/audit.rs`; this suite generates the cases.
 //!
 //! Randomised cases come from the workspace's seeded `SimRng` (no proptest
 //! dependency): each test runs a fixed number of cases from a fixed seed,
 //! so failures are exactly reproducible.
 
-use sfs_repro::sched::{run_open_loop, KernelPolicyKind, MachineParams, Phase, Policy, TaskSpec};
-use sfs_repro::sfs::{Baseline, ControllerFactory, RequestOutcome, SfsConfig, SfsController, Sim};
+#[path = "support/audit.rs"]
+mod audit;
+
+use audit::MachineAudit;
+use sfs_repro::sched::{KernelPolicyKind, Machine, MachineParams, Phase, Policy, TaskSpec};
+use sfs_repro::sfs::{Baseline, ControllerFactory, SfsConfig, SfsController, Sim};
 use sfs_repro::simcore::{SimDuration, SimRng, SimTime};
-use sfs_repro::workload::{DurationDist, IatSpec, Workload, WorkloadSpec};
+use sfs_repro::workload::{DurationDist, IatSpec, WorkloadSpec};
 
-fn run_baseline(b: Baseline, cores: usize, w: &Workload) -> Vec<RequestOutcome> {
-    b.run_on(cores, w).outcomes
-}
-
-fn case_rng(test: &str, case: u64) -> SimRng {
-    SimRng::seed_from_u64(0x1AB5)
-        .derive(test)
-        .derive(&case.to_string())
-}
+/// Root seed of every case in this suite.
+const ROOT: u64 = 0x1AB5;
 
 /// A small random task mix with optional I/O phases.
 fn arb_tasks(rng: &mut SimRng) -> Vec<(u64, TaskSpec)> {
@@ -55,12 +53,11 @@ fn arb_tasks(rng: &mut SimRng) -> Vec<(u64, TaskSpec)> {
 #[test]
 fn machine_conserves_work_and_loses_nothing() {
     for case in 0..48 {
-        let mut rng = case_rng("machine_conserves", case);
+        let mut rng = audit::case_rng(ROOT, &["machine_conserves", &case.to_string()]);
         let tasks = arb_tasks(&mut rng);
         let cores = rng.uniform_u64(1, 4) as usize;
         let srtf = rng.chance(0.5);
-        let n = tasks.len();
-        let total_cpu: u64 = tasks.iter().map(|(_, s)| s.cpu_demand().as_nanos()).sum();
+        let ctx = format!("case {case}: cores={cores} srtf={srtf}");
         let params = MachineParams {
             cores,
             ctx_switch_cost: SimDuration::ZERO,
@@ -71,34 +68,23 @@ fn machine_conserves_work_and_loses_nothing() {
             },
             ..Default::default()
         };
-        let arrivals = tasks
-            .into_iter()
-            .map(|(ms, s)| (SimTime::ZERO + SimDuration::from_millis(ms), s));
-        let done = run_open_loop(params, arrivals);
-        assert_eq!(done.len(), n, "lost tasks (case {case})");
-        let charged: u64 = done.iter().map(|t| t.cpu_time.as_nanos()).sum();
-        assert_eq!(charged, total_cpu, "CPU time not conserved (case {case})");
-        for t in &done {
-            assert!(t.finished >= t.arrival, "case {case}");
-            assert!(
-                t.turnaround() >= t.ideal,
-                "task {} beat ideal (case {case})",
-                t.pid
-            );
-            assert!(t.rte() > 0.0 && t.rte() <= 1.0, "case {case}");
-            assert!(
-                t.first_run.is_some(),
-                "task {} never ran (case {case})",
-                t.pid
-            );
+        // The open-loop drive: each task spawns at its arrival.
+        let mut m = Machine::new(params);
+        let mut audit = MachineAudit::default();
+        for (ms, spec) in tasks {
+            m.advance_to(SimTime::ZERO + SimDuration::from_millis(ms));
+            audit.after_advance(&m, &ctx);
+            audit.spawn(&mut m, spec);
         }
+        m.run_until_quiescent();
+        audit.at_quiescence(&m, &ctx);
     }
 }
 
 #[test]
 fn sfs_completes_arbitrary_workloads() {
     for case in 0..48 {
-        let mut rng = case_rng("sfs_completes", case);
+        let mut rng = audit::case_rng(ROOT, &["sfs_completes", &case.to_string()]);
         let n = rng.uniform_u64(20, 149) as usize;
         let seed = rng.uniform_u64(0, 999);
         let load = rng.uniform(0.3, 1.1);
@@ -120,20 +106,15 @@ fn sfs_completes_arbitrary_workloads() {
             .workload(&w)
             .controller(SfsController::new(cfg))
             .run();
-        assert_eq!(r.outcomes.len(), n, "case {case}");
-        for o in &r.outcomes {
-            assert!(o.rte > 0.0 && o.rte <= 1.0, "case {case}");
-            assert!(
-                o.turnaround.as_nanos() + 1_000 >= o.ideal.as_nanos(),
-                "case {case}"
-            );
-        }
+        let ctx = format!("case {case}: n={n} seed={seed} cores={cores}");
+        audit::requests(&w, &r.outcomes, &ctx);
+        audit::demand_as_submitted(&w, &r.outcomes, &ctx);
         // Offload + demotion counts can never exceed the request count…
-        assert!(r.telemetry.offloaded <= n as u64, "case {case}");
+        assert!(r.telemetry.offloaded <= n as u64, "{ctx}");
         // …though a request may be demoted after several I/O rounds.
         assert!(
             r.telemetry.polls == 0 || r.telemetry.polled_tasks > 0 || io_fraction == 0.0,
-            "case {case}"
+            "{ctx}"
         );
     }
 }
@@ -141,7 +122,7 @@ fn sfs_completes_arbitrary_workloads() {
 #[test]
 fn baselines_agree_on_totals() {
     for case in 0..32 {
-        let mut rng = case_rng("baselines_totals", case);
+        let mut rng = audit::case_rng(ROOT, &["baselines_totals", &case.to_string()]);
         let n = rng.uniform_u64(20, 119) as usize;
         let seed = rng.uniform_u64(0, 499);
         let w = WorkloadSpec {
@@ -153,36 +134,11 @@ fn baselines_agree_on_totals() {
             ..WorkloadSpec::azure_sampled(n, seed)
         }
         .generate();
-        let total_demand: f64 = w.total_cpu_ms();
         for b in [Baseline::Cfs, Baseline::Fifo, Baseline::Rr, Baseline::Srtf] {
-            let outs = run_baseline(b, 3, &w);
-            assert_eq!(outs.len(), n, "case {case}");
-            let sum: f64 = outs.iter().map(|o| o.cpu_demand.as_millis_f64()).sum();
-            assert!(
-                (sum - total_demand).abs() < 1e-3,
-                "{} demand mismatch (case {case})",
-                b.name()
-            );
-        }
-    }
-}
-
-#[test]
-fn determinism_across_policies() {
-    for case in 0..24 {
-        let mut rng = case_rng("determinism", case);
-        let n = rng.uniform_u64(10, 59) as usize;
-        let seed = rng.uniform_u64(0, 199);
-        let w = WorkloadSpec::azure_sampled(n, seed)
-            .with_load(4, 0.9)
-            .generate();
-        for b in [Baseline::Cfs, Baseline::Srtf] {
-            let a = run_baseline(b, 4, &w);
-            let bb = run_baseline(b, 4, &w);
-            for (x, y) in a.iter().zip(bb.iter()) {
-                assert_eq!(x.finished, y.finished, "case {case}");
-                assert_eq!(x.ctx_switches, y.ctx_switches, "case {case}");
-            }
+            let outs = b.run_on(3, &w).outcomes;
+            let ctx = format!("case {case}: {}", b.name());
+            audit::requests(&w, &outs, &ctx);
+            audit::demand_as_submitted(&w, &outs, &ctx);
         }
     }
 }

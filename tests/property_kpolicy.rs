@@ -6,14 +6,17 @@
 //! time charged equals CPU demand (with contention off), timestamps are
 //! causally ordered, and the conservation walk (each live task in exactly
 //! one place) holds at arbitrary mid-run instants, including across
-//! `set_policy` churn. Each case is seeded through `SimRng`, so failures
-//! reproduce exactly. A second property pins
+//! `set_policy` churn. Those identities are checked by `support/audit.rs`;
+//! this suite drives every policy into them. Each case is seeded through
+//! `SimRng`, so failures reproduce exactly. A second property pins
 //! [`Machine::advance_until_notified`], the advance a driver uses to cross
 //! instants that notify nobody in one call, against stepping one event
 //! instant at a time.
 
-use std::collections::BTreeSet;
+#[path = "support/audit.rs"]
+mod audit;
 
+use audit::MachineAudit;
 use sfs_repro::sched::{
     KernelPolicyKind, Machine, MachineParams, Notification, Phase, Pid, Policy, ProcState,
     SmpParams, TaskSpec,
@@ -22,12 +25,6 @@ use sfs_repro::simcore::{SimDuration, SimRng, SimTime};
 
 const CORES: [usize; 4] = [1, 2, 4, 8];
 const SEEDS: [u64; 3] = [2, 13, 777];
-
-fn case_rng(kind: KernelPolicyKind, cores: usize, seed: u64) -> SimRng {
-    SimRng::seed_from_u64(seed)
-        .derive(kind.name())
-        .derive(&cores.to_string())
-}
 
 fn random_policy(rng: &mut SimRng) -> Policy {
     match rng.uniform_u64(0, 3) {
@@ -69,76 +66,41 @@ fn random_spec(rng: &mut SimRng, label: u64) -> TaskSpec {
     }
 }
 
-/// Drive one machine through a randomized spawn/set_policy timeline with
-/// conservation checks at every step, then verify the terminal invariants.
+/// Drive one machine through a randomized spawn/set_policy timeline,
+/// auditing it after every step and at quiescence.
 fn check_kind(kind: KernelPolicyKind, cores: usize, seed: u64, smp: SmpParams) {
-    let mut rng = case_rng(kind, cores, seed);
+    let mut rng = audit::case_rng(seed, &[kind.name(), &cores.to_string()]);
     let params = MachineParams {
         cores,
         kpolicy: kind,
         ..Default::default()
     }
     .with_smp(smp);
+    let ctx = format!("{kind} cores={cores} seed={seed}");
     let mut m = Machine::new(params);
+    let mut audit = MachineAudit::default();
     let n_tasks = rng.uniform_u64(20, 60);
     let mut pids = Vec::new();
-    let mut demand = Vec::new();
     let mut t = SimTime::ZERO;
-    let mut last_cpu_seen = Vec::new();
     for i in 0..n_tasks {
         t += SimDuration::from_micros(rng.uniform_u64(0, 3_000));
         m.advance_to(t);
         let spec = random_spec(&mut rng, i);
-        demand.push(spec.cpu_demand());
-        pids.push(m.spawn(spec));
-        last_cpu_seen.push(SimDuration::ZERO);
-        // Mid-run churn: flip a random live task's policy, then verify the
-        // machine is still internally consistent and utime never rewinds.
+        pids.push(audit.spawn(&mut m, spec));
+        // Mid-run churn: flip a random live task's policy; the audit then
+        // checks the machine is still internally consistent.
         if rng.chance(0.3) {
             let target = pids[rng.uniform_u64(0, pids.len() as u64 - 1) as usize];
             m.set_policy(target, random_policy(&mut rng));
         }
-        m.assert_conservation();
-        for (idx, &pid) in pids.iter().enumerate() {
-            let now_cpu = m.cpu_time(pid);
-            assert!(
-                now_cpu >= last_cpu_seen[idx],
-                "{kind} cores={cores} seed={seed}: utime of {pid} went backwards"
-            );
-            last_cpu_seen[idx] = now_cpu;
-        }
+        audit.after_advance(&m, &ctx);
     }
     let notes = m.run_until_quiescent();
-    m.assert_conservation();
-
-    let ctx = format!("{kind} cores={cores} seed={seed}");
-    assert_eq!(
-        m.finished().len(),
-        pids.len(),
-        "{ctx}: every spawned task must finish"
-    );
-    assert_eq!(m.live_tasks(), 0, "{ctx}: machine must quiesce empty");
-    let unique: BTreeSet<_> = m.finished().iter().map(|f| f.pid).collect();
-    assert_eq!(unique.len(), pids.len(), "{ctx}: duplicate completions");
-    for f in m.finished() {
-        assert_eq!(
-            f.cpu_time, demand[f.pid.0 as usize],
-            "{ctx}: {} charged {} for demand {}",
-            f.pid, f.cpu_time, f.cpu_demand
-        );
-        let first = f.first_run.expect("every task has a CPU phase");
-        assert!(first >= f.arrival, "{ctx}: {} ran before arrival", f.pid);
-        assert!(
-            f.finished >= first,
-            "{ctx}: {} finished before first run",
-            f.pid
-        );
-        assert_eq!(m.proc_state(f.pid), ProcState::Dead, "{ctx}: zombie state");
-    }
-    // Every completion surfaced exactly once as a notification too.
+    audit.at_quiescence(&m, &ctx);
+    // Every completion surfaced at most once as a notification too.
     let note_finishes = notes
         .iter()
-        .filter(|n| matches!(n, sfs_repro::sched::Notification::Finished(_)))
+        .filter(|n| matches!(n, Notification::Finished(_)))
         .count();
     assert!(
         note_finishes <= pids.len(),
@@ -182,7 +144,7 @@ fn every_policy_is_deterministic() {
                 ..Default::default()
             };
             let mut m = Machine::new(params);
-            let mut rng = case_rng(kind, 4, 5150);
+            let mut rng = audit::case_rng(5150, &[kind.name(), "4"]);
             let mut t = SimTime::ZERO;
             for i in 0..40 {
                 t += SimDuration::from_micros(rng.uniform_u64(0, 2_500));
@@ -224,9 +186,17 @@ fn reference_to(m: &mut Machine, at: SimTime) -> Vec<(SimTime, Vec<String>)> {
 /// and `slow` with the one-instant-at-a-time reference in lockstep,
 /// checking after every call that both deliver the same notifications at
 /// the same instant and agree on the clock, context switches and every
-/// task's state and CPU time, and that an early return stops at an
-/// instant that notified with nothing at or before it left queued.
-fn lockstep_to(fast: &mut Machine, slow: &mut Machine, bound: SimTime, tasks: u64, ctx: &str) {
+/// task's state and CPU time, that an early return stops at an instant
+/// that notified with nothing at or before it left queued, and that
+/// `fast` passes the machine audit wherever it stops.
+fn lockstep_to(
+    fast: &mut Machine,
+    slow: &mut Machine,
+    audit: &mut MachineAudit,
+    bound: SimTime,
+    tasks: u64,
+    ctx: &str,
+) {
     let mut notes = Vec::new();
     loop {
         let at = fast.advance_until_notified(bound, &mut notes);
@@ -266,6 +236,7 @@ fn lockstep_to(fast: &mut Machine, slow: &mut Machine, bound: SimTime, tasks: u6
                 "{ctx}: {pid} cpu time"
             );
         }
+        audit.after_advance(fast, ctx);
         if at == bound {
             return;
         }
@@ -277,7 +248,10 @@ fn lockstep_to(fast: &mut Machine, slow: &mut Machine, bound: SimTime, tasks: u6
 /// controller-style wakeup, and an unbounded drain at the end), matched
 /// against the one-instant-at-a-time reference.
 fn check_advance_until_notified(kind: KernelPolicyKind, cores: usize, seed: u64, smp: SmpParams) {
-    let mut rng = case_rng(kind, cores, seed).derive("advance_until_notified");
+    let mut rng = audit::case_rng(
+        seed,
+        &[kind.name(), &cores.to_string(), "advance_until_notified"],
+    );
     let params = MachineParams {
         cores,
         kpolicy: kind,
@@ -286,18 +260,19 @@ fn check_advance_until_notified(kind: KernelPolicyKind, cores: usize, seed: u64,
     .with_smp(smp);
     let ctx = format!("{kind} cores={cores} seed={seed} smp={}", smp.balancing());
     let (mut fast, mut slow) = (Machine::new(params), Machine::new(params));
+    let mut audit = MachineAudit::default();
     let n_tasks = rng.uniform_u64(20, 60);
     let mut t = SimTime::ZERO;
     for i in 0..n_tasks {
         let gap_us = rng.uniform_u64(0, 3_000);
         if rng.chance(0.3) {
             let wake = t + SimDuration::from_micros(rng.uniform_u64(0, gap_us));
-            lockstep_to(&mut fast, &mut slow, wake, i, &ctx);
+            lockstep_to(&mut fast, &mut slow, &mut audit, wake, i, &ctx);
         }
         t += SimDuration::from_micros(gap_us);
-        lockstep_to(&mut fast, &mut slow, t, i, &ctx);
+        lockstep_to(&mut fast, &mut slow, &mut audit, t, i, &ctx);
         let spec = random_spec(&mut rng, i);
-        let pid = fast.spawn(spec.clone());
+        let pid = audit.spawn(&mut fast, spec.clone());
         assert_eq!(slow.spawn(spec), pid, "{ctx}: pid numbering");
         // A dispatch raised `FirstRun` outside any advance: the next call
         // delivers it even though no event is due.
@@ -324,9 +299,16 @@ fn check_advance_until_notified(kind: KernelPolicyKind, cores: usize, seed: u64,
         }
     }
     while fast.next_event_time().is_some() {
-        lockstep_to(&mut fast, &mut slow, SimTime::MAX, n_tasks, &ctx);
+        lockstep_to(
+            &mut fast,
+            &mut slow,
+            &mut audit,
+            SimTime::MAX,
+            n_tasks,
+            &ctx,
+        );
     }
-    assert_eq!(fast.live_tasks(), 0, "{ctx}: machine must quiesce empty");
+    audit.at_quiescence(&fast, &ctx);
 }
 
 #[test]

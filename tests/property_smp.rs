@@ -16,7 +16,14 @@
 //! * **Work conservation** — nothing is lost or double-counted: every
 //!   spawned task finishes exactly once with `cpu_time == cpu_demand`,
 //!   whatever the balancer did to it.
+//!
+//! All but "no migration when balanced" are the machine identities of
+//! `support/audit.rs`; this suite drives the balancer into them.
 
+#[path = "support/audit.rs"]
+mod audit;
+
+use audit::MachineAudit;
 use sfs_repro::sched::{
     KernelPolicyKind, Machine, MachineParams, Phase, Policy, SmpParams, TaskSpec,
 };
@@ -28,11 +35,8 @@ fn us(v: u64) -> SimDuration {
     SimDuration::from_micros(v)
 }
 
-fn case_rng(test: &str, case: u64) -> SimRng {
-    SimRng::seed_from_u64(0x5317_BA1A)
-        .derive(test)
-        .derive(&case.to_string())
-}
+/// Root seed of every case in this suite.
+const ROOT: u64 = 0x5317_BA1A;
 
 fn smp_params(rng: &mut SimRng, affinity: bool) -> SmpParams {
     SmpParams::balanced(
@@ -87,9 +91,9 @@ fn arb_tasks(rng: &mut SimRng, n: usize) -> Vec<(SimTime, TaskSpec)> {
         .collect()
 }
 
-/// Drive one randomized balancing run stepwise, auditing conservation and
-/// per-core clock monotonicity after every advance.
-fn audited_run(mut rng: SimRng, cores: usize, affinity: bool) -> (Machine, u64) {
+/// Drive one randomized balancing run stepwise, auditing the machine after
+/// every advance and at quiescence; returns the balance migrations.
+fn audited_run(mut rng: SimRng, cores: usize, affinity: bool, ctx: &str) -> u64 {
     let smp = smp_params(&mut rng, affinity);
     let params = MachineParams {
         cores,
@@ -98,14 +102,13 @@ fn audited_run(mut rng: SimRng, cores: usize, affinity: bool) -> (Machine, u64) 
     }
     .with_smp(smp);
     let mut m = Machine::new(params);
+    let mut audit = MachineAudit::default();
     let n_tasks = rng.uniform_u64(20, 60) as usize;
     let tasks = arb_tasks(&mut rng, n_tasks);
-    let n = tasks.len() as u64;
 
     // Step finer than the balance interval so every tick boundary gets its
     // own audit point.
     let step = SimDuration::from_nanos(smp.balance_interval.as_nanos() / 3 + 1);
-    let mut clocks = vec![SimTime::ZERO; cores];
     let mut pending = tasks.into_iter().peekable();
     let mut notes = Vec::new();
     let mut now = SimTime::ZERO;
@@ -115,31 +118,14 @@ fn audited_run(mut rng: SimRng, cores: usize, affinity: bool) -> (Machine, u64) 
             let (t, spec) = pending.next().unwrap();
             notes.clear();
             m.advance_into(t, &mut notes);
-            m.spawn(spec);
+            audit.spawn(&mut m, spec);
         }
         notes.clear();
         m.advance_into(now, &mut notes);
-
-        m.assert_conservation();
-        for (core, last) in clocks.iter_mut().enumerate() {
-            let c = m.core_clock(core);
-            assert!(
-                c >= *last,
-                "core {core} clock rewound: {c} < {last} at {now}"
-            );
-            *last = c;
-        }
+        audit.after_advance(&m, ctx);
     }
-    assert_eq!(m.finished().len(), n as usize, "nothing lost");
-    for t in m.finished() {
-        assert_eq!(
-            t.cpu_time, t.cpu_demand,
-            "task {} mis-accounted under migration",
-            t.label
-        );
-    }
-    let migrations = m.balance_migrations();
-    (m, migrations)
+    audit.at_quiescence(&m, ctx);
+    m.balance_migrations()
 }
 
 #[test]
@@ -148,9 +134,14 @@ fn conservation_and_clock_monotonicity_under_balancing() {
     for &cores in &CORE_COUNTS {
         for (a, &affinity) in [false, true].iter().enumerate() {
             for case in 0..4 {
-                let rng = case_rng(&format!("audited_c{cores}_a{a}"), case);
-                let (_, migrations) = audited_run(rng, cores, affinity);
-                migrations_seen += migrations;
+                let label = format!("audited_c{cores}_a{a}");
+                let ctx = format!("{label} case {case}");
+                migrations_seen += audited_run(
+                    audit::case_rng(ROOT, &[&label, &case.to_string()]),
+                    cores,
+                    affinity,
+                    &ctx,
+                );
             }
         }
     }
@@ -166,7 +157,8 @@ fn conservation_and_clock_monotonicity_under_balancing() {
 fn perfectly_balanced_load_never_migrates() {
     for &cores in &CORE_COUNTS {
         for case in 0..4 {
-            let mut rng = case_rng(&format!("balanced_c{cores}"), case);
+            let mut rng =
+                audit::case_rng(ROOT, &[&format!("balanced_c{cores}"), &case.to_string()]);
             let affinity = rng.chance(0.5);
             let smp = smp_params(&mut rng, affinity);
             let params = MachineParams {
@@ -176,21 +168,19 @@ fn perfectly_balanced_load_never_migrates() {
             }
             .with_smp(smp);
             let mut m = Machine::new(params);
+            let mut audit = MachineAudit::default();
+            let ctx = format!("balanced cores={cores} case={case}");
             // Identical pure-CPU tasks, an exact multiple of the core
             // count, all arriving at t=0: placement spreads them evenly
             // and they stay even forever.
             let per_core = rng.uniform_u64(2, 5);
             let burst = us(rng.uniform_u64(1_000, 10_000));
             for i in 0..per_core * cores as u64 {
-                m.spawn(TaskSpec::cpu(i, burst));
+                audit.spawn(&mut m, TaskSpec::cpu(i, burst));
             }
             m.run_until_quiescent();
-            assert_eq!(
-                m.balance_migrations(),
-                0,
-                "even load migrated (cores={cores}, case={case})"
-            );
-            assert_eq!(m.finished().len() as u64, per_core * cores as u64);
+            audit.at_quiescence(&m, &ctx);
+            assert_eq!(m.balance_migrations(), 0, "{ctx}: even load migrated");
         }
     }
 }
@@ -202,7 +192,8 @@ fn affinity_cost_never_changes_what_completes() {
     // set with identical per-task CPU accounting.
     for &cores in &CORE_COUNTS {
         for case in 0..3 {
-            let mut wl_rng = case_rng(&format!("aff_wl_c{cores}"), case);
+            let mut wl_rng =
+                audit::case_rng(ROOT, &[&format!("aff_wl_c{cores}"), &case.to_string()]);
             let tasks = arb_tasks(&mut wl_rng, 30);
             let run = |aff: SimDuration| {
                 let smp = SmpParams::balanced(us(700), us(100), aff);
@@ -213,11 +204,15 @@ fn affinity_cost_never_changes_what_completes() {
                 }
                 .with_smp(smp);
                 let mut m = Machine::new(params);
+                let mut audit = MachineAudit::default();
+                let ctx = format!("aff_wl_c{cores} case {case} affinity {aff}");
                 for (t, spec) in tasks.clone() {
                     m.advance_to(t);
-                    m.spawn(spec);
+                    audit.after_advance(&m, &ctx);
+                    audit.spawn(&mut m, spec);
                 }
                 m.run_until_quiescent();
+                audit.at_quiescence(&m, &ctx);
                 let mut labels: Vec<(u64, SimDuration)> =
                     m.finished().iter().map(|t| (t.label, t.cpu_time)).collect();
                 labels.sort_unstable();
