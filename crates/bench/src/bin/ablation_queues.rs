@@ -14,8 +14,7 @@ use sfs_workload::WorkloadSpec;
 const CORES: usize = 16;
 
 fn main() {
-    let n = sfs_bench::n_requests(10_000);
-    let seed = sfs_bench::seed();
+    let (n, seed, threads) = sfs_bench::knobs(10_000, None);
     banner(
         "Ablation",
         "global queue vs per-worker queues @90% load",
@@ -35,7 +34,7 @@ fn main() {
     sweep.scenario("per-worker queues", move |_| {
         run_sfs(SfsConfig::new(CORES).per_worker_queues(), CORES, &gen())
     });
-    let results = sweep.run();
+    let results = sweep.run_with_threads(threads);
     let (global, per) = (&results[0].value, &results[1].value);
 
     let g = turnarounds_ms(&global.outcomes);

@@ -12,8 +12,7 @@ use sfs_workload::{WorkloadSpec, TABLE1};
 const CORES: usize = 16;
 
 fn main() {
-    let n = sfs_bench::n_requests(20_000);
-    let seed = sfs_bench::seed();
+    let (n, seed, threads) = sfs_bench::knobs(20_000, None);
     banner(
         "Breakdown",
         "SFS vs CFS speedup per Table-I duration bucket",
@@ -37,7 +36,7 @@ fn main() {
         let w = gen();
         (run_factory(&Baseline::Cfs, CORES, &w).outcomes, Some(w))
     });
-    let results = sweep.run();
+    let results = sweep.run_with_threads(threads);
     let (sfs, cfs) = (&results[0].value.0, &results[1].value.0);
     let w = results[1]
         .value

@@ -23,7 +23,7 @@
 use sfs_bench::{banner, save, section};
 use sfs_faas::{Cluster, ClusterRun, Placement};
 use sfs_metrics::MarkdownTable;
-use sfs_simcore::{parallel, Samples, SimDuration, SimTime};
+use sfs_simcore::{Samples, SimDuration, SimTime};
 use sfs_workload::{Workload, WorkloadSpec, LONG_THRESHOLD_MS};
 
 const CORES_PER_HOST: usize = 8;
@@ -112,9 +112,8 @@ fn workload_for(hosts: usize, n64: usize, load: f64, seed: u64) -> Workload {
 }
 
 fn main() {
-    let threads = parse_threads();
-    let n64 = sfs_bench::n_requests(200_000);
-    let seed = sfs_bench::seed();
+    let flag = sfs_bench::threads_flag("cluster_scale", "host-simulation worker threads");
+    let (n64, seed, threads) = sfs_bench::knobs(200_000, flag);
     banner(
         "cluster_scale",
         "hosts x placement x load on the live-dispatch cluster",
@@ -195,36 +194,4 @@ fn main() {
          at fixed per-host pressure is the multi-server scaling the paper's\n\
          §VIII-A sketch asks for."
     );
-}
-
-/// `--threads N` beats `SFS_BENCH_THREADS`, which beats the core count.
-fn parse_threads() -> usize {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let mut threads = None;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threads" | "-t" => {
-                let v = args.get(i + 1).cloned().unwrap_or_default();
-                match v.parse::<usize>() {
-                    Ok(t) if t >= 1 => threads = Some(t),
-                    _ => {
-                        eprintln!("cluster_scale: --threads needs a positive integer, got {v:?}");
-                        std::process::exit(2);
-                    }
-                }
-                i += 2;
-            }
-            "--help" | "-h" => {
-                println!("usage: cluster_scale [--threads N]");
-                println!("  --threads N   host-simulation worker threads (default: autodetect)");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("cluster_scale: unknown argument {other:?} (try --help)");
-                std::process::exit(2);
-            }
-        }
-    }
-    threads.unwrap_or_else(parallel::default_threads)
 }

@@ -22,8 +22,7 @@ fn fmt_mean(mean: Option<f64>) -> String {
 }
 
 fn main() {
-    let n = sfs_bench::n_requests(10_000);
-    let seed = sfs_bench::seed();
+    let (n, seed, threads) = sfs_bench::knobs(10_000, None);
     banner(
         "Extension: cluster",
         "global long-function offloading across SFS hosts",
@@ -47,7 +46,7 @@ fn main() {
             cluster.run_with_threads(p, &cluster.sfs, &w, 1)
         });
     }
-    let results = sweep.run();
+    let results = sweep.run_with_threads(threads);
 
     let mut table = MarkdownTable::new(&[
         "placement",

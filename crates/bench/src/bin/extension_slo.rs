@@ -15,8 +15,7 @@ const CORES: usize = 16;
 const BASELINES: [Baseline; 4] = [Baseline::Srtf, Baseline::Cfs, Baseline::Rr, Baseline::Fifo];
 
 fn main() {
-    let n = sfs_bench::n_requests(10_000);
-    let seed = sfs_bench::seed();
+    let (n, seed, threads) = sfs_bench::knobs(10_000, None);
     banner(
         "Extension: SLO",
         "paper-proposed SLO attainment by scheduler",
@@ -43,7 +42,7 @@ fn main() {
             });
         }
     }
-    let results = sweep.run();
+    let results = sweep.run_with_threads(threads);
 
     let mut table = MarkdownTable::new(&[
         "scheduler",

@@ -11,8 +11,7 @@ use sfs_simcore::SimRng;
 use sfs_workload::azure;
 
 fn main() {
-    let n = sfs_bench::n_requests(100_000);
-    let seed = sfs_bench::seed();
+    let (n, seed, threads) = sfs_bench::knobs(100_000, None);
     banner("Fig. 1", "CDF of Azure function durations", n, seed);
 
     // A single scenario: population sampling is the whole experiment.
@@ -21,7 +20,7 @@ fn main() {
         let mut rng = SimRng::seed_from_u64(seed);
         azure::sample_population(n, &mut rng)
     });
-    let mut pop = sweep.run().remove(0).value;
+    let mut pop = sweep.run_with_threads(threads).remove(0).value;
 
     section("paper checkpoints (§IV-A)");
     let mut t = MarkdownTable::new(&["duration", "paper CDF", "measured CDF"]);

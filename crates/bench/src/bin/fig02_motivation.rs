@@ -16,8 +16,7 @@ const CORES: usize = 12;
 const BASELINES: [Baseline; 4] = [Baseline::Srtf, Baseline::Cfs, Baseline::Fifo, Baseline::Rr];
 
 fn main() {
-    let n = sfs_bench::n_requests(49_712);
-    let seed = sfs_bench::seed();
+    let (n, seed, threads) = sfs_bench::knobs(49_712, None);
     banner(
         "Fig. 2",
         "Linux schedulers vs SRTF vs IDEAL on 12 cores",
@@ -49,7 +48,7 @@ fn main() {
             .run();
         (1.0, run.outcomes)
     });
-    let results = sweep.run();
+    let results = sweep.run_with_threads(threads);
 
     let mut duration_report = CdfReport::new("duration_ms");
     let mut rte_report = CdfReport::new("rte");

@@ -16,8 +16,7 @@ const CORES: usize = 16;
 const LOADS: [f64; 5] = [0.5, 0.65, 0.8, 0.9, 1.0];
 
 fn main() {
-    let n = sfs_bench::n_requests(10_000);
-    let seed = sfs_bench::seed();
+    let (n, seed, threads) = sfs_bench::knobs(10_000, None);
     banner(
         "Fig. 6-8",
         "standalone SFS vs CFS across loads (16 vCPUs)",
@@ -41,7 +40,7 @@ fn main() {
             run_factory(&Baseline::Cfs, CORES, &gen()).outcomes
         });
     }
-    let results = sweep.run();
+    let results = sweep.run_with_threads(threads);
 
     let mut dur_report = CdfReport::new("duration_ms");
     let mut rte_report = CdfReport::new("rte");

@@ -12,8 +12,7 @@ use sfs_workload::WorkloadSpec;
 const CORES: usize = 16;
 
 fn main() {
-    let n = sfs_bench::n_requests(10_000);
-    let seed = sfs_bench::seed();
+    let (n, seed, threads) = sfs_bench::knobs(10_000, None);
     banner(
         "Fig. 9",
         "adaptive vs fixed FILTER time slices @80% load",
@@ -42,7 +41,7 @@ fn main() {
             run_sfs(cfg, CORES, &w)
         });
     }
-    let results = sweep.run();
+    let results = sweep.run_with_threads(threads);
 
     let mut report = CdfReport::new("duration_ms");
     let mut chart: Vec<(String, Vec<f64>)> = Vec::new();

@@ -12,8 +12,7 @@ use sfs_workload::{IatSpec, Spike, WorkloadSpec};
 const CORES: usize = 16;
 
 fn main() {
-    let n = sfs_bench::n_requests(10_000);
-    let seed = sfs_bench::seed();
+    let (n, seed, threads) = sfs_bench::knobs(10_000, None);
     banner("Fig. 10", "time-slice adaptation timeline vs IAT", n, seed);
 
     // A bursty arrival process makes the adaptation visible (the paper's
@@ -29,7 +28,7 @@ fn main() {
         let w = spec.with_load(CORES, 0.8).generate();
         run_sfs(SfsConfig::new(CORES), CORES, &w)
     });
-    let r = sweep.run().remove(0).value;
+    let r = sweep.run_with_threads(threads).remove(0).value;
 
     section(&format!(
         "slice recalculations: {} (every 100 arrivals)",

@@ -15,8 +15,7 @@ use sfs_workload::WorkloadSpec;
 const CORES: usize = 16;
 
 fn main() {
-    let n = sfs_bench::n_requests(10_000);
-    let seed = sfs_bench::seed();
+    let (n, seed, threads) = sfs_bench::knobs(10_000, None);
     banner(
         "Fig. 11",
         "I/O handling: polling intervals vs oblivious",
@@ -53,7 +52,7 @@ fn main() {
     for (label, cfg) in variants {
         sweep.scenario(label, move |_| run_sfs(cfg, CORES, &gen()));
     }
-    let results = sweep.run();
+    let results = sweep.run_with_threads(threads);
 
     let mut report = CdfReport::new("duration_ms");
     let mut chart: Vec<(String, Vec<f64>)> = Vec::new();

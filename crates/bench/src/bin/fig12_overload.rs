@@ -14,8 +14,7 @@ use sfs_workload::{IatSpec, Spike, WorkloadSpec};
 const CORES: usize = 16;
 
 fn main() {
-    let n = sfs_bench::n_requests(10_000);
-    let seed = sfs_bench::seed();
+    let (n, seed, threads) = sfs_bench::knobs(10_000, None);
     banner(
         "Fig. 12",
         "hybrid overload handling under 5 arrival spikes",
@@ -38,7 +37,7 @@ fn main() {
     sweep.scenario("SFS w/o hybrid", move |_| {
         run_sfs(SfsConfig::new(CORES).without_hybrid(), CORES, &gen())
     });
-    let results = sweep.run();
+    let results = sweep.run_with_threads(threads);
     let (hybrid, pure) = (&results[0].value, &results[1].value);
 
     section("Fig. 12(a) queuing delay timeline (s)");

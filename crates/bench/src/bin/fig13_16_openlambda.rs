@@ -41,8 +41,7 @@ fn gen(n: usize, seed: u64, load: f64) -> sfs_workload::Workload {
 }
 
 fn main() {
-    let n = sfs_bench::n_requests(10_000);
-    let seed = sfs_bench::seed();
+    let (n, seed, threads) = sfs_bench::knobs(10_000, None);
     banner(
         "Fig. 13-16",
         "OpenLambda end-to-end, 72 cores, fib+md+sa",
@@ -61,7 +60,7 @@ fn main() {
             ol.run(&Baseline::Cfs, CORES, &gen(n, seed, load))
         });
     }
-    let results = sweep.run();
+    let results = sweep.run_with_threads(threads);
 
     let mut dur_report = CdfReport::new("duration_ms");
     let mut rte_report = CdfReport::new("rte");

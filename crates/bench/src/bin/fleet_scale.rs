@@ -24,7 +24,7 @@
 use sfs_bench::{banner, save, section};
 use sfs_faas::{FaultSpec, Fleet, FleetRun, Placement};
 use sfs_metrics::MarkdownTable;
-use sfs_simcore::{parallel, SimDuration, SimTime};
+use sfs_simcore::{SimDuration, SimTime};
 use sfs_workload::{Workload, WorkloadSpec};
 
 const CORES_PER_HOST: usize = 4;
@@ -123,9 +123,8 @@ fn workload_for(regions: usize, hosts: usize, n_full: usize, load: f64, seed: u6
 }
 
 fn main() {
-    let threads = parse_threads();
-    let n_full = sfs_bench::n_requests(100_000);
-    let seed = sfs_bench::seed();
+    let flag = sfs_bench::threads_flag("fleet_scale", "unit-simulation worker threads");
+    let (n_full, seed, threads) = sfs_bench::knobs(100_000, flag);
     banner(
         "fleet_scale",
         "regions x placement x faults on the multi-region fleet",
@@ -218,36 +217,4 @@ fn main() {
          re-dispatches (bounded by the budget) rather than silent loss.\n\
          All of it is bit-identical at any --threads value."
     );
-}
-
-/// `--threads N` beats `SFS_BENCH_THREADS`, which beats the core count.
-fn parse_threads() -> usize {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let mut threads = None;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threads" | "-t" => {
-                let v = args.get(i + 1).cloned().unwrap_or_default();
-                match v.parse::<usize>() {
-                    Ok(t) if t >= 1 => threads = Some(t),
-                    _ => {
-                        eprintln!("fleet_scale: --threads needs a positive integer, got {v:?}");
-                        std::process::exit(2);
-                    }
-                }
-                i += 2;
-            }
-            "--help" | "-h" => {
-                println!("usage: fleet_scale [--threads N]");
-                println!("  --threads N   unit-simulation worker threads (default: autodetect)");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("fleet_scale: unknown argument {other:?} (try --help)");
-                std::process::exit(2);
-            }
-        }
-    }
-    threads.unwrap_or_else(parallel::default_threads)
 }

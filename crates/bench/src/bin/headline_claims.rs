@@ -15,8 +15,7 @@ use sfs_workload::WorkloadSpec;
 const CORES: usize = 16;
 
 fn main() {
-    let n = sfs_bench::n_requests(49_712);
-    let seed = sfs_bench::seed();
+    let (n, seed, threads) = sfs_bench::knobs(49_712, None);
     banner(
         "Headline",
         "83% improved 49.6x / 17% run 1.29x longer",
@@ -36,7 +35,7 @@ fn main() {
     sweep.scenario("CFS", move |_| {
         run_factory(&Baseline::Cfs, CORES, &gen()).outcomes
     });
-    let results = sweep.run();
+    let results = sweep.run_with_threads(threads);
     let (sfs, cfs) = (&results[0].value, &results[1].value);
 
     let pairs: Vec<Paired> = sfs

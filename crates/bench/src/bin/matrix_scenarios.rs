@@ -65,8 +65,7 @@ impl ControllerFactory for NewPolicy {
 }
 
 fn main() {
-    let n = sfs_bench::n_requests(10_000);
-    let seed = sfs_bench::seed();
+    let (n, seed, threads) = sfs_bench::knobs(10_000, None);
     banner(
         "Matrix",
         "SFS vs CFS on diurnal / correlated-burst / cold-start workloads",
@@ -94,7 +93,7 @@ fn main() {
             }
         });
     }
-    let results = sweep.run();
+    let results = sweep.run_with_threads(threads);
 
     let mut pct = PercentileTable::new();
     let mut summary = MarkdownTable::new(&[
@@ -170,7 +169,7 @@ fn main() {
             });
         }
     }
-    let presults = psweep.run();
+    let presults = psweep.run_with_threads(threads);
 
     let mut ptable = MarkdownTable::new(&[
         "policy / family",
@@ -238,7 +237,7 @@ fn main() {
             });
         }
     }
-    let sresults = ssweep.run();
+    let sresults = ssweep.run_with_threads(threads);
 
     let mut stable = MarkdownTable::new(&[
         "policy / cores",

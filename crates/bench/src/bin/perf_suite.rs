@@ -31,9 +31,14 @@ use std::process::ExitCode;
 use sfs_bench::perf::{self, BenchReport};
 use sfs_bench::timebench::fmt_ns;
 
-fn perf_requests() -> usize {
-    let v = std::env::var("SFS_PERF_REQUESTS").ok();
-    sfs_bench::parse_env_override("SFS_PERF_REQUESTS", v.as_deref(), 2_000)
+/// `SFS_PERF_REQUESTS`, `SFS_PERF_LARGE_REQUESTS` and `SFS_BENCH_SEED`, or
+/// the message naming a malformed one.
+fn scale() -> Result<(usize, usize, u64), String> {
+    Ok((
+        sfs_bench::env_knob("SFS_PERF_REQUESTS", 2_000)?,
+        sfs_bench::env_knob("SFS_PERF_LARGE_REQUESTS", perf::LARGE_REQUESTS)?,
+        sfs_bench::env_knob("SFS_BENCH_SEED", sfs_bench::DEFAULT_SEED)?,
+    ))
 }
 
 struct Args {
@@ -90,21 +95,17 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let n = perf_requests();
-    let seed = sfs_bench::seed();
+    let (n, large, seed) = scale().unwrap_or_else(|e| sfs_bench::usage_exit(&e));
     println!("== perf_suite: simulator performance matrix");
     println!("   requests={n} seed={seed:#x} (SFS_PERF_REQUESTS / SFS_BENCH_SEED to override)");
-    println!(
-        "   large-run scale={} (SFS_PERF_LARGE_REQUESTS to override)",
-        perf::large_requests()
-    );
+    println!("   large-run scale={large} (SFS_PERF_LARGE_REQUESTS to override)");
     println!();
     println!(
         "{:<24} {:>12} {:>12} {:>12} {:>16}",
         "scenario", "median/item", "p10", "p90", "throughput"
     );
 
-    let mut scenarios = perf::suite(n, seed);
+    let mut scenarios = perf::suite(n, large, seed);
     if let Some(ref pat) = args.filter {
         scenarios.retain(|s| s.name.contains(pat.as_str()));
         if scenarios.is_empty() {

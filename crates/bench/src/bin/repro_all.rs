@@ -45,7 +45,10 @@ const EXTRAS: [&str; 8] = [
 ];
 
 fn main() {
-    let threads = parse_threads();
+    // Every harness reads the scale itself; reading it here too makes a
+    // malformed knob one usage error instead of a failure per harness.
+    let flag = sfs_bench::threads_flag("repro_all", "sweep worker threads per harness");
+    let (_, _, threads) = sfs_bench::knobs(0, flag);
     let me = std::env::current_exe().expect("own path");
     let dir = me.parent().expect("target dir").to_path_buf();
     let mut failures = Vec::new();
@@ -93,36 +96,4 @@ fn main() {
         std::process::exit(1);
     }
     println!("CSV outputs are under results/.");
-}
-
-/// `--threads N` beats `SFS_BENCH_THREADS`, which beats the core count.
-fn parse_threads() -> usize {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut threads = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threads" | "-t" => {
-                let v = args.get(i + 1).cloned().unwrap_or_default();
-                match v.parse::<usize>() {
-                    Ok(t) if t >= 1 => threads = Some(t),
-                    _ => {
-                        eprintln!("repro_all: --threads needs a positive integer, got {v:?}");
-                        std::process::exit(2);
-                    }
-                }
-                i += 2;
-            }
-            "--help" | "-h" => {
-                println!("usage: repro_all [--threads N]");
-                println!("  --threads N   sweep worker threads per harness (default: autodetect)");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("repro_all: unknown argument {other:?} (try --help)");
-                std::process::exit(2);
-            }
-        }
-    }
-    threads.unwrap_or_else(sfs_simcore::parallel::default_threads)
 }

@@ -12,8 +12,7 @@ const CORES: usize = 16;
 const WINDOWS: [usize; 4] = [10, 50, 100, 500];
 
 fn main() {
-    let n = sfs_bench::n_requests(10_000);
-    let seed = sfs_bench::seed();
+    let (n, seed, threads) = sfs_bench::knobs(10_000, None);
     banner("Sensitivity", "IAT window length N sweep", n, seed);
 
     let gen = move || {
@@ -32,7 +31,7 @@ fn main() {
             run_sfs(cfg, CORES, &gen())
         });
     }
-    let results = sweep.run();
+    let results = sweep.run_with_threads(threads);
 
     let mut t = PercentileTable::new();
     section("per-window-length results");

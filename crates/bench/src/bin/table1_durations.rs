@@ -7,8 +7,7 @@ use sfs_simcore::SimRng;
 use sfs_workload::{Table1Sampler, TABLE1};
 
 fn main() {
-    let n = sfs_bench::n_requests(200_000);
-    let seed = sfs_bench::seed();
+    let (n, seed, threads) = sfs_bench::knobs(200_000, None);
     banner(
         "Table I",
         "duration-range probabilities and fib N mapping",
@@ -27,7 +26,7 @@ fn main() {
         }
         counts
     });
-    let counts = sweep.run().remove(0).value;
+    let counts = sweep.run_with_threads(threads).remove(0).value;
     let total_w: f64 = TABLE1.iter().map(|b| b.probability_pct).sum();
 
     let mut t = MarkdownTable::new(&[

@@ -20,8 +20,7 @@ use sfs_workload::WorkloadSpec;
 const CORES: usize = 72;
 
 fn main() {
-    let n = sfs_bench::n_requests(10_000);
-    let seed = sfs_bench::seed();
+    let (n, seed, threads) = sfs_bench::knobs(10_000, None);
     banner(
         "Table II",
         "SFS CPU overhead by polling interval (72 cores)",
@@ -45,7 +44,7 @@ fn main() {
             run_sfs(cfg, CORES, &w)
         });
     }
-    let results = sweep.run();
+    let results = sweep.run_with_threads(threads);
 
     let mut t = MarkdownTable::new(&[
         "interval",

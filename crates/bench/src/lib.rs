@@ -11,7 +11,8 @@
 //!
 //! Scale knobs come from the environment so CI and laptops can downsize:
 //! `SFS_BENCH_REQUESTS` (default figure-specific), `SFS_BENCH_SEED`,
-//! `SFS_BENCH_THREADS` (wall-clock only — never the numbers).
+//! `SFS_BENCH_THREADS` (wall-clock only — never the numbers). Each binary
+//! reads them in `main` ([`knobs`]) and exits 2 naming a malformed one.
 
 #![warn(missing_docs)]
 
@@ -41,29 +42,81 @@ pub fn run_factory(f: &dyn ControllerFactory, cores: usize, w: &Workload) -> Run
     f.run_on(cores, w)
 }
 
-/// Parse a scale-knob override, treating an unparsable value as a hard
-/// error instead of silently running the default scale. `value` is the raw
-/// environment value (`None` = unset → `default`); `name` is only for the
-/// error message. Pure in its inputs so tests never race on process-global
-/// environment state.
-pub fn parse_env_override<T: std::str::FromStr>(name: &str, value: Option<&str>, default: T) -> T {
+/// Seed of every harness unless `SFS_BENCH_SEED` overrides it.
+pub const DEFAULT_SEED: u64 = 0x5F5_2022;
+
+/// The rule for a scale knob: `raw`, the setting of the variable `name` as
+/// [`std::env::var`] reads it, as any `T` that parses (`default` when
+/// unset), else the message naming `name` and the value. Pure in its
+/// inputs, so tests never race on the process environment.
+pub fn parse_env_override<T: std::str::FromStr>(
+    name: &str,
+    raw: Result<String, std::env::VarError>,
+    default: T,
+) -> Result<T, String> {
     let what = format!("a valid {}", std::any::type_name::<T>());
-    sfs_simcore::env::parse_override(name, value, default, &what, |_| true)
+    sfs_simcore::env::parse_override(name, raw, default, &what, |_| true)
 }
 
-/// Number of requests for a harness, overridable via `SFS_BENCH_REQUESTS`.
-/// A malformed override aborts (so a typo can't silently run — and report —
-/// the default scale).
-pub fn n_requests(default: usize) -> usize {
-    let v = std::env::var("SFS_BENCH_REQUESTS").ok();
-    parse_env_override("SFS_BENCH_REQUESTS", v.as_deref(), default)
+/// [`parse_env_override`] of the variable `name` in this process's
+/// environment.
+pub fn env_knob<T: std::str::FromStr>(name: &str, default: T) -> Result<T, String> {
+    parse_env_override(name, std::env::var(name), default)
 }
 
-/// Experiment seed, overridable via `SFS_BENCH_SEED`. A malformed override
-/// aborts rather than silently pinning the default seed.
-pub fn seed() -> u64 {
-    let v = std::env::var("SFS_BENCH_SEED").ok();
-    parse_env_override("SFS_BENCH_SEED", v.as_deref(), 0x5F5_2022)
+/// A harness's scale as `(requests, seed, threads)`: `SFS_BENCH_REQUESTS`
+/// (else `requests`), `SFS_BENCH_SEED` (else [`DEFAULT_SEED`]) and the
+/// sweep worker count — `threads` from a `--threads` flag, which beats
+/// `SFS_BENCH_THREADS` (then not read), which beats the available
+/// parallelism; threads buy wall-clock only, never the numbers. A harness
+/// reads it in `main`, and a malformed value exits 2 naming the variable
+/// and the value ([`usage_exit`]).
+pub fn knobs(requests: usize, threads: Option<usize>) -> (usize, u64, usize) {
+    let read = || -> Result<_, String> {
+        Ok((
+            env_knob("SFS_BENCH_REQUESTS", requests)?,
+            env_knob("SFS_BENCH_SEED", DEFAULT_SEED)?,
+            threads.map_or_else(sfs_simcore::parallel::try_default_threads, Ok)?,
+        ))
+    };
+    read().unwrap_or_else(|e| usage_exit(&e))
+}
+
+/// Exit 2 with `msg` on stderr: how a harness reports a malformed flag or
+/// `SFS_*` value, as the `sfs` CLI does.
+pub fn usage_exit(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
+}
+
+/// The `--threads N` (or `-t N`) flag of a harness whose only argument it
+/// is; `--help` prints the usage, naming `what` the threads run, and exits
+/// 0. A malformed or unknown argument exits 2 naming it.
+pub fn threads_flag(program: &str, what: &str) -> Option<usize> {
+    let mut args = std::env::args().skip(1);
+    let mut threads = None;
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--threads" | "-t" => {
+                let v = args.next().unwrap_or_default();
+                match v.parse::<usize>() {
+                    Ok(t) if t >= 1 => threads = Some(t),
+                    _ => usage_exit(&format!(
+                        "{program}: --threads needs a positive integer, got {v:?}"
+                    )),
+                }
+            }
+            "--help" | "-h" => {
+                println!("usage: {program} [--threads N]");
+                println!("  --threads N   {what} (default: autodetect)");
+                std::process::exit(0);
+            }
+            other => usage_exit(&format!(
+                "{program}: unknown argument {other:?} (try --help)"
+            )),
+        }
+    }
+    threads
 }
 
 /// Peak resident-set size of this process in bytes (`VmHWM` from
@@ -178,33 +231,35 @@ mod tests {
 
     #[test]
     fn env_overrides_parse() {
-        // No env set in tests: defaults pass through.
-        assert_eq!(n_requests(1234), 1234);
-        assert_eq!(seed(), 0x5F5_2022);
+        // No env set in tests: defaults pass through, and a --threads
+        // value stands in for SFS_BENCH_THREADS.
+        assert_eq!(knobs(1234, Some(3)), (1234, DEFAULT_SEED, 3));
+    }
+
+    fn set(v: &str) -> Result<String, std::env::VarError> {
+        Ok(v.to_string())
     }
 
     #[test]
     fn env_overrides_accept_valid_values() {
         assert_eq!(
-            parse_env_override("SFS_BENCH_REQUESTS", Some("5000"), 1234usize),
-            5000
+            parse_env_override("SFS_BENCH_REQUESTS", set("5000"), 1234usize),
+            Ok(5000)
         );
         assert_eq!(
-            parse_env_override("SFS_BENCH_SEED", Some("42"), 0x5F5_2022u64),
-            42
+            parse_env_override("SFS_BENCH_SEED", set("42"), DEFAULT_SEED),
+            Ok(42)
         );
-        assert_eq!(parse_env_override("SFS_BENCH_SEED", None, 7u64), 7);
+        let unset = Err(std::env::VarError::NotPresent);
+        assert_eq!(parse_env_override("SFS_BENCH_SEED", unset, 7u64), Ok(7));
     }
 
     #[test]
     fn malformed_requests_override_is_a_hard_error() {
         // Regression: "20O0" (typo'd zero) used to silently run — and
         // banner — the default scale.
-        let err = std::panic::catch_unwind(|| {
-            parse_env_override("SFS_BENCH_REQUESTS", Some("20O0"), 2000usize)
-        })
-        .expect_err("malformed SFS_BENCH_REQUESTS must abort");
-        let msg = err.downcast_ref::<String>().expect("panic message");
+        let msg = parse_env_override("SFS_BENCH_REQUESTS", set("20O0"), 2000usize)
+            .expect_err("malformed SFS_BENCH_REQUESTS must be refused");
         assert!(
             msg.contains("SFS_BENCH_REQUESTS"),
             "names the variable: {msg}"
@@ -214,10 +269,8 @@ mod tests {
 
     #[test]
     fn malformed_seed_override_is_a_hard_error() {
-        let err =
-            std::panic::catch_unwind(|| parse_env_override("SFS_BENCH_SEED", Some("0xlol"), 0u64))
-                .expect_err("malformed SFS_BENCH_SEED must abort");
-        let msg = err.downcast_ref::<String>().expect("panic message");
+        let msg = parse_env_override("SFS_BENCH_SEED", set("0xlol"), 0u64)
+            .expect_err("malformed SFS_BENCH_SEED must be refused");
         assert!(msg.contains("SFS_BENCH_SEED"), "names the variable: {msg}");
         assert!(msg.contains("0xlol"), "names the bad value: {msg}");
     }

@@ -105,13 +105,10 @@ fn sim_cfg() -> MeasureConfig {
 /// Cores used by the single-host `sim/` scenarios.
 const SIM_CORES: usize = 4;
 
-/// Scale of the `sim/sfs_azure_10m` streaming scenario:
-/// `SFS_PERF_LARGE_REQUESTS`, default 10M. CI overrides with a reduced
-/// scale (the scenario's point is that ns/req is flat in the scale).
-pub fn large_requests() -> usize {
-    let v = std::env::var("SFS_PERF_LARGE_REQUESTS").ok();
-    crate::parse_env_override("SFS_PERF_LARGE_REQUESTS", v.as_deref(), 10_000_000)
-}
+/// Default scale of the `sim/sfs_azure_10m` streaming scenario, which
+/// `SFS_PERF_LARGE_REQUESTS` overrides. CI runs a reduced scale (the
+/// scenario's point is that ns/req is flat in the scale).
+pub const LARGE_REQUESTS: usize = 10_000_000;
 /// Requests per iteration of the `micro/sfs_dispatch` burst (fixed so the
 /// microbenchmarks are comparable across `SFS_PERF_REQUESTS` scales).
 const DISPATCH_BURST: usize = 512;
@@ -171,13 +168,14 @@ fn cfs_window_machine() -> Machine {
     m
 }
 
-/// The fixed scenario matrix at `requests` scale rooted at `seed`.
+/// The fixed scenario matrix at `requests` scale rooted at `seed`, with
+/// `large_requests` sizing `sim/sfs_azure_10m`.
 ///
 /// `sim/` scenarios measure whole simulation runs (ns per request);
 /// `micro/` scenarios measure the hot loops the PR-5 overhaul targets
 /// (ns per operation): the CFS pick path at two occupancies and the SFS
 /// dispatch path under an overload burst.
-pub fn suite(requests: usize, seed: u64) -> Vec<PerfScenario> {
+pub fn suite(requests: usize, large_requests: usize, seed: u64) -> Vec<PerfScenario> {
     let mut v: Vec<PerfScenario> = Vec::new();
     // `requests` is shadowed by the dispatch microbenchmark's request pool
     // below; scenarios defined after it use this copy.
@@ -400,8 +398,9 @@ pub fn suite(requests: usize, seed: u64) -> Vec<PerfScenario> {
             i += 1;
             // Advance a tick (tiny against the pool's day-long CPU phases,
             // so the machine stays quiescent) and fire due controller
-            // timers, keeping the cycle stationary: every slice timer the
-            // promotion below arms eventually pops as a stale no-op.
+            // timers, keeping the cycle stationary: the slice timer the
+            // promotion below arms is freed with its worker by the
+            // completion, so none is ever due.
             now += SimDuration::from_micros(500);
             machine.advance_to(now);
             let mut view = MachineView::new(&mut machine, &mut actions);
@@ -568,12 +567,11 @@ pub fn suite(requests: usize, seed: u64) -> Vec<PerfScenario> {
     // carries the generator; staying within ~1.3x of sim/sfs_azure is the
     // flat-scaling guarantee this scenario locks. One iteration is a whole
     // run (tens of seconds at full scale), so batches are few.
-    let large_n = large_requests();
-    let spec_large = WorkloadSpec::azure_sampled(large_n, seed).with_load(SIM_CORES, 0.9);
+    let spec_large = WorkloadSpec::azure_sampled(large_requests, seed).with_load(SIM_CORES, 0.9);
     let sfs_stream = SfsConfig::new(SIM_CORES).without_series();
     v.push(PerfScenario {
         name: "sim/sfs_azure_10m",
-        items: large_n as u64,
+        items: large_requests as u64,
         cfg: MeasureConfig {
             batch_target: Duration::from_millis(30),
             batches: 3,
@@ -583,7 +581,7 @@ pub fn suite(requests: usize, seed: u64) -> Vec<PerfScenario> {
             let run = Sim::on(MachineParams::linux(SIM_CORES))
                 .controller(SfsController::new(sfs_stream))
                 .run_streaming(spec_large.stream(), |o| summary.observe(&o));
-            assert_eq!(run.requests, large_n as u64);
+            assert_eq!(run.requests, large_requests as u64);
             std::hint::black_box(summary.turnaround_ms.count());
         }),
     });
@@ -950,7 +948,7 @@ mod tests {
 
     #[test]
     fn suite_names_are_unique_and_stable() {
-        let s = suite(16, 1);
+        let s = suite(16, 16, 1);
         let names: Vec<&str> = s.iter().map(|p| p.name).collect();
         let mut uniq = names.clone();
         uniq.sort_unstable();

@@ -27,11 +27,10 @@
 //! proactively at every poll tick, so aged requests are shed to CFS even
 //! while all workers are busy.
 
-// lint: allow(D1, slot_of_id is the hot-path id->slot map from PR 5; keyed insert/remove only, never iterated)
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use sfs_sched::{Notification, Pid, Policy, ProcState};
-use sfs_simcore::{EventQueue, SimDuration, SimTime, TimeSeries};
+use sfs_simcore::{SimDuration, SimTime, TimeSeries};
 use sfs_workload::Request;
 
 use crate::config::{QueueMode, SfsConfig};
@@ -110,21 +109,17 @@ struct Assignment {
     /// CPU time the process had consumed when this round started.
     cpu_at_start: SimDuration,
     /// When this round's slice timer fires (round start + budget): the
-    /// worker's one live timer, reported by [`Controller::next_wakeup`].
+    /// worker's one timer, freed with the round.
     expires: SimTime,
+    /// The slice timer's arming number ([`SfsController::arm`]).
+    armed: u64,
 }
 
-#[derive(Debug, Default)]
-struct Worker {
-    current: Option<Assignment>,
-    /// Invalidates stale slice-expiry events.
-    gen: u64,
-}
-
+/// A timer due now, as [`SfsController::next_due`] picks it.
 #[derive(Debug, Clone, Copy)]
-enum SfsEv {
-    /// FILTER slice timer for worker `w` (valid only at generation `gen`).
-    SliceExpiry { w: usize, gen: u64 },
+enum Timer {
+    /// Worker `w`'s FILTER slice timer.
+    Slice(usize),
     /// The periodic status-polling tick.
     Poll,
 }
@@ -133,6 +128,12 @@ enum SfsEv {
 ///
 /// Build one per run with [`SfsController::new`] and hand it to
 /// [`Sim::controller`](crate::Sim::controller).
+///
+/// Timers are plain fields, as in every controller: a busy worker's
+/// FILTER round carries its slice timer, and `poll` holds the pending
+/// status tick. Each is stamped with an arming number from one counter
+/// when it is armed, and the timers due at one instant fire lowest arming
+/// number first, the order in which they were armed.
 pub struct SfsController {
     cfg: SfsConfig,
     /// Absolute queue-delay deadline (SLO variant); `None` = paper SFS.
@@ -143,39 +144,28 @@ pub struct SfsController {
     worker_queues: Vec<VecDeque<u32>>,
     /// Round-robin cursor for per-worker assignment.
     next_rr: usize,
-    /// Per-request state slab, indexed by `pid.0` (the *slot*). The sim
-    /// spawns one process per request with densely allocated pids, so
-    /// every hot-path lookup — assign, poll, demote, completion — is a
-    /// plain vector index; the old `HashMap<u64, ReqState>` keyed by
-    /// request id plus the `HashMap<Pid, u64>` reverse map hashed twice
-    /// per touch.
+    /// Per-request state slab, indexed by `pid.0` (the *slot*), the only
+    /// request index. The sim spawns one process per request with densely
+    /// allocated pids, so every lookup — assign, poll, demote, completion,
+    /// annotation — is a plain vector index.
     states: Vec<ReqState>,
-    /// Request id → slot, consulted once per request (in
-    /// [`Controller::annotate`], which only receives the outcome id).
-    /// Audited lookups-only (simlint D1): one `insert` at spawn, one
-    /// `remove` in `annotate`; never iterated, so hash order cannot reach
-    /// any scheduling decision. A BTreeMap here would put a log-n probe on
-    /// the per-request hot path PR 5 flattened.
-    // lint: allow(D1, insert at spawn + remove in annotate only; never iterated; hot path per PR 5)
-    slot_of_id: HashMap<u64, u32>,
-    workers: Vec<Worker>,
+    /// Slot of the request whose `Finished` notification came last: the
+    /// one [`Controller::annotate`] receives next.
+    finished: Option<u32>,
+    /// Each worker's FILTER round, if it is busy. Changed only through
+    /// [`SfsController::assign`] and [`SfsController::free`].
+    workers: Vec<Option<Assignment>>,
+    /// The earliest slice expiry among busy workers, kept exact by
+    /// [`SfsController::assign`] and [`SfsController::free`].
+    earliest: Option<SimTime>,
     /// Slots blocked on I/O, awaiting wake detection by polling.
     blocked: Vec<u32>,
     /// Reusable scratch for wake detection in [`SfsController::on_poll`].
     rewoken: Vec<u32>,
-    /// Slice timers and the poll tick. A superseded slice timer stays here
-    /// until it is retired as stale; [`Controller::next_wakeup`] reports
-    /// only the live ones.
-    events: EventQueue<SfsEv>,
-    /// Reusable batch buffer for [`Controller::on_wakeup`]: every hook
-    /// first retires the events due strictly before now
-    /// ([`SfsController::catch_up`]), and every SFS handler schedules
-    /// strictly future events (slice timers at now + budget with
-    /// budget > 0, polls at now + interval), so the events due now can be
-    /// drained in one peek-based batch.
-    due: Vec<(SimTime, SfsEv)>,
-    /// When the pending poll tick fires, if one is armed.
-    poll_at: Option<SimTime>,
+    /// The pending poll tick as `(instant, arming number)`, if one is armed.
+    poll: Option<(SimTime, u64)>,
+    /// The arming number the next armed timer gets.
+    next_arming: u64,
     /// Whether the pending tick could act: the SLO variant is on, a
     /// function is blocked on I/O, or a busy worker's process sleeps (a
     /// spawn with a leading I/O wait raises no `Blocked`). Recomputed at
@@ -206,14 +196,13 @@ impl SfsController {
             worker_queues: (0..cfg.workers).map(|_| VecDeque::new()).collect(),
             next_rr: 0,
             states: Vec::new(),
-            // lint: allow(D1, construction of the audited lookups-only map declared above)
-            slot_of_id: HashMap::new(),
-            workers: (0..cfg.workers).map(|_| Worker::default()).collect(),
+            finished: None,
+            workers: vec![None; cfg.workers],
+            earliest: None,
             blocked: Vec::new(),
             rewoken: Vec::new(),
-            events: EventQueue::new(),
-            due: Vec::with_capacity(64),
-            poll_at: None,
+            poll: None,
+            next_arming: 0,
             poll_live: false,
             queue_delay_series: TimeSeries::new("queue_delay_s"),
             polls: 0,
@@ -262,7 +251,7 @@ impl SfsController {
     fn try_assign(&mut self, m: &mut MachineView<'_>) {
         match self.cfg.queue_mode {
             QueueMode::Global => loop {
-                let Some(w) = self.workers.iter().position(|w| w.current.is_none()) else {
+                let Some(w) = self.workers.iter().position(Option::is_none) else {
                     return;
                 };
                 let Some(slot) = self.queue.pop_front() else {
@@ -272,7 +261,7 @@ impl SfsController {
             },
             QueueMode::PerWorker => {
                 for w in 0..self.workers.len() {
-                    while self.workers[w].current.is_none() {
+                    while self.workers[w].is_none() {
                         let Some(slot) = self.worker_queues[w].pop_front() else {
                             break;
                         };
@@ -344,25 +333,46 @@ impl SfsController {
         );
         let cpu_at_start = m.cpu_time(pid);
         self.states[slot as usize].filter_rounds += 1;
-        self.workers[w].gen += 1;
-        let gen = self.workers[w].gen;
-        let expires = now + budget;
-        self.workers[w].current = Some(Assignment {
-            pid,
-            slot,
-            budget,
-            cpu_at_start,
-            expires,
-        });
-        self.events.push(expires, SfsEv::SliceExpiry { w, gen });
+        let armed = self.arm();
+        self.assign(
+            w,
+            Assignment {
+                pid,
+                slot,
+                budget,
+                cpu_at_start,
+                expires: now + budget,
+                armed,
+            },
+        );
     }
 
-    /// 4.2: the FILTER slice timer fired.
-    fn on_slice_expiry(&mut self, m: &mut MachineView<'_>, w: usize, gen: u64) {
-        if self.workers[w].gen != gen {
-            return; // stale timer: the worker moved on
+    /// The next arming number. Every timer gets one when it is armed, so
+    /// timers due at one instant fire in the order they were armed.
+    fn arm(&mut self) -> u64 {
+        self.next_arming += 1;
+        self.next_arming - 1
+    }
+
+    /// Worker `w` starts FILTER round `a`, arming its slice timer.
+    fn assign(&mut self, w: usize, a: Assignment) {
+        debug_assert!(self.workers[w].is_none(), "worker {w} is busy");
+        self.workers[w] = Some(a);
+        self.earliest = Some(self.earliest.map_or(a.expires, |t| t.min(a.expires)));
+    }
+
+    /// Free worker `w`, and its slice timer with it.
+    fn free(&mut self, w: usize) -> Option<Assignment> {
+        let a = self.workers[w].take();
+        if a.is_some_and(|a| Some(a.expires) == self.earliest) {
+            self.earliest = self.workers.iter().flatten().map(|a| a.expires).min();
         }
-        let Some(a) = self.workers[w].current else {
+        a
+    }
+
+    /// 4.2: worker `w`'s FILTER slice timer fired.
+    fn on_slice_expiry(&mut self, m: &mut MachineView<'_>, w: usize) {
+        let Some(a) = self.workers[w] else {
             return;
         };
         match m.proc_state(a.pid) {
@@ -370,8 +380,7 @@ impl SfsController {
                 // Finished before its timer: free the worker here, or its
                 // expired timer would stay the reported wakeup. The
                 // completion notification finds nothing left to free.
-                self.workers[w].current = None;
-                self.workers[w].gen += 1;
+                self.free(w);
             }
             ProcState::Sleeping if self.cfg.io_aware => {
                 // Blocked between polls and the timer beat the next poll:
@@ -380,8 +389,7 @@ impl SfsController {
             }
             _ => {
                 // Forcible preemption: demote to CFS.
-                self.workers[w].current = None;
-                self.workers[w].gen += 1;
+                self.free(w);
                 self.demote(m, a.slot, a.pid);
                 self.try_assign(m);
             }
@@ -398,14 +406,14 @@ impl SfsController {
 
     /// 4.3: periodic kernel-status polling (§V-D).
     fn on_poll(&mut self, m: &mut MachineView<'_>) {
-        self.poll_at = None;
+        self.poll = None;
         self.polls += 1;
         let mut freed = false;
 
         // Detect FILTER functions that went to sleep on I/O.
         if self.cfg.io_aware {
             for w in 0..self.workers.len() {
-                let Some(a) = self.workers[w].current else {
+                let Some(a) = self.workers[w] else {
                     continue;
                 };
                 self.polled_tasks += 1;
@@ -492,10 +500,9 @@ impl SfsController {
     /// the unused slice, lower the function's priority, track it for wake
     /// detection, and let the worker fetch the next request.
     fn release_worker_for_io(&mut self, m: &mut MachineView<'_>, w: usize) {
-        let Some(a) = self.workers[w].current.take() else {
+        let Some(a) = self.free(w) else {
             return;
         };
-        self.workers[w].gen += 1;
         let used = m.cpu_time(a.pid).saturating_sub(a.cpu_at_start);
         let remaining = a.budget.saturating_sub(used);
         // "reduces its priority": back to CFS while it sleeps, so that when
@@ -511,7 +518,7 @@ impl SfsController {
     }
 
     fn work_pending(&self) -> bool {
-        self.workers.iter().any(|w| w.current.is_some())
+        self.earliest.is_some()
             || !self.blocked.is_empty()
             || !self.queue.is_empty()
             || self.worker_queues.iter().any(|q| !q.is_empty())
@@ -519,60 +526,83 @@ impl SfsController {
 
     fn arm_poll(&mut self, m: &MachineView<'_>) {
         let poll_needed = self.cfg.io_aware || self.slo_deadline.is_some();
-        if poll_needed && self.work_pending() && self.poll_at.is_none() {
-            let at = m.now() + self.cfg.poll_interval;
-            self.poll_at = Some(at);
-            self.events.push(at, SfsEv::Poll);
+        if poll_needed && self.work_pending() && self.poll.is_none() {
+            let armed = self.arm();
+            self.poll = Some((m.now() + self.cfg.poll_interval, armed));
         }
     }
 
-    /// Retire every event due strictly before `now`: the instants the
+    /// Settle the poll tick due strictly before `now`, at an instant the
     /// driver crossed without a step because no live timer was due there.
-    /// A slice timer due then is stale (live ones are reported wakeups). A
-    /// poll tick due then could not act, so the tick-by-tick chain it
-    /// heads is settled in closed form: each tick counts one poll and one
-    /// status read per busy worker, and re-arms one interval later while
-    /// work is pending. The re-armed tick is pushed before anything else
-    /// is pushed at `now`, the queue position the eager chain gives it.
+    /// Such a tick could not act, so the tick-by-tick chain it heads is
+    /// settled in closed form: each tick counts one poll and one status
+    /// read per busy worker, and re-arms one interval later while work is
+    /// pending. The re-armed tick takes its arming number before anything
+    /// else is armed at `now`, the order the eager chain gives it. No slice
+    /// timer can lie before `now`: each busy worker's is live, so reported.
     fn catch_up(&mut self, now: SimTime) {
-        while self.events.peek_time().is_some_and(|at| at < now) {
-            let (at, ev) = self.events.pop().expect("peeked event present");
-            match ev {
-                SfsEv::SliceExpiry { w, gen } => debug_assert!(
-                    self.workers[w].gen != gen || self.workers[w].current.is_none(),
-                    "live slice timer of worker {w} at {at} skipped"
-                ),
-                SfsEv::Poll => {
-                    debug_assert!(!self.poll_live, "live poll tick at {at} skipped");
-                    self.poll_at = None;
-                    if !self.work_pending() {
-                        // Nothing to poll: the chain ends at its first tick.
-                        self.polls += 1;
-                        continue;
-                    }
-                    let interval = self.cfg.poll_interval;
-                    let ticks = now.since(at).as_nanos().div_ceil(interval.as_nanos());
-                    self.polls += ticks;
-                    if self.cfg.io_aware {
-                        let busy = self.workers.iter().filter(|w| w.current.is_some()).count();
-                        self.polled_tasks += ticks * busy as u64;
-                    }
-                    let next = at + interval * ticks;
-                    self.poll_at = Some(next);
-                    self.events.push(next, SfsEv::Poll);
-                }
-            }
+        debug_assert_eq!(
+            self.earliest,
+            self.workers.iter().flatten().map(|a| a.expires).min(),
+            "earliest slice expiry out of date"
+        );
+        debug_assert!(
+            !self.earliest.is_some_and(|t| t < now),
+            "live slice timer at {:?} skipped",
+            self.earliest
+        );
+        let Some((at, _)) = self.poll.filter(|&(at, _)| at < now) else {
+            return;
+        };
+        debug_assert!(!self.poll_live, "live poll tick at {at} skipped");
+        self.poll = None;
+        if !self.work_pending() {
+            // Nothing to poll: the chain ends at its first tick.
+            self.polls += 1;
+            return;
         }
+        let interval = self.cfg.poll_interval;
+        let ticks = now.since(at).as_nanos().div_ceil(interval.as_nanos());
+        self.polls += ticks;
+        if self.cfg.io_aware {
+            let busy = self.workers.iter().flatten().count();
+            self.polled_tasks += ticks * busy as u64;
+        }
+        let armed = self.arm();
+        self.poll = Some((at + interval * ticks, armed));
+    }
+
+    /// The timer due at `now` with the lowest arming number, if any. Every
+    /// handler arms only strictly future timers (slice budgets and the poll
+    /// interval are positive), so firing these one by one ends; a timer an
+    /// earlier handler freed is no longer due.
+    fn next_due(&self, now: SimTime) -> Option<Timer> {
+        let poll = self
+            .poll
+            .filter(|&(at, _)| at <= now)
+            .map(|(_, armed)| (armed, Timer::Poll));
+        if !self.earliest.is_some_and(|t| t <= now) {
+            return poll.map(|(_, timer)| timer);
+        }
+        let slices = self.workers.iter().enumerate().filter_map(|(w, a)| {
+            a.filter(|a| a.expires <= now)
+                .map(|a| (a.armed, Timer::Slice(w)))
+        });
+        slices
+            .chain(poll)
+            .min_by_key(|&(armed, _)| armed)
+            .map(|(_, timer)| timer)
     }
 
     /// Recompute [`SfsController::poll_live`] at the end of a hook.
     fn refresh_liveness(&mut self, m: &MachineView<'_>) {
         self.poll_live = self.slo_deadline.is_some()
             || !self.blocked.is_empty()
-            || self.workers.iter().any(|w| {
-                w.current
-                    .is_some_and(|a| m.proc_state(a.pid) == ProcState::Sleeping)
-            });
+            || self
+                .workers
+                .iter()
+                .flatten()
+                .any(|a| m.proc_state(a.pid) == ProcState::Sleeping);
     }
 }
 
@@ -610,7 +640,6 @@ impl Controller for SfsController {
             filter_rounds: 0,
             io_blocks: 0,
         };
-        self.slot_of_id.insert(id, slot as u32);
         self.slice.on_arrival(now);
         self.enqueue_req(slot as u32);
         self.try_assign(m);
@@ -623,12 +652,14 @@ impl Controller for SfsController {
         if let Notification::Finished(rec) = note {
             let slot = rec.pid.0 as usize;
             debug_assert_eq!(self.states[slot].id, rec.label, "pid/slot mismatch");
+            self.finished = Some(slot as u32);
             // Free the worker if this function was in a FILTER round.
-            for w in 0..self.workers.len() {
-                if self.workers[w].current.is_some_and(|a| a.pid == rec.pid) {
-                    self.workers[w].current = None;
-                    self.workers[w].gen += 1;
-                }
+            if let Some(w) = self
+                .workers
+                .iter()
+                .position(|a| a.is_some_and(|a| a.pid == rec.pid))
+            {
+                self.free(w);
             }
             // Drop from queue/blocked tracking if it completed under CFS
             // while still queued (e.g. after an I/O round). The location
@@ -658,36 +689,35 @@ impl Controller for SfsController {
     /// The earliest live timer: a busy worker's slice expiry, or the poll
     /// tick when it could act.
     fn next_wakeup(&self) -> Option<SimTime> {
-        let slice = self
-            .workers
-            .iter()
-            .filter_map(|w| w.current.map(|a| a.expires))
-            .min();
-        let poll = self.poll_at.filter(|_| self.poll_live);
-        slice.into_iter().chain(poll).min()
+        let poll = self.poll.filter(|_| self.poll_live).map(|(at, _)| at);
+        self.earliest.into_iter().chain(poll).min()
     }
 
+    /// Fire every timer due now, lowest arming number first.
     fn on_wakeup(&mut self, m: &mut MachineView<'_>) {
-        self.catch_up(m.now());
-        let mut due = std::mem::take(&mut self.due);
-        due.clear();
-        self.events.pop_batch_until(m.now(), &mut due);
-        for &(_, ev) in due.iter() {
-            match ev {
-                SfsEv::SliceExpiry { w, gen } => self.on_slice_expiry(m, w, gen),
-                SfsEv::Poll => self.on_poll(m),
+        let now = m.now();
+        self.catch_up(now);
+        while let Some(timer) = self.next_due(now) {
+            match timer {
+                Timer::Slice(w) => self.on_slice_expiry(m, w),
+                Timer::Poll => self.on_poll(m),
             }
         }
-        self.due = due;
         self.refresh_liveness(m);
     }
 
+    /// Reads the slot that the request's `Finished` notification named,
+    /// which the driver delivers right before.
     fn annotate(&mut self, outcome: &mut RequestOutcome) {
         let slot = self
-            .slot_of_id
-            .remove(&outcome.id)
-            .expect("finished request tracked");
+            .finished
+            .take()
+            .expect("annotate follows the request's Finished notification");
         let st = &self.states[slot as usize];
+        debug_assert_eq!(
+            st.id, outcome.id,
+            "annotated request is not the finished one"
+        );
         outcome.queue_delay = st.first_pop_delay.unwrap_or(SimDuration::ZERO);
         outcome.demoted = st.demoted;
         outcome.offloaded = st.offloaded;
@@ -717,5 +747,88 @@ impl crate::sim::ControllerFactory for SfsConfig {
 
     fn label(&self) -> String {
         "SFS".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sfs_sched::{FinishedTask, Machine, MachineParams, Phase, TaskSpec};
+    use sfs_workload::AppKind;
+
+    /// A request whose process computes for a day, so it never finishes on
+    /// its own.
+    fn spawn_request(machine: &mut Machine, id: u64) -> (Pid, Request) {
+        let spec = TaskSpec {
+            phases: vec![Phase::Cpu(SimDuration::from_secs(86_400))],
+            policy: Policy::NORMAL,
+            label: id,
+        };
+        let pid = machine.spawn(spec.clone());
+        let req = Request {
+            id,
+            arrival: machine.now(),
+            app: AppKind::Fib,
+            duration_ms: 1.0,
+            injected_io_ms: None,
+            cold_start_ms: None,
+            spec,
+        };
+        (pid, req)
+    }
+
+    fn finished(pid: Pid, id: u64) -> Notification {
+        Notification::Finished(Box::new(FinishedTask {
+            pid,
+            label: id,
+            arrival: SimTime::ZERO,
+            first_run: Some(SimTime::ZERO),
+            finished: SimTime::ZERO,
+            cpu_time: SimDuration::ZERO,
+            io_time: SimDuration::ZERO,
+            cpu_demand: SimDuration::ZERO,
+            ideal: SimDuration::ZERO,
+            ctx_switches: 0,
+            migrations: 0,
+        }))
+    }
+
+    /// Worker 1's slice timer, worker 0's and the poll tick fall due at
+    /// 8 ms, armed in that order. Fired in arming order, worker 1 demotes
+    /// first and takes the queued request, worker 0 demotes into an empty
+    /// queue, and the poll then reads one busy worker. Any other order
+    /// leaves the request on worker 0 or lets the poll read two.
+    #[test]
+    fn timers_due_at_one_instant_fire_in_arming_order() {
+        let mut machine = Machine::new(MachineParams::linux(2));
+        let mut ctl = SfsController::new(SfsConfig::new(2).with_fixed_slice(8));
+        let mut actions = 0;
+        let [a, b, c, x] = [0, 1, 2, 3].map(|id| spawn_request(&mut machine, id));
+        let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
+
+        let mut view = MachineView::new(&mut machine, &mut actions);
+        ctl.on_arrival(&mut view, &a.1, a.0); // worker 0, then the poll
+        ctl.on_arrival(&mut view, &b.1, b.0); // worker 1
+        ctl.on_notification(&mut view, &finished(a.0, 0)); // frees worker 0
+        ctl.on_arrival(&mut view, &c.1, c.0); // worker 0 again
+        ctl.on_arrival(&mut view, &x.1, x.0); // queued
+        let slice = |ctl: &SfsController, w: usize| ctl.workers[w].map(|t| (t.pid, t.expires));
+        assert_eq!(slice(&ctl, 0), Some((c.0, ms(8))));
+        assert_eq!(slice(&ctl, 1), Some((b.0, ms(8))));
+        assert!(ctl.workers[1].unwrap().armed < ctl.workers[0].unwrap().armed);
+
+        machine.advance_to(ms(4));
+        ctl.on_wakeup(&mut MachineView::new(&mut machine, &mut actions));
+        assert_eq!(ctl.poll.map(|(at, _)| at), Some(ms(8)), "re-armed last");
+        assert_eq!(ctl.next_wakeup(), Some(ms(8)));
+
+        let polled = ctl.polled_tasks;
+        machine.advance_to(ms(8));
+        ctl.on_wakeup(&mut MachineView::new(&mut machine, &mut actions));
+        assert_eq!(slice(&ctl, 1), Some((x.0, ms(16))), "worker 1 fired first");
+        assert_eq!(slice(&ctl, 0), None, "worker 0 fired second");
+        assert_eq!(ctl.polled_tasks - polled, 1, "the poll fired last");
+        assert_eq!(ctl.demoted_total, 2);
+        assert_eq!(ctl.next_wakeup(), Some(ms(16)));
     }
 }

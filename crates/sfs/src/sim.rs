@@ -197,7 +197,10 @@ pub trait Controller {
     }
 
     /// Merge controller-specific per-request fields (queue delay, demotion
-    /// flags, ...) into a finished request's outcome record.
+    /// flags, ...) into a finished request's outcome record. The driver
+    /// calls this right after [`on_notification`](Controller::on_notification)
+    /// delivers the same request's `Finished`, before any other hook, so a
+    /// controller may find the request by the pid that notification named.
     fn annotate(&mut self, outcome: &mut RequestOutcome) {
         let _ = outcome;
     }
@@ -499,10 +502,7 @@ impl<'a> Sim<'a> {
             };
         }
 
-        let mut machine = Machine::new(self.params);
-        if self.tracing {
-            machine.enable_tracing();
-        }
+        let mut machine = self.machine();
         let mut outcomes: Vec<RequestOutcome> = Vec::with_capacity(workload.len());
         let arrivals = workload
             .arrival_order()
@@ -535,17 +535,15 @@ impl<'a> Sim<'a> {
     /// `arrivals` only when the simulation reaches its arrival time, and
     /// each [`RequestOutcome`] is handed to `sink` (in completion order,
     /// not id order) the moment its request finishes. Peak memory is
-    /// O(peak concurrency), not O(request count): the machine drops
-    /// completion records ([`sfs_sched::Machine::set_retain_finished`])
-    /// and compacts its task table at quiescent points
-    /// ([`sfs_sched::Machine::compact`]).
+    /// O(peak concurrency), not O(request count): the machine compacts its
+    /// task table at quiescent points ([`sfs_sched::Machine::compact`]).
     ///
     /// `arrivals` must be non-decreasing in arrival time (checked) — the
     /// order [`sfs_workload::WorkloadSpec::stream`] produces. A run over
     /// the same requests is event-for-event identical to [`Sim::run`];
-    /// only the retention differs. Controllers with an analytic bypass
-    /// ([`Controller::analytic`]) are rejected: they need the whole
-    /// workload at once.
+    /// only the retention of outcomes and task records differs.
+    /// Controllers with an analytic bypass ([`Controller::analytic`]) are
+    /// rejected: they need the whole workload at once.
     ///
     /// # Panics
     /// Panics if no controller was set, if a workload was set (streaming
@@ -576,11 +574,7 @@ impl<'a> Sim<'a> {
              (they need the whole workload at once)"
         );
 
-        let mut machine = Machine::new(self.params);
-        if self.tracing {
-            machine.enable_tracing();
-        }
-        machine.set_retain_finished(false);
+        let mut machine = self.machine();
         let res = drive(
             &mut machine,
             &mut *controller,
@@ -600,6 +594,18 @@ impl<'a> Sim<'a> {
             schedule_trace: machine.trace().cloned(),
             telemetry,
         }
+    }
+
+    /// The machine both runs drive: traced if asked, and keeping no
+    /// completion log ([`sfs_sched::Machine::set_retain_finished`]), since
+    /// outcomes come from the `Finished` notifications alone.
+    fn machine(&self) -> Machine {
+        let mut machine = Machine::new(self.params);
+        if self.tracing {
+            machine.enable_tracing();
+        }
+        machine.set_retain_finished(false);
+        machine
     }
 }
 

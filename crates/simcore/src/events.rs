@@ -7,10 +7,10 @@
 //! across runs.
 //!
 //! The queue is a [`std::collections::BinaryHeap`] keyed by `(time, seq)`,
-//! O(log n) per operation. The machine and controller queues it serves stay
-//! shallow (a few events per core or worker), so the heap's small constant
-//! beats asymptotically cheaper structures; ARCHITECTURE.md ("Event core
-//! and streaming stats") has the measurements behind that choice.
+//! O(log n) per operation. Its hottest user, the machine's queue, stays
+//! shallow (a few events per core), so the heap's small constant beats
+//! asymptotically cheaper structures; ARCHITECTURE.md ("Event core and
+//! streaming stats") has the measurements behind that choice.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -120,27 +120,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Pop every event firing at or before `t` into `out` (in time/FIFO
-    /// order), returning how many were popped.
-    ///
-    /// This is the peek-based batch fast path for hot simulation loops:
-    /// one bound comparison per event against a reusable output buffer,
-    /// instead of a peek + pop call pair per event with a fresh allocation
-    /// per step. `out` is appended to, not cleared — callers reuse one
-    /// buffer across iterations (drain-and-reuse) so steady-state batch
-    /// popping performs zero allocations.
-    ///
-    /// Only safe when event handlers never schedule new events at or
-    /// before `t`; otherwise the incremental [`EventQueue::pop_until`]
-    /// loop must be used so late insertions are observed.
-    pub fn pop_batch_until(&mut self, t: SimTime, out: &mut Vec<(SimTime, E)>) -> usize {
-        let before = out.len();
-        while let Some(pair) = self.pop_until(t) {
-            out.push(pair);
-        }
-        out.len() - before
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -235,23 +214,6 @@ mod tests {
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
-    }
-
-    #[test]
-    fn batch_pop_matches_incremental_and_reuses_buffer() {
-        let mut q = EventQueue::new();
-        for i in 0..6 {
-            q.push(at(10 * (i % 3) as u64), i);
-        }
-        let mut out = Vec::new();
-        assert_eq!(q.pop_batch_until(at(10), &mut out), 4);
-        let evs: Vec<i32> = out.iter().map(|&(_, e)| e).collect();
-        assert_eq!(evs, vec![0, 3, 1, 4], "time order then FIFO within ties");
-        // Appends without clearing: the same buffer accumulates.
-        assert_eq!(q.pop_batch_until(at(100), &mut out), 2);
-        assert_eq!(out.len(), 6);
-        assert!(q.is_empty());
-        assert_eq!(q.pop_batch_until(at(100), &mut out), 0);
     }
 
     #[test]

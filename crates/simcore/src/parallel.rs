@@ -71,16 +71,19 @@ impl SeedSequencer {
     }
 }
 
-/// Number of worker threads to use: `SFS_BENCH_THREADS` if set, otherwise
-/// the machine's available parallelism. A set value that is not a count
-/// of at least 1 aborts naming it ([`crate::env::env_override`]).
+/// [`try_default_threads`] for library entry points that take no thread
+/// count (`Sweep::run`, `Cluster::run`, `Fleet::run`): a malformed
+/// `SFS_BENCH_THREADS` panics with the message naming it. Binaries read
+/// the variable in `main` through [`try_default_threads`] instead, and
+/// report it as a usage error.
 pub fn default_threads() -> usize {
     try_default_threads().unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// As [`default_threads`], but a malformed `SFS_BENCH_THREADS` comes back
-/// as the message naming it and its value
-/// ([`crate::env::try_env_override`]).
+/// Number of worker threads to use: `SFS_BENCH_THREADS` if set, otherwise
+/// the machine's available parallelism. A set value that is not a count
+/// of at least 1 comes back as the message naming the variable and its
+/// value ([`crate::env::try_env_override`]).
 pub fn try_default_threads() -> Result<usize, String> {
     let available = std::thread::available_parallelism().map_or(1, |n| n.get());
     crate::env::try_env_override(

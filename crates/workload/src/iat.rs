@@ -220,24 +220,9 @@ impl IatSpec {
         }
     }
 
-    /// Generate `n` arrival instants starting at t = 0.
-    pub fn arrivals(&self, n: usize, rng: &mut SimRng) -> Vec<SimTime> {
-        let mut out = Vec::with_capacity(n);
-        let mut t = SimTime::ZERO;
-        // Markov burst state, advanced per arrival for MarkovBursty.
-        let mut bursting = false;
-        for i in 0..n {
-            let iat_ms = self.next_iat_ms(i, n, &mut bursting, rng);
-            t += SimDuration::from_millis_f64(iat_ms);
-            out.push(t);
-        }
-        out
-    }
-
-    /// Lazy equivalent of [`IatSpec::arrivals`]: an iterator yielding the
-    /// same `n` instants, bit-identical draw for draw, without allocating
-    /// the vector. The iterator owns `rng` — hand it the `"iat"`-derived
-    /// stream exactly as `arrivals` would have received it.
+    /// The `n` arrival instants from t = 0, drawn lazily from `rng`, which
+    /// the iterator owns. Each gap saturates at the simulated-time horizon
+    /// rather than overflowing.
     pub fn arrival_iter(&self, n: usize, rng: SimRng) -> ArrivalIter {
         ArrivalIter {
             spec: self.clone(),
@@ -249,9 +234,8 @@ impl IatSpec {
         }
     }
 
-    /// Draw the IAT (ms) for arrival `i` of `n`. The single sampling path
-    /// shared by [`IatSpec::arrivals`] and [`ArrivalIter`], so eager and
-    /// lazy generation cannot drift apart.
+    /// Draw the IAT (ms) for arrival `i` of `n`, the sampling step of
+    /// [`ArrivalIter`].
     fn next_iat_ms(&self, i: usize, n: usize, bursting: &mut bool, rng: &mut SimRng) -> f64 {
         match self {
             IatSpec::Poisson { mean_ms } => rng.exponential(*mean_ms),
@@ -352,9 +336,8 @@ mod tests {
     #[test]
     fn poisson_arrivals_have_target_mean_iat() {
         let spec = IatSpec::Poisson { mean_ms: 20.0 };
-        let mut rng = SimRng::seed_from_u64(3);
         let n = 100_000;
-        let arr = spec.arrivals(n, &mut rng);
+        let arr: Vec<SimTime> = spec.arrival_iter(n, SimRng::seed_from_u64(3)).collect();
         assert_eq!(arr.len(), n);
         let span_ms = arr.last().unwrap().as_millis_f64();
         let mean = span_ms / n as f64;
@@ -371,8 +354,9 @@ mod tests {
             lo_ms: 5.0,
             hi_ms: 15.0,
         };
-        let mut rng = SimRng::seed_from_u64(5);
-        let arr = spec.arrivals(10_000, &mut rng);
+        let arr: Vec<SimTime> = spec
+            .arrival_iter(10_000, SimRng::seed_from_u64(5))
+            .collect();
         let mut prev = SimTime::ZERO;
         for &a in &arr {
             let iat = (a - prev).as_millis_f64();
@@ -384,8 +368,7 @@ mod tests {
     #[test]
     fn fixed_arrivals_exact() {
         let spec = IatSpec::Fixed { iat_ms: 7.0 };
-        let mut rng = SimRng::seed_from_u64(1);
-        let arr = spec.arrivals(4, &mut rng);
+        let arr: Vec<SimTime> = spec.arrival_iter(4, SimRng::seed_from_u64(1)).collect();
         let times: Vec<f64> = arr.iter().map(|a| a.as_millis_f64()).collect();
         assert_eq!(times, vec![7.0, 14.0, 21.0, 28.0]);
     }
@@ -423,8 +406,9 @@ mod tests {
             base_mean_ms: 50.0,
             spikes,
         };
-        let mut rng = SimRng::seed_from_u64(11);
-        let arr = spec.arrivals(10_000, &mut rng);
+        let arr: Vec<SimTime> = spec
+            .arrival_iter(10_000, SimRng::seed_from_u64(11))
+            .collect();
         let mean_iat =
             |lo: usize, hi: usize| (arr[hi - 1] - arr[lo]).as_millis_f64() / (hi - lo - 1) as f64;
         let base = mean_iat(0, 5_000);
@@ -478,8 +462,7 @@ mod tests {
             spikes,
         }
         .for_target_load_n(100.0, 4, 0.8, n);
-        let mut rng = SimRng::seed_from_u64(3);
-        let arr = spec.arrivals(n, &mut rng);
+        let arr: Vec<SimTime> = spec.arrival_iter(n, SimRng::seed_from_u64(3)).collect();
         let span_ms = arr.last().unwrap().as_millis_f64();
         // offered = total work / (span * cores) = n*100 / (span*4).
         let offered = n as f64 * 100.0 / (span_ms * 4.0);
@@ -497,8 +480,7 @@ mod tests {
             amplitude: 0.6,
             cycles: 2.0,
         };
-        let mut rng = SimRng::seed_from_u64(29);
-        let arr = spec.arrivals(n, &mut rng);
+        let arr: Vec<SimTime> = spec.arrival_iter(n, SimRng::seed_from_u64(29)).collect();
         // First quarter of a cycle is the rate crest (shorter IATs), the
         // third quarter the trough: their realised means must separate.
         let mean_iat =
@@ -511,8 +493,9 @@ mod tests {
         );
         // Eq.-2 targeting must hit the average load despite the modulation.
         let targeted = spec.for_target_load_n(100.0, 4, 0.8, n);
-        let mut rng = SimRng::seed_from_u64(31);
-        let arr = targeted.arrivals(n, &mut rng);
+        let arr: Vec<SimTime> = targeted
+            .arrival_iter(n, SimRng::seed_from_u64(31))
+            .collect();
         let offered = n as f64 * 100.0 / (arr.last().unwrap().as_millis_f64() * 4.0);
         assert!(
             (offered - 0.8).abs() < 0.05,
@@ -529,8 +512,7 @@ mod tests {
             p_enter: 0.002,
             p_exit: 0.02,
         };
-        let mut rng = SimRng::seed_from_u64(37);
-        let arr = spec.arrivals(n, &mut rng);
+        let arr: Vec<SimTime> = spec.arrival_iter(n, SimRng::seed_from_u64(37)).collect();
         let iats: Vec<f64> = arr
             .windows(2)
             .map(|w| (w[1] - w[0]).as_millis_f64())
@@ -558,8 +540,9 @@ mod tests {
         // The stationary-expectation correction keeps the average load on
         // target (within the wider tolerance this stochastic process needs).
         let targeted = spec.for_target_load_n(100.0, 4, 0.8, n);
-        let mut rng = SimRng::seed_from_u64(41);
-        let arr = targeted.arrivals(n, &mut rng);
+        let arr: Vec<SimTime> = targeted
+            .arrival_iter(n, SimRng::seed_from_u64(41))
+            .collect();
         let offered = n as f64 * 100.0 / (arr.last().unwrap().as_millis_f64() * 4.0);
         assert!(
             (offered - 0.8).abs() < 0.12,

@@ -12,24 +12,13 @@ use sfs_repro::sched::MachineParams;
 use sfs_repro::sfs::{
     Baseline, ControllerFactory, Ideal, RequestOutcome, SfsConfig, SfsController, Sim,
 };
-use sfs_repro::simcore::{env::env_override, Samples};
+use sfs_repro::simcore::Samples;
 use sfs_repro::workload::WorkloadSpec;
 
 const CORES: usize = 12;
 
-/// Downsizing knob so CI can smoke-run every example quickly; a malformed
-/// value aborts naming it.
-fn n_requests(default: usize) -> usize {
-    env_override(
-        "SFS_EXAMPLE_REQUESTS",
-        default,
-        "a request count >= 1",
-        |&n| n >= 1,
-    )
-}
-
 fn main() {
-    let workload = WorkloadSpec::azure_replay(n_requests(8_000), 7)
+    let workload = WorkloadSpec::azure_replay(sfs_repro::cli::example_requests(8_000), 7)
         .with_load(CORES, 0.9)
         .generate();
     println!(

@@ -9,24 +9,13 @@
 use sfs_repro::metrics::MarkdownTable;
 use sfs_repro::sched::MachineParams;
 use sfs_repro::sfs::{RunOutcome, SfsConfig, SfsController, Sim};
-use sfs_repro::simcore::{env::env_override, Samples};
+use sfs_repro::simcore::Samples;
 use sfs_repro::workload::WorkloadSpec;
 
 const CORES: usize = 8;
 
-/// Downsizing knob so CI can smoke-run every example quickly; a malformed
-/// value aborts naming it.
-fn n_requests(default: usize) -> usize {
-    env_override(
-        "SFS_EXAMPLE_REQUESTS",
-        default,
-        "a request count >= 1",
-        |&n| n >= 1,
-    )
-}
-
 fn main() {
-    let mut spec = WorkloadSpec::azure_sampled(n_requests(2_000), 23);
+    let mut spec = WorkloadSpec::azure_sampled(sfs_repro::cli::example_requests(2_000), 23);
     spec.io_fraction = 0.75;
     spec.io_range_ms = (10.0, 100.0);
     let workload = spec.with_load(CORES, 0.8).generate();

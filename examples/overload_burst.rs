@@ -9,24 +9,12 @@
 use sfs_repro::metrics::timeline_chart;
 use sfs_repro::sched::MachineParams;
 use sfs_repro::sfs::{SfsConfig, SfsController, Sim};
-use sfs_repro::simcore::env::env_override;
 use sfs_repro::workload::{IatSpec, Spike, WorkloadSpec};
 
 const CORES: usize = 8;
 
-/// Downsizing knob so CI can smoke-run every example quickly; a malformed
-/// value aborts naming it.
-fn n_requests(default: usize) -> usize {
-    env_override(
-        "SFS_EXAMPLE_REQUESTS",
-        default,
-        "a request count >= 1",
-        |&n| n >= 1,
-    )
-}
-
 fn main() {
-    let n = n_requests(5_000);
+    let n = sfs_repro::cli::example_requests(5_000);
     let mut spec = WorkloadSpec::azure_sampled(n, 31);
     spec.iat = IatSpec::Bursty {
         base_mean_ms: 1.0,

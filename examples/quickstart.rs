@@ -8,25 +8,13 @@
 use sfs_repro::metrics::MarkdownTable;
 use sfs_repro::sched::{MachineParams, Policy};
 use sfs_repro::sfs::{KernelOnly, SfsConfig, SfsController, Sim};
-use sfs_repro::simcore::env::env_override;
 use sfs_repro::workload::WorkloadSpec;
-
-/// Downsizing knob so CI can smoke-run every example quickly; a malformed
-/// value aborts naming it.
-fn n_requests(default: usize) -> usize {
-    env_override(
-        "SFS_EXAMPLE_REQUESTS",
-        default,
-        "a request count >= 1",
-        |&n| n >= 1,
-    )
-}
 
 fn main() {
     // 1. Generate a FaaSBench workload: 1,000 Azure-sampled function
     //    invocations targeting 90% CPU load on a 8-core host.
     let cores = 8;
-    let workload = WorkloadSpec::azure_sampled(n_requests(1_000), 42)
+    let workload = WorkloadSpec::azure_sampled(sfs_repro::cli::example_requests(1_000), 42)
         .with_load(cores, 0.9)
         .generate();
     println!(

@@ -255,44 +255,9 @@ fn summarise(name: &str, outs: &[RequestOutcome]) {
     );
 }
 
-/// Build the controller (and machine tweaks) for a `--sched` name.
-fn controller_for(
-    sched: &str,
-    cores: usize,
-) -> Option<(String, Box<dyn Controller>, MachineParams)> {
-    let mut params = MachineParams::linux(cores);
-    let (name, ctl): (&str, Box<dyn Controller>) = match sched {
-        "sfs" => ("SFS", Box::new(SfsController::new(SfsConfig::new(cores)))),
-        "slo-sfs" => (
-            "SLO",
-            Box::new(SfsController::with_slo(
-                SfsConfig::new(cores),
-                SimDuration::from_millis(250),
-            )),
-        ),
-        "history" => ("HIST", Box::new(HistoryPriority::new())),
-        "mlfq" => ("MLFQ", Box::new(UserMlfq::default())),
-        "ideal" => ("IDEAL", Box::new(Ideal)),
-        "cfs" | "fifo" | "rr" | "srtf" | "eevdf" | "dl" | "srp" => {
-            let b = match sched {
-                "cfs" => Baseline::Cfs,
-                "fifo" => Baseline::Fifo,
-                "rr" => Baseline::Rr,
-                "eevdf" => Baseline::Eevdf,
-                "dl" => Baseline::Deadline,
-                "srp" => Baseline::Srp,
-                _ => Baseline::Srtf,
-            };
-            b.configure_machine(&mut params);
-            return Some((b.name().to_string(), b.build(), params));
-        }
-        _ => return None,
-    };
-    Some((name.to_string(), ctl, params))
-}
-
-/// Build the controller *recipe* for a `--sched` name — the form cluster
-/// runs need (one fresh controller per host).
+/// The controller recipe for a `--sched` name, with its label and machine
+/// tweaks: a single host builds one controller from it, and a cluster or
+/// fleet one per host.
 fn factory_for(sched: &str, cores: usize) -> Option<Box<dyn ControllerFactory + Sync>> {
     Some(match sched {
         "sfs" => Box::new(SfsConfig::new(cores)),
@@ -431,10 +396,12 @@ fn cmd_run(flags: &BTreeMap<String, String>) {
     let w = build_workload(flags, cores);
     let sched = flags.get("sched").map(String::as_str).unwrap_or("sfs");
     let gantt = flags.contains_key("gantt");
-    let Some((name, ctl, mut params)) = controller_for(sched, cores) else {
+    let Some(factory) = factory_for(sched, cores) else {
         eprintln!("unknown scheduler: {sched}");
         usage_and_exit();
     };
+    let mut params = MachineParams::linux(cores);
+    factory.configure_machine(&mut params);
     let smp = flags.get("smp").map(|spec| {
         cli::parse_smp_spec(spec).unwrap_or_else(|e| {
             eprintln!("{e}");
@@ -451,12 +418,14 @@ fn cmd_run(flags: &BTreeMap<String, String>) {
         };
         params = params.with_kpolicy(kind);
     }
-    let mut sim = Sim::on(params).workload(&w).boxed_controller(ctl);
+    let mut sim = Sim::on(params)
+        .workload(&w)
+        .boxed_controller(factory.build());
     if gantt {
         sim = sim.tracing();
     }
     let r = sim.run();
-    summarise(&name, &r.outcomes);
+    summarise(&factory.label(), &r.outcomes);
     if smp.is_some() {
         let migrations: u64 = r.outcomes.iter().map(|o| o.migrations).sum();
         println!(

@@ -1,4 +1,5 @@
-//! Strict parsers for the `sfs` CLI's structured flags.
+//! Strict parsers for the `sfs` CLI's structured flags, and the examples'
+//! one environment knob.
 //!
 //! The PR 7 contract for `SFS_BENCH_*` environment overrides applies to
 //! CLI sub-arguments too: a malformed value **aborts naming the flag and
@@ -10,6 +11,19 @@
 use sfs_faas::{FaultSpec, Fleet, Placement};
 use sfs_sched::SmpParams;
 use sfs_simcore::SimDuration;
+
+/// `SFS_EXAMPLE_REQUESTS`, the examples' downsizing knob so CI can
+/// smoke-run each quickly, else `default`. Each example reads it in
+/// `main`; a malformed value is a usage error naming the variable and the
+/// value (exit 2), as in every binary.
+pub fn example_requests(default: usize) -> usize {
+    let what = "a request count >= 1";
+    sfs_simcore::env::try_env_override("SFS_EXAMPLE_REQUESTS", default, what, |&n| n >= 1)
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
+}
 
 /// A parsed `--cluster` spec.
 #[derive(Debug, Clone, Copy)]
