@@ -14,13 +14,17 @@
 //!
 //! * `--out` — where to write the JSON report (default `BENCH_sim.json`).
 //! * `--check` — additionally diff this run against a baseline report and
-//!   exit non-zero if any scenario's median regressed past the band.
+//!   exit 1 if any scenario's median regressed past the band.
 //! * `--tolerance` — the band for `--check` as a ratio (default 2.0; CI
 //!   uses the default wide band, the strict local workflow uses ~1.15).
 //! * `--filter` — run only scenarios whose name contains the substring
 //!   (a filtered run still writes JSON, so it can seed focused diffs). It
 //!   requires an explicit `--out`: a partial report must never replace the
 //!   full default `BENCH_sim.json`.
+//!
+//! `--help` prints this usage. A usage error (a malformed or unknown flag,
+//! or a `--filter` that matches no scenario) exits 2, like every other
+//! binary here; 1 means a `--check` regression or an I/O failure.
 //!
 //! Scale: `SFS_PERF_REQUESTS` (default 2000) sizes the `sim/` scenarios;
 //! `SFS_BENCH_SEED` pins the workloads. Microbenchmarks are fixed-size so
@@ -30,6 +34,16 @@ use std::process::ExitCode;
 
 use sfs_bench::perf::{self, BenchReport};
 use sfs_bench::timebench::fmt_ns;
+
+const USAGE: &str = "\
+usage: perf_suite [--out PATH] [--check BASELINE.json] [--tolerance RATIO]
+                  [--filter SUBSTR]
+  --out PATH          where to write the JSON report (default BENCH_sim.json)
+  --check BASELINE    diff against a baseline report; exit 1 on a regression
+  --tolerance RATIO   the --check band as a ratio >= 1.0 (default 2.0)
+  --filter SUBSTR     run only scenarios whose name contains SUBSTR
+                      (needs an explicit --out)
+";
 
 /// `SFS_PERF_REQUESTS`, `SFS_PERF_LARGE_REQUESTS` and `SFS_BENCH_SEED`, or
 /// the message naming a malformed one.
@@ -67,12 +81,17 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                 args.tolerance = value("--tolerance")?
                     .parse()
                     .map_err(|e| format!("bad --tolerance: {e}"))?;
-                if args.tolerance < 1.0 {
-                    return Err("--tolerance is a ratio >= 1.0".into());
+                // `parse` takes "nan" and "inf"; neither is a band.
+                if !(1.0..f64::INFINITY).contains(&args.tolerance) {
+                    return Err("--tolerance is a finite ratio >= 1.0".into());
                 }
             }
             "--filter" => args.filter = Some(value("--filter")?),
-            other => return Err(format!("unknown argument {other:?} (see --help in docs)")),
+            "--help" | "-h" => {
+                print!("{USAGE}");
+                std::process::exit(0);
+            }
+            other => return Err(format!("unknown argument {other:?} (see --help)")),
         }
     }
     args.out = match (out, &args.filter) {
@@ -88,14 +107,16 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("perf_suite: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let args = parse_args(std::env::args().skip(1))
+        .unwrap_or_else(|e| sfs_bench::usage_exit(&format!("perf_suite: {e}")));
     let (n, large, seed) = scale().unwrap_or_else(|e| sfs_bench::usage_exit(&e));
+    let mut scenarios = perf::suite(n, large, seed);
+    if let Some(ref pat) = args.filter {
+        scenarios.retain(|s| s.name.contains(pat.as_str()));
+        if scenarios.is_empty() {
+            sfs_bench::usage_exit(&format!("perf_suite: no scenario matches --filter {pat:?}"));
+        }
+    }
     println!("== perf_suite: simulator performance matrix");
     println!("   requests={n} seed={seed:#x} (SFS_PERF_REQUESTS / SFS_BENCH_SEED to override)");
     println!("   large-run scale={large} (SFS_PERF_LARGE_REQUESTS to override)");
@@ -105,14 +126,6 @@ fn main() -> ExitCode {
         "scenario", "median/item", "p10", "p90", "throughput"
     );
 
-    let mut scenarios = perf::suite(n, large, seed);
-    if let Some(ref pat) = args.filter {
-        scenarios.retain(|s| s.name.contains(pat.as_str()));
-        if scenarios.is_empty() {
-            eprintln!("perf_suite: no scenario matches filter {pat:?}");
-            return ExitCode::FAILURE;
-        }
-    }
     let report = perf::run_suite(scenarios, n, seed, |name, rec| {
         println!(
             "{:<24} {:>12} {:>12} {:>12} {:>13.0}/s",

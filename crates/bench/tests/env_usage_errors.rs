@@ -2,7 +2,8 @@
 //! exit 2, with the variable and the value named on stderr, and no panic.
 //! Each binary reads its knobs in `main` through one reader
 //! (`sfs_bench::knobs`, `sfs_bench::env_knob`), so one binary per variable
-//! stands for all of them.
+//! stands for all of them. `perf_suite`'s malformed flags are usage errors
+//! too, kept apart from the exit 1 of a `--check` regression.
 
 use std::process::Command;
 
@@ -63,4 +64,50 @@ fn perf_suite_refuses_malformed_scales() {
     refuses(bin, &args, &small[..1], "SFS_PERF_LARGE_REQUESTS", "abc");
     refuses(bin, &args, &small, "SFS_BENCH_SEED", "x");
     assert!(!out.exists(), "a refused run writes no report");
+}
+
+/// Run `perf_suite` with `args` and check that it refuses them as a usage
+/// error naming `flag`: exit 2 (a `--check` regression is exit 1), nothing
+/// on stdout, no panic.
+fn perf_suite_refuses(args: &[&str], flag: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_perf_suite"))
+        .args(args)
+        .envs([
+            ("SFS_PERF_REQUESTS", "50"),
+            ("SFS_PERF_LARGE_REQUESTS", "50"),
+        ])
+        .output()
+        .expect("perf_suite starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let case = format!("perf_suite {args:?}");
+    assert_eq!(out.status.code(), Some(2), "{case} must exit 2: {stderr}");
+    assert!(stderr.contains(flag), "{case} names {flag}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{case} panicked: {stderr}");
+    assert!(out.stdout.is_empty(), "{case} ran anyway");
+}
+
+#[test]
+fn perf_suite_refuses_malformed_flags() {
+    perf_suite_refuses(&["--out"], "--out");
+    perf_suite_refuses(&["--bogus"], "--bogus");
+    perf_suite_refuses(&["--tolerance", "abc"], "--tolerance");
+    perf_suite_refuses(&["--tolerance", "nan"], "--tolerance");
+    perf_suite_refuses(&["--filter", "x"], "--filter");
+    let out = std::env::temp_dir().join(format!("perf_suite_flag_{}.json", std::process::id()));
+    let path = out.to_str().expect("UTF-8 temp path");
+    perf_suite_refuses(&["--filter", "no-such-scenario", "--out", path], "--filter");
+    assert!(!out.exists(), "a refused run writes no report");
+}
+
+#[test]
+fn perf_suite_help_prints_the_usage() {
+    let out = Command::new(env!("CARGO_BIN_EXE_perf_suite"))
+        .arg("--help")
+        .output()
+        .expect("perf_suite starts");
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for flag in ["--out", "--check", "--tolerance", "--filter"] {
+        assert!(stdout.contains(flag), "usage names {flag}: {stdout}");
+    }
 }

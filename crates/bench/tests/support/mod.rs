@@ -52,15 +52,19 @@ pub const SCENARIOS: &[&str] = &[
     "smp4_burst_cfs",
     // Pluggable kernel policies (PR 9): each new policy locked under
     // azure replay and under an SMP overload burst at 4 cores. The CFS
-    // and SRTF machines are *not* re-snapshotted — their bit-exactness
-    // against the pre-refactor machine is the refactor's acceptance
-    // gate, enforced by every scenario above staying byte-identical.
+    // machine is *not* re-snapshotted — its bit-exactness against the
+    // pre-refactor machine is the refactor's acceptance gate, enforced by
+    // every scenario above staying byte-identical.
     "eevdf4_replay",
     "eevdf4_burst",
     "dl4_replay",
     "dl4_burst",
     "srp4_replay",
     "srp4_burst",
+    // The SRTF oracle baseline under the same two workloads: no scenario
+    // above runs it, so these are what pin its schedules.
+    "srtf4_replay",
+    "srtf4_burst",
     // Multi-region fleet behind the global front door (PR 10): fault-free
     // autoscaled baseline, the full fault mix (crashes + stragglers +
     // correlated outage, attributably conserved), and consistent-hash
@@ -88,7 +92,7 @@ pub const SMP_SCENARIOS: &[&str] = &[
     "smp4_burst_cfs",
 ];
 
-/// The kernel-policy scenario subset (EEVDF / deadline-class / SRP
+/// The kernel-policy scenario subset (EEVDF / deadline-class / SRP / SRTF
 /// baselines, replay + SMP overload burst each).
 #[allow(dead_code)] // each test binary compiles its own copy of this module
 pub const KPOLICY_SCENARIOS: &[&str] = &[
@@ -98,6 +102,8 @@ pub const KPOLICY_SCENARIOS: &[&str] = &[
     "dl4_burst",
     "srp4_replay",
     "srp4_burst",
+    "srtf4_replay",
+    "srtf4_burst",
 ];
 
 /// Request count: small enough for CI, large enough for stable shapes.
@@ -222,6 +228,8 @@ pub fn run_scenario(name: &str) -> Vec<RequestOutcome> {
         "dl4_burst" => kpolicy_scenario(Baseline::Deadline, true),
         "srp4_replay" => kpolicy_scenario(Baseline::Srp, false),
         "srp4_burst" => kpolicy_scenario(Baseline::Srp, true),
+        "srtf4_replay" => kpolicy_scenario(Baseline::Srtf, false),
+        "srtf4_burst" => kpolicy_scenario(Baseline::Srtf, true),
         "fleet2_jsq_sfs" | "fleet2_faults_sfs" | "fleet2_hash_cfs" => {
             run_fleet_scenario_threads(name, 1)
         }

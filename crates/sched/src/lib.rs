@@ -25,14 +25,16 @@
 //!
 //! ## Quickstart
 //! ```
-//! use sfs_sched::{Machine, MachineParams, TaskSpec};
+//! use sfs_sched::{Machine, MachineParams, Notification, TaskSpec};
 //! use sfs_simcore::SimDuration;
 //!
 //! let mut m = Machine::new(MachineParams::linux(2));
 //! let _a = m.spawn(TaskSpec::cpu(0, SimDuration::from_millis(10)));
 //! let _b = m.spawn(TaskSpec::cpu(1, SimDuration::from_millis(300)));
-//! m.run_until_quiescent();
-//! assert_eq!(m.finished().len(), 2);
+//! // Completions come back as notifications, like every other event.
+//! let notes = m.run_until_quiescent();
+//! let done = notes.iter().filter(|n| matches!(n, Notification::Finished(_)));
+//! assert_eq!(done.count(), 2);
 //! ```
 
 #![warn(missing_docs)]
@@ -61,31 +63,15 @@ pub use smp::SmpParams;
 pub use task::{FinishedTask, Phase, Pid, Policy, ProcState, TaskSpec};
 pub use trace::{ScheduleTrace, Segment};
 
-use sfs_simcore::SimTime;
-
-/// Run a batch of `(arrival_time, spec)` pairs to completion on a machine,
-/// spawning each task at its arrival time, and return the completion records.
-///
-/// This is the whole driver needed for the paper's pure-kernel-scheduler
-/// baselines (CFS / FIFO / RR / SRTF in Fig. 2): the FaaS server dispatches
-/// every request to the OS as it arrives and the kernel does the rest.
-pub fn run_open_loop(
-    params: MachineParams,
-    arrivals: impl IntoIterator<Item = (SimTime, TaskSpec)>,
-) -> Vec<FinishedTask> {
-    let mut m = Machine::new(params);
-    for (at, spec) in arrivals {
-        m.advance_to(at);
-        m.spawn(spec);
-    }
-    m.run_until_quiescent();
-    m.into_finished()
-}
+#[cfg(test)]
+#[path = "../tests/support/open_loop.rs"]
+mod open_loop;
 
 #[cfg(test)]
 mod tests {
+    use super::open_loop::{completions, run_open_loop};
     use super::*;
-    use sfs_simcore::SimDuration;
+    use sfs_simcore::{SimDuration, SimTime};
 
     fn ms(v: u64) -> SimDuration {
         SimDuration::from_millis(v)
@@ -358,17 +344,18 @@ mod tests {
         let mut m = Machine::new(exact_params(1, KernelPolicyKind::Cfs));
         let a = m.spawn(TaskSpec::cpu(0, ms(100)));
         let _b = m.spawn(TaskSpec::cpu(1, ms(100)));
-        m.advance_to(at(5));
+        let mut notes = m.advance_to(at(5));
         m.set_policy(a, Policy::Fifo { prio: 50 });
-        m.run_until_quiescent();
-        let fa = m.finished().iter().find(|t| t.label == 0).unwrap();
+        notes.extend(m.run_until_quiescent());
+        let done = completions(&notes);
+        let fa = done.iter().find(|t| t.label == 0).unwrap();
         // a runs to completion first (modulo the share it lost before t=5).
         assert!(
             fa.finished <= at(105),
             "promoted task finished at {}",
             fa.finished
         );
-        let fb = m.finished().iter().find(|t| t.label == 1).unwrap();
+        let fb = done.iter().find(|t| t.label == 1).unwrap();
         assert_eq!(fb.finished, at(200));
     }
 
@@ -382,10 +369,11 @@ mod tests {
             label: 0,
         });
         let _b = m.spawn(TaskSpec::cpu(1, ms(50)));
-        m.advance_to(at(20));
+        let mut notes = m.advance_to(at(20));
         m.set_policy(a, Policy::NORMAL);
-        m.run_until_quiescent();
-        let fb = m.finished().iter().find(|t| t.label == 1).unwrap();
+        notes.extend(m.run_until_quiescent());
+        let done = completions(&notes);
+        let fb = done.iter().find(|t| t.label == 1).unwrap();
         // b gets CPU before a fully finishes: under pure FIFO b would finish
         // at 150; demotion must let it finish well before that.
         assert!(
@@ -393,7 +381,7 @@ mod tests {
             "demotion did not release the core: b at {}",
             fb.finished
         );
-        let fa = m.finished().iter().find(|t| t.label == 0).unwrap();
+        let fa = done.iter().find(|t| t.label == 0).unwrap();
         assert_eq!(fa.cpu_time, ms(100));
     }
 
@@ -586,8 +574,9 @@ mod tests {
     fn balance_tick_migrates_busiest_to_idlest() {
         let smp = SmpParams::balanced(ms(1), SimDuration::ZERO, SimDuration::ZERO);
         let mut m = Machine::new(exact_params(2, KernelPolicyKind::Cfs).with_smp(smp));
+        let mut notes = Vec::new();
         for (t, spec) in imbalanced_arrivals() {
-            m.advance_to(t);
+            notes.extend(m.advance_to(t));
             m.spawn(spec);
         }
         // FIFO holds core 0; CFS placement left queued depths 3 (core 0)
@@ -595,17 +584,20 @@ mod tests {
         assert_eq!(m.core_depth(0), 3);
         assert_eq!(m.core_depth(1), 1);
         assert_eq!(m.balance_migrations(), 0);
-        let mut notes = Vec::new();
-        m.advance_into(at(1), &mut notes);
+        notes.extend(m.advance_to(at(1)));
         assert_eq!(m.balance_migrations(), 1, "one migration per tick");
         assert_eq!(m.core_depth(0), 2);
         assert_eq!(m.core_depth(1), 2);
         m.assert_conservation();
         // Re-balanced: the next tick scans but must not migrate.
-        m.advance_into(at(2), &mut notes);
+        notes.extend(m.advance_to(at(2)));
         assert_eq!(m.balance_migrations(), 1, "balanced load never migrates");
-        m.run_until_quiescent();
-        assert_eq!(m.finished().len(), 6, "balancing must not lose tasks");
+        notes.extend(m.run_until_quiescent());
+        assert_eq!(
+            completions(&notes).len(),
+            6,
+            "balancing must not lose tasks"
+        );
         m.assert_conservation();
     }
 
@@ -618,8 +610,8 @@ mod tests {
         for i in 0..6 {
             m.spawn(TaskSpec::cpu(i, ms(30)));
         }
-        m.run_until_quiescent();
-        assert_eq!(m.finished().len(), 6);
+        let notes = m.run_until_quiescent();
+        assert_eq!(completions(&notes).len(), 6);
         assert_eq!(m.balance_migrations(), 0);
     }
 

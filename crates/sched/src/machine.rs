@@ -58,8 +58,7 @@ pub struct MachineParams {
     pub contention_beta: f64,
     /// Upper bound on the contention inflation factor.
     pub contention_cap: f64,
-    /// Kernel scheduling discipline (built at machine construction; use
-    /// [`Machine::with_kernel_policy`] to supply a custom policy value).
+    /// Kernel scheduling discipline (built at machine construction).
     pub kpolicy: KernelPolicyKind,
     /// SMP behaviour: periodic load balancing, migration penalty, and
     /// cache-affinity cost. The all-zero default disables every mechanism,
@@ -123,7 +122,8 @@ pub enum Notification {
     Blocked(Pid, SimTime),
     /// Task finished its I/O wait (kernel state → runnable).
     Woke(Pid, SimTime),
-    /// Task completed; full accounting attached.
+    /// Task completed; full accounting attached. The only way a completion
+    /// leaves the machine, which keeps no log of finished tasks.
     Finished(Box<FinishedTask>),
 }
 
@@ -188,7 +188,6 @@ pub struct Machine {
     kpolicy: Box<dyn KernelPolicy>,
     events: EventQueue<Ev>,
     out: Vec<Notification>,
-    finished: Vec<FinishedTask>,
     total_ctx_switches: u64,
     /// Tasks migrated by the periodic balance tick (a subset of the
     /// per-task `migrations` total, which also counts wakeup placement
@@ -200,11 +199,6 @@ pub struct Machine {
     /// Runnable + running CPU tasks (excludes sleepers and the dead);
     /// drives the consolidation-contention inflation.
     active_tasks: usize,
-    /// Whether completion records accumulate in `finished` (default). The
-    /// streaming path turns this off: records still flow out through
-    /// `Notification::Finished`, but the machine holds no per-task history,
-    /// keeping memory O(live tasks) instead of O(total tasks).
-    retain_finished: bool,
     /// Optional execution trace (who ran where, when).
     trace: Option<ScheduleTrace>,
     /// Per-core windows of slice boundaries crossed in closed form (see
@@ -217,38 +211,23 @@ impl Machine {
     /// A machine at t = 0 with the given parameters; the kernel policy is
     /// built from [`MachineParams::kpolicy`].
     pub fn new(params: MachineParams) -> Machine {
-        let kpolicy = params.kpolicy.build(params.cores);
-        Machine::with_kernel_policy(params, kpolicy)
-    }
-
-    /// A machine at t = 0 driven by a caller-supplied kernel-policy value —
-    /// the extension point for disciplines not in
-    /// [`KernelPolicyKind`]. `params.kpolicy` is ignored.
-    pub fn with_kernel_policy(params: MachineParams, kpolicy: Box<dyn KernelPolicy>) -> Machine {
         assert!(params.cores >= 1, "machine needs at least one core");
         Machine {
             cores: (0..params.cores).map(|_| CoreSched::new()).collect(),
             params,
             now: SimTime::ZERO,
             tasks: Vec::new(),
-            kpolicy,
+            kpolicy: params.kpolicy.build(params.cores),
             events: EventQueue::new(),
             out: Vec::new(),
-            finished: Vec::new(),
             total_ctx_switches: 0,
             balance_migrations: 0,
             balance_armed: false,
             live_tasks: 0,
             active_tasks: 0,
-            retain_finished: true,
             trace: None,
             tickless: Tickless::new(params.cores),
         }
-    }
-
-    /// The kernel policy's display name (`cfs`, `srtf`, `eevdf`, ...).
-    pub fn kernel_policy_name(&self) -> &'static str {
-        self.kpolicy.name()
     }
 
     /// Split borrow: the policy value and the capability context it runs
@@ -294,14 +273,6 @@ impl Machine {
         }
     }
 
-    /// Control completion-record retention. With `false`, completions are
-    /// only delivered through [`Notification::Finished`] and
-    /// [`Machine::finished`] stays empty — the streaming-run mode where
-    /// memory must not grow with request count.
-    pub fn set_retain_finished(&mut self, retain: bool) {
-        self.retain_finished = retain;
-    }
-
     /// Length of the internal task table (total tasks spawned since the
     /// last [`Machine::compact`]). Streaming drivers watch this to decide
     /// when compacting is worthwhile.
@@ -321,11 +292,10 @@ impl Machine {
     /// relative order a fresh numbering preserves), and clearing each
     /// core's `last_ran` reproduces the always-charge-context-cost outcome
     /// that distinct pids would produce anyway. Skipped while tracing
-    /// (trace segments refer to pids) or while completion records are
-    /// retained (records would alias reused pids).
+    /// (trace segments refer to pids).
     pub fn compact(&mut self) {
         assert_eq!(self.live_tasks, 0, "compact() requires a quiescent machine");
-        if self.trace.is_some() || self.retain_finished {
+        if self.trace.is_some() {
             return;
         }
         self.tasks.clear();
@@ -386,16 +356,6 @@ impl Machine {
         self.live_tasks
     }
 
-    /// Completion records so far (in completion order).
-    pub fn finished(&self) -> &[FinishedTask] {
-        &self.finished
-    }
-
-    /// Consume the machine, returning all completion records.
-    pub fn into_finished(self) -> Vec<FinishedTask> {
-        self.finished
-    }
-
     /// Machine-wide involuntary context-switch count.
     pub fn total_ctx_switches(&self) -> u64 {
         let open: u64 = (self.tickless.open.iter().copied())
@@ -408,12 +368,6 @@ impl Machine {
     // ------------------------------------------------------------------
     // Per-core (SMP) read-only queries
     // ------------------------------------------------------------------
-
-    /// Number of cores — alias of [`Machine::cores`], matching the
-    /// `nr_cpu_ids` spelling controllers expect.
-    pub fn nr_cores(&self) -> usize {
-        self.params.cores
-    }
 
     /// Queued (runnable, not running) fair-class tasks on `core`'s local
     /// runqueue — the per-CPU depth `/proc/schedstat` exposes. Tasks in a
@@ -450,12 +404,6 @@ impl Machine {
     /// `/proc/<pid>/stat`), or `None` before its first dispatch.
     pub fn last_ran_core(&self, pid: Pid) -> Option<usize> {
         self.task(pid).last_core
-    }
-
-    /// Number of tasks queued in the policy's machine-global priority band
-    /// (the RT queue under the Linux model).
-    pub fn rt_depth(&self) -> usize {
-        self.kpolicy.rt_depth()
     }
 
     /// Tasks migrated by the periodic balance tick so far (a subset of the
@@ -661,30 +609,24 @@ impl Machine {
     }
 
     /// Advance virtual time to `t`, processing all internal events due at or
-    /// before `t`, and return notifications generated along the way.
+    /// before `t`, and return the notifications generated along the way
+    /// (the vector allocates only if something notified). A loop over
+    /// [`Machine::advance_until_notified`], so both share its delivery
+    /// contract: every event due at or before `t` is processed within this
+    /// call, including events a handler schedules for exactly `t` while the
+    /// span is being processed (e.g. an I/O block at `t - d` scheduling its
+    /// wake at `t`). `tests/machine_scenarios.rs` pins this with end-of-span
+    /// regression cases.
     pub fn advance_to(&mut self, t: SimTime) -> Vec<Notification> {
         let mut out = Vec::new();
-        self.advance_into(t, &mut out);
-        out
-    }
-
-    /// As [`Machine::advance_to`], appending the notifications to a
-    /// caller-owned buffer instead of allocating a fresh vector (the
-    /// machine's internal staging vector keeps its capacity across calls
-    /// too). A loop over [`Machine::advance_until_notified`], so both share
-    /// its delivery contract: every event due at or before `t` is processed
-    /// within this call, including events a handler schedules for exactly
-    /// `t` while the span is being processed (e.g. an I/O block at `t - d`
-    /// scheduling its wake at `t`). `tests/machine_scenarios.rs` pins this
-    /// with end-of-span regression cases.
-    pub fn advance_into(&mut self, t: SimTime, out: &mut Vec<Notification>) {
-        while self.advance_until_notified(t, out) < t {}
+        while self.advance_until_notified(t, &mut out) < t {}
         // The contract above, enforced: nothing due within the span may
         // survive it.
         debug_assert!(
             self.events.peek_time().map_or(true, |next| next > t),
-            "advance_into deferred a due event past its span"
+            "advance_to deferred a due event past its span"
         );
+        out
     }
 
     /// Advance virtual time toward `t`, stopping at the first instant whose
@@ -1313,21 +1255,9 @@ impl Machine {
         self.task_mut(pid).phase_idx = next_idx;
         match self.task(pid).phases.get(next_idx).copied() {
             None => {
-                // Done.
                 self.cores[core_id].current = None;
                 self.cores[core_id].gen += 1;
-                self.set_state(pid, ProcState::Dead);
-                self.task_mut(pid).home_core = None;
-                self.live_tasks -= 1;
-                let rec = self.task(pid).finished_record(self.now);
-                if self.retain_finished {
-                    self.finished.push(rec.clone());
-                }
-                self.out.push(Notification::Finished(Box::new(rec)));
-                {
-                    let (kp, mut ctx) = self.policy_ctx();
-                    kp.on_task_exit(&mut ctx, pid);
-                }
+                self.exit(pid);
                 self.reschedule(core_id);
             }
             Some(Phase::Io(d)) => {
@@ -1385,6 +1315,19 @@ impl Machine {
         }
     }
 
+    /// `pid` finished its last phase and is off every core: it dies, its
+    /// completion record goes out as the one [`Notification::Finished`] it
+    /// gets, and the policy forgets it.
+    fn exit(&mut self, pid: Pid) {
+        self.set_state(pid, ProcState::Dead);
+        self.task_mut(pid).home_core = None;
+        self.live_tasks -= 1;
+        let rec = self.task(pid).finished_record(self.now);
+        self.out.push(Notification::Finished(Box::new(rec)));
+        let (kp, mut ctx) = self.policy_ctx();
+        kp.on_task_exit(&mut ctx, pid);
+    }
+
     /// I/O completed: account sleep time and requeue.
     fn wake(&mut self, pid: Pid, io: SimDuration) {
         debug_assert_eq!(self.task(pid).state, ProcState::Sleeping);
@@ -1392,19 +1335,8 @@ impl Machine {
         let next_idx = self.task(pid).phase_idx + 1;
         self.task_mut(pid).phase_idx = next_idx;
         match self.task(pid).phases.get(next_idx).copied() {
-            None => {
-                // Task ended with an I/O phase.
-                self.set_state(pid, ProcState::Dead);
-                self.task_mut(pid).home_core = None;
-                self.live_tasks -= 1;
-                let rec = self.task(pid).finished_record(self.now);
-                if self.retain_finished {
-                    self.finished.push(rec.clone());
-                }
-                self.out.push(Notification::Finished(Box::new(rec)));
-                let (kp, mut ctx) = self.policy_ctx();
-                kp.on_task_exit(&mut ctx, pid);
-            }
+            // Task ended with an I/O phase.
+            None => self.exit(pid),
             Some(Phase::Cpu(d)) => {
                 self.task_mut(pid).phase_rem = d;
                 self.out.push(Notification::Woke(pid, self.now));

@@ -205,26 +205,24 @@ impl FinishedTask {
         self.finished - self.arrival
     }
 
-    /// Run-time effectiveness (paper Eq. 1): ideal duration over turnaround.
-    ///
-    /// The paper computes RTE with the aggregate CPU time "measured under the
-    /// IDEAL scenario" as numerator; for I/O tasks the best isolated run still
-    /// includes the device wait, so the numerator is `ideal`, giving RTE = 1
-    /// exactly when the task ran with zero queueing/preemption interference.
+    /// Run-time effectiveness of this completion (see [`rte`]).
     pub fn rte(&self) -> f64 {
-        let t = self.turnaround();
-        if t.is_zero() {
-            1.0
-        } else {
-            (self.ideal.as_nanos() as f64 / t.as_nanos() as f64).min(1.0)
-        }
+        rte(self.ideal, self.turnaround())
     }
+}
 
-    /// Time spent neither executing nor in I/O: pure scheduling wait.
-    pub fn wait_time(&self) -> SimDuration {
-        self.turnaround()
-            .saturating_sub(self.cpu_time)
-            .saturating_sub(self.io_time)
+/// Run-time effectiveness (paper Eq. 1): ideal duration over turnaround,
+/// at most 1, and 1 for a zero turnaround.
+///
+/// The paper computes RTE with the aggregate CPU time "measured under the
+/// IDEAL scenario" as numerator; for I/O tasks the best isolated run still
+/// includes the device wait, so the numerator is `ideal`, giving RTE = 1
+/// exactly when the task ran with zero queueing/preemption interference.
+pub fn rte(ideal: SimDuration, turnaround: SimDuration) -> f64 {
+    if turnaround.is_zero() {
+        1.0
+    } else {
+        (ideal.as_nanos() as f64 / turnaround.as_nanos() as f64).min(1.0)
     }
 }
 
@@ -420,7 +418,6 @@ mod tests {
         };
         assert_eq!(ft.turnaround(), ms(100));
         assert!((ft.rte() - 0.5).abs() < 1e-12);
-        assert_eq!(ft.wait_time(), ms(50));
     }
 
     #[test]
@@ -439,6 +436,5 @@ mod tests {
             migrations: 0,
         };
         assert_eq!(ft.rte(), 1.0);
-        assert_eq!(ft.wait_time(), SimDuration::ZERO);
     }
 }

@@ -3,10 +3,14 @@
 //! external-control (schedtool/procfs) surface under adversarial timing.
 
 use sfs_sched::{
-    run_open_loop, KernelPolicyKind, Machine, MachineParams, Notification, Phase, Pid, Policy,
+    FinishedTask, KernelPolicyKind, Machine, MachineParams, Notification, Phase, Pid, Policy,
     ProcState, SmpParams, TaskSpec,
 };
 use sfs_simcore::{SimDuration, SimTime};
+
+#[path = "support/open_loop.rs"]
+mod open_loop;
+use open_loop::{completions, run_open_loop};
 
 fn ms(v: u64) -> SimDuration {
     SimDuration::from_millis(v)
@@ -62,10 +66,11 @@ fn task_migrates_to_idle_core() {
     let _b = m.spawn(TaskSpec::cpu(1, ms(10)));
     let _c = m.spawn(TaskSpec::cpu(2, ms(10)));
     let _d = m.spawn(TaskSpec::cpu(3, ms(100)));
-    m.run_until_quiescent();
+    let notes = m.run_until_quiescent();
     // All complete; makespan reflects work conservation on 2 cores:
     // 220ms total / 2 = 110ms.
-    let makespan = m.finished().iter().map(|t| t.finished).max().unwrap();
+    let done = completions(&notes);
+    let makespan = done.iter().map(|t| t.finished).max().unwrap();
     assert!(makespan <= at(112), "makespan {makespan}");
 }
 
@@ -125,11 +130,12 @@ fn set_policy_on_queued_task_requeues_correctly() {
         label: 0,
     });
     let waiting = m.spawn(TaskSpec::cpu(1, ms(10)));
-    m.advance_to(at(5));
+    let mut notes = m.advance_to(at(5));
     assert_eq!(m.proc_state(waiting), ProcState::Runnable);
     m.set_policy(waiting, Policy::Fifo { prio: 50 });
-    m.run_until_quiescent();
-    let w = m.finished().iter().find(|t| t.label == 1).unwrap();
+    notes.extend(m.run_until_quiescent());
+    let done = completions(&notes);
+    let w = done.iter().find(|t| t.label == 1).unwrap();
     assert_eq!(
         w.finished,
         at(110),
@@ -141,11 +147,12 @@ fn set_policy_on_queued_task_requeues_correctly() {
 fn set_policy_on_dead_task_is_a_noop() {
     let mut m = Machine::new(exact(1));
     let a = m.spawn(TaskSpec::cpu(0, ms(5)));
-    m.run_until_quiescent();
+    let mut notes = m.run_until_quiescent();
     assert_eq!(m.proc_state(a), ProcState::Dead);
     m.set_policy(a, Policy::Fifo { prio: 99 }); // must not panic or revive
     assert_eq!(m.proc_state(a), ProcState::Dead);
-    assert_eq!(m.finished().len(), 1);
+    notes.extend(m.run_until_quiescent());
+    assert_eq!(completions(&notes).len(), 1);
 }
 
 #[test]
@@ -299,8 +306,8 @@ fn advance_into_delivers_events_at_exact_span_end() {
         "span-end events must not replay: {notes:?}"
     );
 
-    m.run_until_quiescent();
-    assert_eq!(m.finished().len(), 1);
+    let notes = m.run_until_quiescent();
+    assert_eq!(completions(&notes).len(), 1);
 }
 
 #[test]
@@ -453,7 +460,7 @@ fn core_timer_and_balance_tick_on_one_instant_fire_in_push_order() {
         if rearm {
             m.set_policy(x, Policy::Fifo { prio: 91 });
         }
-        m.advance_into(at(12), &mut notes);
+        notes.extend(m.advance_to(at(12)));
         // Timer first: core 1 empties and steals `c` from core 0, leaving
         // the tick nothing to balance. Tick first: the tick migrates `c`
         // to core 1, and `c` starts after its 1 ms migration cost.
@@ -558,7 +565,7 @@ fn driver_push_at_a_boundary_key_instant_sorts_after_the_boundary() {
     let c2 = m.spawn(TaskSpec::cpu(2, ms(300)));
     let mut notes = m.advance_to(at(48));
     let f = m.spawn(TaskSpec::io_then_cpu(3, ms(24), ms(30)));
-    m.advance_into(at(100), &mut notes);
+    notes.extend(m.advance_to(at(100)));
     let mid = schedule(&m, &notes, &[c, a, c2, f]);
     notes.extend(m.run_until_quiescent());
     let got = schedule(&m, &notes, &[c, a, c2, f]);

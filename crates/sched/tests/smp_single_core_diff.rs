@@ -18,9 +18,14 @@
 //! every step, not merely at the end.
 
 use sfs_sched::{
-    KernelPolicyKind, Machine, MachineParams, Notification, Phase, Policy, SmpParams, TaskSpec,
+    FinishedTask, KernelPolicyKind, Machine, MachineParams, Notification, Phase, Policy, SmpParams,
+    TaskSpec,
 };
 use sfs_simcore::{SimDuration, SimRng, SimTime};
+
+#[path = "support/open_loop.rs"]
+mod open_loop;
+use open_loop::completions;
 
 fn us(v: u64) -> SimDuration {
     SimDuration::from_micros(v)
@@ -77,8 +82,8 @@ fn lockstep_case(mut rng: SimRng, steps: usize) {
 
     let mut now = SimTime::ZERO;
     let mut spawned: Vec<sfs_sched::Pid> = Vec::new();
-    let mut notes_off: Vec<Notification> = Vec::new();
-    let mut notes_on: Vec<Notification> = Vec::new();
+    let mut all_off: Vec<Notification> = Vec::new();
+    let mut all_on: Vec<Notification> = Vec::new();
 
     for step in 0..steps {
         // Randomly: spawn, policy-switch a live task, or just advance.
@@ -99,10 +104,8 @@ fn lockstep_case(mut rng: SimRng, steps: usize) {
             on.set_policy(pid, pol);
         }
         now += us(rng.uniform_u64(50, 3_000));
-        notes_off.clear();
-        notes_on.clear();
-        off.advance_into(now, &mut notes_off);
-        on.advance_into(now, &mut notes_on);
+        let notes_off = off.advance_to(now);
+        let notes_on = on.advance_to(now);
         assert_eq!(
             format!("{notes_off:?}"),
             format!("{notes_on:?}"),
@@ -116,15 +119,19 @@ fn lockstep_case(mut rng: SimRng, steps: usize) {
             assert_eq!(off.cpu_time(pid), on.cpu_time(pid), "utime of {pid}");
         }
         on.assert_conservation();
+        all_off.extend(notes_off);
+        all_on.extend(notes_on);
     }
 
     // Drain both and compare the completion records bit-for-bit.
     let fin_off = off.run_until_quiescent();
     let fin_on = on.run_until_quiescent();
     assert_eq!(format!("{fin_off:?}"), format!("{fin_on:?}"));
+    all_off.extend(fin_off);
+    all_on.extend(fin_on);
     assert_eq!(
-        format!("{:?}", off.finished()),
-        format!("{:?}", on.finished())
+        format!("{:?}", completions(&all_off)),
+        format!("{:?}", completions(&all_on))
     );
     assert_eq!(on.balance_migrations(), 0, "one core: nothing to balance");
 }

@@ -119,12 +119,6 @@ impl MachineView<'_> {
         self.machine.policy_of(pid)
     }
 
-    /// Number of CPU cores — alias of [`MachineView::cores`] matching the
-    /// SMP query family (`nr_cpu_ids` in kernel terms).
-    pub fn nr_cores(&self) -> usize {
-        self.machine.nr_cores()
-    }
-
     /// Queued (runnable, not running) CFS depth of one core's runqueue, as
     /// `/proc/schedstat` exposes per CPU. Read-only: a user-space scheduler
     /// may observe per-core load but never place tasks directly.
@@ -596,15 +590,13 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// The machine both runs drive: traced if asked, and keeping no
-    /// completion log ([`sfs_sched::Machine::set_retain_finished`]), since
-    /// outcomes come from the `Finished` notifications alone.
+    /// The machine both runs drive, traced if asked. Outcomes come from
+    /// its `Finished` notifications, the only way a completion leaves it.
     fn machine(&self) -> Machine {
         let mut machine = Machine::new(self.params);
         if self.tracing {
             machine.enable_tracing();
         }
-        machine.set_retain_finished(false);
         machine
     }
 }

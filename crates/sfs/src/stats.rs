@@ -96,11 +96,7 @@ pub fn run_rebased(
         o.id = r.id;
         o.arrival = r.arrival;
         o.turnaround = o.finished.since(r.arrival);
-        o.rte = if o.turnaround.is_zero() {
-            1.0
-        } else {
-            (o.ideal.as_nanos() as f64 / o.turnaround.as_nanos() as f64).min(1.0)
-        };
+        o.rte = sfs_sched::task::rte(o.ideal, o.turnaround);
     }
     outcomes.sort_by_key(|o| o.id);
     outcomes

@@ -5,14 +5,14 @@
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time,
 //! * [`EventQueue`] — a deterministic discrete-event queue with stable
 //!   FIFO tie-breaking for simultaneous events,
-//! * [`mod@env`] — `SFS_*` environment overrides that abort on a malformed
-//!   value instead of falling back to the default,
+//! * [`mod@env`] — `SFS_*` environment overrides that reject a malformed
+//!   value, naming it, instead of falling back to the default,
 //! * [`rng`] — seeded, reproducible random number generation helpers,
 //! * [`parallel`] — deterministic trial fan-out: SplitMix64 seed
 //!   sequencing plus scoped-thread execution whose results are
 //!   bit-identical for every worker-thread count,
-//! * [`stats`] — online statistics, exact percentile/CDF estimation, and
-//!   log-scale histograms used by every experiment harness,
+//! * [`stats`] — online statistics, exact percentiles and CDFs, and the
+//!   mergeable quantile sketch behind streaming runs,
 //! * [`window`] — the fixed-capacity sliding window behind SFS's
 //!   inter-arrival-time (IAT) based time-slice adaptation (paper §V-C),
 //! * [`series`] — time-series recording for timeline figures (Fig. 10, 12a).
@@ -36,6 +36,6 @@ pub use events::EventQueue;
 pub use parallel::SeedSequencer;
 pub use rng::SimRng;
 pub use series::TimeSeries;
-pub use stats::{Cdf, Histogram, OnlineStats, QuantileSketch, Samples};
+pub use stats::{Cdf, OnlineStats, QuantileSketch, Samples};
 pub use time::{SimDuration, SimTime};
 pub use window::SlidingWindow;

@@ -5,7 +5,8 @@
 //!   figures report p50..p99.99, Fig. 8/15, so exactness matters at the tail).
 //! * [`Cdf`] — empirical CDF extraction at fixed fractions or value grids,
 //!   used by every "CDF of duration / RTE" figure.
-//! * [`Histogram`] — log-scale bucketing for quick distribution summaries.
+//! * [`QuantileSketch`] — mergeable quantiles within a relative-error bound
+//!   in memory independent of the sample count, for streaming runs.
 
 /// Online mean / variance / extrema accumulator (Welford's algorithm).
 #[derive(Debug, Clone, Default)]
@@ -485,70 +486,6 @@ impl Cdf {
     }
 }
 
-/// A log-scale histogram over positive values.
-///
-/// Buckets are powers of `base` starting at `min_value`; anything below the
-/// first bucket lands in bucket 0, anything above the last in the final
-/// bucket. Suits the paper's duration data spanning seven orders of magnitude.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    min_value: f64,
-    base: f64,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// `buckets` log-spaced buckets of ratio `base` starting at `min_value`.
-    pub fn new(min_value: f64, base: f64, buckets: usize) -> Self {
-        assert!(min_value > 0.0 && base > 1.0 && buckets > 0);
-        Histogram {
-            min_value,
-            base,
-            counts: vec![0; buckets],
-            total: 0,
-        }
-    }
-
-    /// Bucket index for a value.
-    fn bucket_of(&self, x: f64) -> usize {
-        if x <= self.min_value {
-            return 0;
-        }
-        let b = ((x / self.min_value).ln() / self.base.ln()).floor() as usize;
-        b.min(self.counts.len() - 1)
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        let b = self.bucket_of(x);
-        self.counts[b] += 1;
-        self.total += 1;
-    }
-
-    /// Total observations recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Iterate `(bucket_lower_bound, count)` pairs.
-    pub fn buckets(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .map(move |(i, &c)| (self.min_value * self.base.powi(i as i32), c))
-    }
-
-    /// Fraction of observations at or below the upper edge of bucket `i`.
-    pub fn cumulative_fraction(&self, i: usize) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let c: u64 = self.counts[..=i.min(self.counts.len() - 1)].iter().sum();
-        c as f64 / self.total as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -744,21 +681,5 @@ mod tests {
             "bucket count {} grew past the value-range bound",
             sk.bucket_count()
         );
-    }
-
-    #[test]
-    fn histogram_buckets_log_scale() {
-        let mut h = Histogram::new(1.0, 10.0, 7);
-        for x in [0.5, 1.0, 5.0, 50.0, 500.0, 5e3, 5e4, 5e5, 5e6, 5e9] {
-            h.record(x);
-        }
-        assert_eq!(h.total(), 10);
-        let buckets: Vec<(f64, u64)> = h.buckets().collect();
-        assert_eq!(buckets.len(), 7);
-        // 0.5 and 1.0 and 5.0 fall in bucket 0 ([1,10)): values <= min go to 0.
-        assert_eq!(buckets[0].1, 3);
-        // 5e9 overflows into the last bucket.
-        assert_eq!(buckets[6].1, 2);
-        assert!((h.cumulative_fraction(6) - 1.0).abs() < 1e-12);
     }
 }

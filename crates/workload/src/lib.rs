@@ -400,27 +400,6 @@ impl Workload {
         order
     }
 
-    /// `(arrival, spec)` pairs in dispatch order (see
-    /// [`Workload::arrival_order`]) for [`sfs_sched::run_open_loop`].
-    pub fn arrivals(&self) -> impl Iterator<Item = (SimTime, TaskSpec)> + '_ {
-        self.arrival_order()
-            .into_iter()
-            .map(|i| (self.requests[i].arrival, self.requests[i].spec.clone()))
-    }
-
-    /// As [`Workload::arrivals`], with every spec's dispatch policy
-    /// overridden to `policy` — the shared glue for kernel-only runs that
-    /// used to be copy-pasted across baseline and platform runners.
-    pub fn arrivals_with_policy(
-        &self,
-        policy: sfs_sched::Policy,
-    ) -> impl Iterator<Item = (SimTime, TaskSpec)> + '_ {
-        self.arrivals().map(move |(at, mut spec)| {
-            spec.policy = policy;
-            (at, spec)
-        })
-    }
-
     /// Whether the last arrival plus every request's CPU and I/O demand
     /// passes [`SimTime::HORIZON`]: simulating the workload could then need
     /// instants past it.
@@ -625,8 +604,9 @@ mod tests {
             r.arrival = at;
         }
         assert_eq!(w.arrival_order(), vec![3, 1, 2, 5, 4, 0]);
-        let dispatched: Vec<(SimTime, u64)> =
-            w.arrivals().map(|(at, spec)| (at, spec.label)).collect();
+        let dispatched: Vec<(SimTime, u64)> = (w.arrival_order().into_iter())
+            .map(|i| (w.requests[i].arrival, w.requests[i].spec.label))
+            .collect();
         assert_eq!(
             dispatched,
             vec![
@@ -641,22 +621,9 @@ mod tests {
     }
 
     #[test]
-    fn arrivals_with_policy_overrides_every_spec() {
-        let w = WorkloadSpec::azure_sampled(20, 9).generate();
-        let fifo = sfs_sched::Policy::Fifo { prio: 42 };
-        for (i, (at, spec)) in w.arrivals_with_policy(fifo).enumerate() {
-            assert_eq!(spec.policy, fifo);
-            assert_eq!(at, w.requests[i].arrival);
-            // Phases untouched by the override.
-            assert_eq!(spec.phases, w.requests[i].spec.phases);
-        }
-    }
-
-    #[test]
     fn arrival_order_of_empty_workload_is_empty() {
         let w = Workload { requests: vec![] };
         assert!(w.arrival_order().is_empty());
-        assert_eq!(w.arrivals().count(), 0);
     }
 
     fn assert_streams_match(spec: &WorkloadSpec) {

@@ -72,12 +72,12 @@ fn machine_conserves_work_and_loses_nothing() {
         let mut m = Machine::new(params);
         let mut audit = MachineAudit::default();
         for (ms, spec) in tasks {
-            m.advance_to(SimTime::ZERO + SimDuration::from_millis(ms));
-            audit.after_advance(&m, &ctx);
+            let notes = m.advance_to(SimTime::ZERO + SimDuration::from_millis(ms));
+            audit.after_advance(&m, &notes, &ctx);
             audit.spawn(&mut m, spec);
         }
-        m.run_until_quiescent();
-        audit.at_quiescence(&m, &ctx);
+        let notes = m.run_until_quiescent();
+        audit.at_quiescence(&m, &notes, &ctx);
     }
 }
 

@@ -84,7 +84,7 @@ fn check_kind(kind: KernelPolicyKind, cores: usize, seed: u64, smp: SmpParams) {
     let mut t = SimTime::ZERO;
     for i in 0..n_tasks {
         t += SimDuration::from_micros(rng.uniform_u64(0, 3_000));
-        m.advance_to(t);
+        let notes = m.advance_to(t);
         let spec = random_spec(&mut rng, i);
         pids.push(audit.spawn(&mut m, spec));
         // Mid-run churn: flip a random live task's policy; the audit then
@@ -93,10 +93,10 @@ fn check_kind(kind: KernelPolicyKind, cores: usize, seed: u64, smp: SmpParams) {
             let target = pids[rng.uniform_u64(0, pids.len() as u64 - 1) as usize];
             m.set_policy(target, random_policy(&mut rng));
         }
-        audit.after_advance(&m, &ctx);
+        audit.after_advance(&m, &notes, &ctx);
     }
     let notes = m.run_until_quiescent();
-    audit.at_quiescence(&m, &ctx);
+    audit.at_quiescence(&m, &notes, &ctx);
     // Every completion surfaced at most once as a notification too.
     let note_finishes = notes
         .iter()
@@ -146,38 +146,38 @@ fn every_policy_is_deterministic() {
             let mut m = Machine::new(params);
             let mut rng = audit::case_rng(5150, &[kind.name(), "4"]);
             let mut t = SimTime::ZERO;
+            let mut notes = Vec::new();
             for i in 0..40 {
                 t += SimDuration::from_micros(rng.uniform_u64(0, 2_500));
-                m.advance_to(t);
+                notes.extend(m.advance_to(t));
                 m.spawn(random_spec(&mut rng, i));
             }
-            m.run_until_quiescent();
-            format!("{:?}", m.finished())
+            notes.extend(m.run_until_quiescent());
+            format!("{:?}", audit::completions(&notes))
         };
         assert_eq!(run(), run(), "{kind}: nondeterministic schedule");
     }
 }
 
 /// One call's notifications, rendered for comparison.
-fn rendered(notes: &mut Vec<Notification>) -> Vec<String> {
-    notes.drain(..).map(|n| format!("{n:?}")).collect()
+fn rendered(notes: &[Notification]) -> Vec<String> {
+    notes.iter().map(|n| format!("{n:?}")).collect()
 }
 
 /// Bring the reference machine to `at` one event instant at a time
-/// (`advance_into(next_event_time())`), returning every non-empty batch
+/// (`advance_to(next_event_time())`), returning every non-empty batch
 /// with the instant it was delivered at.
 fn reference_to(m: &mut Machine, at: SimTime) -> Vec<(SimTime, Vec<String>)> {
     let mut batches = Vec::new();
-    let mut notes = Vec::new();
     while let Some(t) = m.next_event_time().filter(|&t| t <= at) {
-        m.advance_into(t, &mut notes);
+        let notes = m.advance_to(t);
         if !notes.is_empty() {
-            batches.push((t, rendered(&mut notes)));
+            batches.push((t, rendered(&notes)));
         }
     }
-    m.advance_into(at, &mut notes);
+    let notes = m.advance_to(at);
     if !notes.is_empty() {
-        batches.push((at, rendered(&mut notes)));
+        batches.push((at, rendered(&notes)));
     }
     batches
 }
@@ -199,8 +199,10 @@ fn lockstep_to(
 ) {
     let mut notes = Vec::new();
     loop {
+        notes.clear();
         let at = fast.advance_until_notified(bound, &mut notes);
-        let got = rendered(&mut notes);
+        audit.after_advance(fast, &notes, ctx);
+        let got = rendered(&notes);
         let want = reference_to(slow, at);
         if at < bound {
             assert!(
@@ -236,7 +238,6 @@ fn lockstep_to(
                 "{ctx}: {pid} cpu time"
             );
         }
-        audit.after_advance(fast, ctx);
         if at == bound {
             return;
         }
@@ -279,7 +280,8 @@ fn check_advance_until_notified(kind: KernelPolicyKind, cores: usize, seed: u64,
         if fast.proc_state(pid) == ProcState::Running {
             let mut notes = Vec::new();
             assert_eq!(fast.advance_until_notified(t, &mut notes), t);
-            let got = rendered(&mut notes);
+            audit.after_advance(&fast, &notes, &ctx);
+            let got = rendered(&notes);
             let first_run = format!("{:?}", Notification::FirstRun(pid, t));
             assert!(
                 got.contains(&first_run),
@@ -308,7 +310,7 @@ fn check_advance_until_notified(kind: KernelPolicyKind, cores: usize, seed: u64,
             &ctx,
         );
     }
-    audit.at_quiescence(&fast, &ctx);
+    audit.at_quiescence(&fast, &[], &ctx);
 }
 
 #[test]

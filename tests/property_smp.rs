@@ -116,15 +116,14 @@ fn audited_run(mut rng: SimRng, cores: usize, affinity: bool, ctx: &str) -> u64 
         now += step;
         while pending.peek().is_some_and(|(t, _)| *t <= now) {
             let (t, spec) = pending.next().unwrap();
-            notes.clear();
-            m.advance_into(t, &mut notes);
+            notes.extend(m.advance_to(t));
             audit.spawn(&mut m, spec);
         }
+        notes.extend(m.advance_to(now));
+        audit.after_advance(&m, &notes, ctx);
         notes.clear();
-        m.advance_into(now, &mut notes);
-        audit.after_advance(&m, ctx);
     }
-    audit.at_quiescence(&m, ctx);
+    audit.at_quiescence(&m, &[], ctx);
     m.balance_migrations()
 }
 
@@ -178,8 +177,8 @@ fn perfectly_balanced_load_never_migrates() {
             for i in 0..per_core * cores as u64 {
                 audit.spawn(&mut m, TaskSpec::cpu(i, burst));
             }
-            m.run_until_quiescent();
-            audit.at_quiescence(&m, &ctx);
+            let notes = m.run_until_quiescent();
+            audit.at_quiescence(&m, &notes, &ctx);
             assert_eq!(m.balance_migrations(), 0, "{ctx}: even load migrated");
         }
     }
@@ -206,15 +205,19 @@ fn affinity_cost_never_changes_what_completes() {
                 let mut m = Machine::new(params);
                 let mut audit = MachineAudit::default();
                 let ctx = format!("aff_wl_c{cores} case {case} affinity {aff}");
+                let mut notes = Vec::new();
                 for (t, spec) in tasks.clone() {
-                    m.advance_to(t);
-                    audit.after_advance(&m, &ctx);
+                    let step = m.advance_to(t);
+                    audit.after_advance(&m, &step, &ctx);
+                    notes.extend(step);
                     audit.spawn(&mut m, spec);
                 }
-                m.run_until_quiescent();
-                audit.at_quiescence(&m, &ctx);
-                let mut labels: Vec<(u64, SimDuration)> =
-                    m.finished().iter().map(|t| (t.label, t.cpu_time)).collect();
+                let step = m.run_until_quiescent();
+                audit.at_quiescence(&m, &step, &ctx);
+                notes.extend(step);
+                let mut labels: Vec<(u64, SimDuration)> = (audit::completions(&notes).iter())
+                    .map(|t| (t.label, t.cpu_time))
+                    .collect();
                 labels.sort_unstable();
                 labels
             };

@@ -7,8 +7,10 @@
 //! layer:
 //!
 //! * [`case_rng`] — the seeded case stream every suite draws from;
-//! * [`MachineAudit`] — one machine, after every advance and at
-//!   quiescence over its completion records;
+//! * [`MachineAudit`] — one machine, after every advance over the
+//!   notifications it delivered, and at quiescence;
+//! * [`completions`] — the completion records among notifications, the
+//!   only place a machine hands them out;
 //! * [`requests`] and [`demand_as_submitted`] — request outcomes against
 //!   the submitted workload;
 //! * [`partition`] — a dispatcher's completed, shed and lost ids against
@@ -21,7 +23,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use sfs_repro::sched::{FinishedTask, Machine, Pid, ProcState, TaskSpec};
+use sfs_repro::sched::{FinishedTask, Machine, Notification, Pid, ProcState, TaskSpec};
 use sfs_repro::sfs::RequestOutcome;
 use sfs_repro::simcore::{SimDuration, SimRng, SimTime};
 use sfs_repro::workload::Workload;
@@ -37,9 +39,12 @@ pub fn case_rng(root: u64, labels: &[&str]) -> SimRng {
 }
 
 /// Watches one [`Machine`]: spawn through [`MachineAudit::spawn`] so the
-/// audit knows every pid and its demand, call
-/// [`MachineAudit::after_advance`] after each step of the drive, and
-/// [`MachineAudit::at_quiescence`] once the machine has run dry.
+/// audit knows every pid and its demand, hand
+/// [`MachineAudit::after_advance`] each step of the drive with the
+/// notifications it delivered, and [`MachineAudit::at_quiescence`] the
+/// last ones once the machine has run dry. Completion records are read off
+/// the `Finished` notifications, the only way one leaves the machine, so
+/// every advance's notifications must pass through the audit.
 #[derive(Debug, Default)]
 pub struct MachineAudit {
     /// Each core's clock at the last audit.
@@ -48,6 +53,8 @@ pub struct MachineAudit {
     cpu: Vec<SimDuration>,
     /// Each pid's CPU demand from its spec, indexed by pid.
     demand: Vec<SimDuration>,
+    /// Whether each pid's completion was delivered, indexed by pid.
+    finished: Vec<bool>,
 }
 
 impl MachineAudit {
@@ -56,15 +63,19 @@ impl MachineAudit {
         let want = Pid(self.demand.len() as u64);
         self.demand.push(spec.cpu_demand());
         self.cpu.push(SimDuration::ZERO);
+        self.finished.push(false);
         let pid = m.spawn(spec);
         assert_eq!(pid, want, "pids are numbered in spawn order");
         pid
     }
 
-    /// After an advance: [`Machine::assert_conservation`] holds (each live
-    /// task in exactly one place, dead tasks nowhere), no core's clock
-    /// rewinds, and no task's CPU time rewinds.
-    pub fn after_advance(&mut self, m: &Machine, ctx: &str) {
+    /// After an advance that delivered `notes`: [`Machine::assert_conservation`]
+    /// holds (each live task in exactly one place, dead tasks nowhere), no
+    /// core's clock rewinds, no task's CPU time rewinds, and each completion
+    /// among `notes` is a spawned task's first, reads as dead, billed
+    /// exactly its demand, first ran between arrival and completion, took
+    /// no less than its ideal time and has RTE in (0, 1].
+    pub fn after_advance(&mut self, m: &Machine, notes: &[Notification], ctx: &str) {
         m.assert_conservation();
         self.clocks.resize(m.cores(), SimTime::ZERO);
         for (core, last) in self.clocks.iter_mut().enumerate() {
@@ -86,31 +97,18 @@ impl MachineAudit {
             );
             *last = now;
         }
-    }
-
-    /// Once the machine has run dry: the state audit above, no task is
-    /// live, and every spawned task finished exactly once, billed exactly
-    /// its demand, first ran between arrival and completion, took no less
-    /// than its ideal time, has RTE in (0, 1] and reads as dead.
-    pub fn at_quiescence(&mut self, m: &Machine, ctx: &str) {
-        self.after_advance(m, ctx);
-        assert_eq!(m.live_tasks(), 0, "{ctx}: machine must quiesce empty");
-        let done = m.finished();
-        assert_eq!(
-            done.len(),
-            self.demand.len(),
-            "{ctx}: every spawned task finishes exactly once"
-        );
-        let mut seen = vec![false; self.demand.len()];
-        for f in done {
+        for note in notes {
+            let Notification::Finished(f) = note else {
+                continue;
+            };
             let i = f.pid.0 as usize;
             assert!(
-                i < seen.len(),
+                i < self.finished.len(),
                 "{ctx}: {} finished but was never spawned",
                 f.pid
             );
-            assert!(!seen[i], "{ctx}: {} finished twice", f.pid);
-            seen[i] = true;
+            assert!(!self.finished[i], "{ctx}: {} finished twice", f.pid);
+            self.finished[i] = true;
             finished_task(f, self.demand[i], ctx);
             assert_eq!(
                 m.proc_state(f.pid),
@@ -120,6 +118,31 @@ impl MachineAudit {
             );
         }
     }
+
+    /// Once the machine has run dry, with the last advance's `notes`: the
+    /// audit above, no task is live, and every spawned task's completion
+    /// was delivered exactly once.
+    pub fn at_quiescence(&mut self, m: &Machine, notes: &[Notification], ctx: &str) {
+        self.after_advance(m, notes, ctx);
+        assert_eq!(m.live_tasks(), 0, "{ctx}: machine must quiesce empty");
+        let done = self.finished.iter().filter(|&&f| f).count();
+        assert_eq!(
+            done,
+            self.demand.len(),
+            "{ctx}: every spawned task finishes exactly once"
+        );
+    }
+}
+
+/// The completion records among `notes`, in delivery order.
+pub fn completions(notes: &[Notification]) -> Vec<&FinishedTask> {
+    notes
+        .iter()
+        .filter_map(|n| match n {
+            Notification::Finished(f) => Some(&**f),
+            _ => None,
+        })
+        .collect()
 }
 
 /// One completion record against its spec's demand.

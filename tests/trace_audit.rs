@@ -2,7 +2,10 @@
 //! segments must be mutually consistent with the machine's accounting —
 //! the strongest end-to-end correctness check the simulator offers.
 
-use sfs_repro::sched::{Machine, MachineParams, Pid, Policy, TaskSpec};
+#[path = "support/audit.rs"]
+mod audit;
+
+use sfs_repro::sched::{Machine, MachineParams, Policy, TaskSpec};
 use sfs_repro::sfs::{SfsConfig, SfsController, Sim};
 use sfs_repro::simcore::{SimDuration, SimTime};
 use sfs_repro::workload::WorkloadSpec;
@@ -18,19 +21,22 @@ fn trace_time_equals_charged_cpu_time() {
     for i in 0..20u64 {
         pids.push(m.spawn(TaskSpec::cpu(i, SimDuration::from_millis(5 + i))));
     }
-    m.run_until_quiescent();
+    let notes = m.run_until_quiescent();
+    let done = audit::completions(&notes);
+    assert_eq!(done.len(), pids.len(), "every task finishes");
     let trace = m.trace().expect("tracing enabled").clone();
     assert!(trace.find_overlap().is_none(), "cores double-booked");
-    for (i, t) in m.finished().iter().enumerate() {
+    for t in &done {
         assert_eq!(
-            trace.task_time(Pid(i as u64)),
+            trace.task_time(t.pid),
             t.cpu_time,
-            "trace vs charge mismatch for task {i}"
+            "trace vs charge mismatch for {}",
+            t.pid
         );
     }
     // Total busy time across cores equals total CPU demand.
     let busy = trace.core_busy(0) + trace.core_busy(1);
-    let demand: SimDuration = m.finished().iter().map(|t| t.cpu_demand).sum();
+    let demand: SimDuration = done.iter().map(|t| t.cpu_demand).sum();
     assert_eq!(busy, demand);
 }
 
