@@ -10,7 +10,7 @@
 use sfs_bench::{banner, run_factory, run_sfs, save, section, Sweep};
 use sfs_core::{Baseline, RequestOutcome, SfsConfig};
 use sfs_metrics::{headline_claims, MarkdownTable, Paired};
-use sfs_workload::WorkloadSpec;
+use sfs_workload::{WorkloadSpec, LONG_THRESHOLD_MS};
 
 const CORES: usize = 16;
 
@@ -49,7 +49,7 @@ fn main() {
             baseline_ctx: c.ctx_switches,
         })
         .collect();
-    let h = headline_claims(&pairs, 1550.0);
+    let h = headline_claims(&pairs, LONG_THRESHOLD_MS);
 
     section("measured vs paper");
     let mut t = MarkdownTable::new(&["claim", "paper", "measured"]);

@@ -22,7 +22,7 @@ use sfs_core::{
 use sfs_metrics::{cdf_chart, MarkdownTable, PercentileTable};
 use sfs_sched::{MachineParams, SmpParams};
 use sfs_simcore::SimDuration;
-use sfs_workload::WorkloadSpec;
+use sfs_workload::{WorkloadSpec, LONG_THRESHOLD_MS};
 
 const CORES: usize = 16;
 const LOAD: f64 = 0.85;
@@ -136,7 +136,7 @@ fn main() {
         let mean_short = |v: &[RequestOutcome]| {
             let xs: Vec<f64> = v
                 .iter()
-                .filter(|o| o.ideal.as_millis_f64() < 1550.0)
+                .filter(|o| o.ideal.as_millis_f64() < LONG_THRESHOLD_MS)
                 .map(|o| o.turnaround.as_millis_f64())
                 .collect();
             xs.iter().sum::<f64>() / xs.len().max(1) as f64
@@ -185,7 +185,7 @@ fn main() {
             let mut s = Vec::new();
             let mut l = Vec::new();
             for o in &r.value {
-                if o.ideal.as_millis_f64() < 1550.0 {
+                if o.ideal.as_millis_f64() < LONG_THRESHOLD_MS {
                     s.push(o.turnaround.as_millis_f64());
                 } else {
                     l.push(o.turnaround.as_millis_f64());
@@ -256,7 +256,7 @@ fn main() {
         let short: Vec<f64> = r
             .value
             .iter()
-            .filter(|o| o.ideal.as_millis_f64() < 1550.0)
+            .filter(|o| o.ideal.as_millis_f64() < LONG_THRESHOLD_MS)
             .map(|o| o.turnaround.as_millis_f64())
             .collect();
         let rt = rtes(&r.value);

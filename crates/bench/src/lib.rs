@@ -25,7 +25,7 @@ pub use sweep::{Scenario, Sweep, SweepResult, Trial};
 use sfs_core::{ControllerFactory, RequestOutcome, RunOutcome, SfsConfig, SfsController, Sim};
 use sfs_sched::MachineParams;
 use sfs_simcore::SimDuration;
-use sfs_workload::Workload;
+use sfs_workload::{Workload, LONG_THRESHOLD_MS};
 
 /// Run `w` under SFS (`cfg`) on a default Linux machine with `cores`
 /// cores — the shared harness glue for every figure binary.
@@ -156,9 +156,9 @@ pub fn rtes(outcomes: &[RequestOutcome]) -> Vec<f64> {
 }
 
 /// Split turnarounds into (short, long) by ideal duration at the paper's
-/// 1550 ms Table-I boundary.
+/// Table-I boundary, [`LONG_THRESHOLD_MS`].
 pub fn split_short_long(outcomes: &[RequestOutcome]) -> (Vec<f64>, Vec<f64>) {
-    let thr = SimDuration::from_millis(1550);
+    let thr = SimDuration::from_millis_f64(LONG_THRESHOLD_MS);
     let mut short = Vec::new();
     let mut long = Vec::new();
     for o in outcomes {

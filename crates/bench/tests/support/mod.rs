@@ -92,20 +92,6 @@ pub const SMP_SCENARIOS: &[&str] = &[
     "smp4_burst_cfs",
 ];
 
-/// The kernel-policy scenario subset (EEVDF / deadline-class / SRP / SRTF
-/// baselines, replay + SMP overload burst each).
-#[allow(dead_code)] // each test binary compiles its own copy of this module
-pub const KPOLICY_SCENARIOS: &[&str] = &[
-    "eevdf4_replay",
-    "eevdf4_burst",
-    "dl4_replay",
-    "dl4_burst",
-    "srp4_replay",
-    "srp4_burst",
-    "srtf4_replay",
-    "srtf4_burst",
-];
-
 /// Request count: small enough for CI, large enough for stable shapes.
 pub const N: usize = 1_200;
 /// Fixed master seed for the whole suite.

@@ -126,8 +126,8 @@ pub struct HostLoad {
     /// EWMA of predicted turnarounds (ms) at this host's completions;
     /// `None` until the first completion.
     pub ewma_turnaround_ms: Option<f64>,
-    /// Predicted next-free instant of each core (the dispatcher's c-server
-    /// FIFO model of the host).
+    /// Predicted next-free instant of each core: the host as a pool of
+    /// FCFS servers, one per core ([`fcfs`]).
     core_free: Vec<SimTime>,
 }
 
@@ -168,16 +168,26 @@ impl HostLoad {
     }
 
     /// Dispatch `service_ms` of work at `now`; returns the predicted
-    /// completion instant under the c-server FIFO model.
+    /// completion instant under the host's FCFS core model.
     pub(crate) fn admit(&mut self, now: SimTime, service_ms: f64) -> SimTime {
-        let core = (0..self.core_free.len())
-            .min_by_key(|&c| self.core_free[c])
-            .expect("hosts have at least one core");
-        let start = self.core_free[core].max(now);
-        let finish = start + SimDuration::from_millis_f64(service_ms);
-        self.core_free[core] = finish;
-        finish
+        let service = SimDuration::from_millis_f64(service_ms);
+        fcfs(&mut self.core_free, now, service)
     }
+}
+
+/// The crate's one first-come-first-served server-pool model, over each
+/// server's next-free instant: the earliest-free server (lowest index on
+/// ties) takes a request arriving at `arrival`, starts it at
+/// `max(arrival, free)` and holds it for `service`. Returns the instant the
+/// request leaves. [`HostLoad`]'s cores and OpenLambda's dispatch hops
+/// ([`OpenLambda::dispatch`](crate::OpenLambda::dispatch)) are such pools.
+pub(crate) fn fcfs(free: &mut [SimTime], arrival: SimTime, service: SimDuration) -> SimTime {
+    let (server, &earliest) = (free.iter().enumerate())
+        .min_by_key(|&(_, &t)| t)
+        .expect("a server pool has at least one server");
+    let leave = earliest.max(arrival) + service;
+    free[server] = leave;
+    leave
 }
 
 /// A cluster of identical SFS hosts behind one global dispatcher.
@@ -817,6 +827,85 @@ mod tests {
         // And the host admits again from the reset instant.
         let f = h.admit(crash_at, 10.0);
         assert_eq!(f, crash_at + SimDuration::from_millis(10));
+    }
+
+    fn at(ms: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(ms)
+    }
+
+    /// The leave instant of each of `arrivals` at a `servers`-server FCFS
+    /// pool that holds every request for `service_ms`.
+    fn fcfs_all(servers: usize, service_ms: u64, arrivals: &[SimTime]) -> Vec<SimTime> {
+        let mut free = vec![SimTime::ZERO; servers];
+        let service = SimDuration::from_millis(service_ms);
+        arrivals
+            .iter()
+            .map(|&a| fcfs(&mut free, a, service))
+            .collect()
+    }
+
+    #[test]
+    fn fcfs_uncontended_request_leaves_after_its_service() {
+        let leaves = fcfs_all(4, 2, &[at(0), at(100), at(200)]);
+        assert_eq!(leaves, [at(2), at(102), at(202)]);
+    }
+
+    #[test]
+    fn fcfs_one_server_serialises_simultaneous_arrivals() {
+        assert_eq!(fcfs_all(1, 10, &[at(0); 3]), [at(10), at(20), at(30)]);
+    }
+
+    #[test]
+    fn fcfs_two_servers_run_in_parallel() {
+        let leaves = fcfs_all(2, 10, &[at(0); 4]);
+        assert_eq!(leaves, [at(10), at(10), at(20), at(20)]);
+    }
+
+    #[test]
+    fn fcfs_keeps_exit_order_for_equal_service() {
+        let arrivals: Vec<SimTime> = (0..200).map(at).collect();
+        let leaves = fcfs_all(3, 5, &arrivals);
+        for w in leaves.windows(2) {
+            assert!(w[0] <= w[1], "FCFS with equal service must preserve order");
+        }
+    }
+
+    /// Seeded cases: every request leaves, no earlier than its arrival
+    /// plus its service; at most `servers` are in service at any instant;
+    /// one server lets them leave in arrival order.
+    #[test]
+    fn fcfs_respects_capacity_and_causality() {
+        for case in 0..48u64 {
+            let mut rng = sfs_simcore::SimRng::seed_from_u64(0xFAA5)
+                .derive("stage_capacity")
+                .derive(&case.to_string());
+            let n = rng.uniform_u64(1, 199) as usize;
+            let servers = rng.uniform_u64(1, 5) as usize;
+            let service_ms = rng.uniform_u64(1, 49);
+            let mut ms: Vec<u64> = (0..n).map(|_| rng.uniform_u64(0, 9_999)).collect();
+            ms.sort_unstable();
+            let arrivals: Vec<SimTime> = ms.into_iter().map(at).collect();
+            let leaves = fcfs_all(servers, service_ms, &arrivals);
+            let service = SimDuration::from_millis(service_ms);
+            assert_eq!(leaves.len(), n, "case {case}");
+            for (&a, &l) in arrivals.iter().zip(&leaves) {
+                assert!(l >= a + service, "left before its service (case {case})");
+            }
+            let mut edges: Vec<(SimTime, bool)> = (leaves.iter())
+                .flat_map(|&l| [(l, false), (l - service, true)])
+                .collect();
+            edges.sort_unstable();
+            let mut busy = 0usize;
+            for (_, starts) in edges {
+                busy = if starts { busy + 1 } else { busy - 1 };
+                assert!(busy <= servers, "over capacity (case {case})");
+            }
+            if servers == 1 {
+                for w in leaves.windows(2) {
+                    assert!(w[0] <= w[1], "one server left out of order (case {case})");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,78 +1,50 @@
-//! Property-style tests for the dispatch pipeline and container pool.
+//! Property-style tests for the OpenLambda dispatch pipeline (gateway →
+//! OL worker → sandbox server → UDP notification).
 //!
 //! Randomised cases come from the workspace's seeded [`SimRng`] (no
 //! proptest dependency): a fixed number of cases from a fixed seed, so
 //! failures are exactly reproducible.
 
-use sfs_faas::{Pipeline, Stage};
+use sfs_faas::{OpenLambda, OpenLambdaParams};
 use sfs_simcore::{SimDuration, SimRng, SimTime};
+use sfs_workload::WorkloadSpec;
 
 const CASES: u64 = 48;
 
-fn case_rng(test: &str, case: u64) -> SimRng {
-    SimRng::seed_from_u64(0xFAA5)
-        .derive(test)
-        .derive(&case.to_string())
-}
-
-/// Every request exits after its arrival plus at least the unjittered
-/// minimum service, and no request is lost.
-#[test]
-fn stage_respects_capacity_and_causality() {
-    for case in 0..CASES {
-        let mut rng = case_rng("stage_capacity", case);
-        let n = rng.uniform_u64(1, 199) as usize;
-        let servers = rng.uniform_u64(1, 5) as usize;
-        let service_ms = rng.uniform_u64(1, 49);
-        let mut sorted: Vec<u64> = (0..n).map(|_| rng.uniform_u64(0, 9_999)).collect();
-        sorted.sort_unstable();
-        let times: Vec<SimTime> = sorted
-            .iter()
-            .map(|&ms| SimTime::ZERO + SimDuration::from_millis(ms))
-            .collect();
-        let stage = Stage::new("s", servers, SimDuration::from_millis(service_ms), 0.0);
-        let mut srng = SimRng::seed_from_u64(1);
-        let exits = stage.process(&times, &mut srng);
-        assert_eq!(exits.len(), times.len(), "case {case}");
-        for (a, e) in times.iter().zip(exits.iter()) {
-            assert!(
-                *e >= *a + SimDuration::from_millis(service_ms),
-                "exit before minimum service (case {case})"
-            );
-        }
-        // FCFS with a single server: exits are sorted.
-        if servers == 1 {
-            let mut prev = SimTime::ZERO;
-            for &e in exits.iter() {
-                assert!(e >= prev, "single-server exits out of order (case {case})");
-                prev = e;
-            }
-        }
-    }
-}
-
-/// A multi-stage pipeline preserves request count and causality.
+/// Without jitter the hops compose: no request is lost, none is
+/// dispatched sooner than the hops' summed overheads plus the UDP delay,
+/// and the first, which finds every server free, pays exactly that sum.
+/// One to three servers per hop make later requests queue.
 #[test]
 fn pipeline_composes() {
+    let mut queued = 0;
     for case in 0..CASES {
-        let mut rng = case_rng("pipeline_composes", case);
-        let n = rng.uniform_u64(1, 149) as usize;
-        let s1 = rng.uniform_u64(1, 9);
-        let s2 = rng.uniform_u64(1, 9);
-        let times: Vec<SimTime> = (0..n)
-            .map(|i| SimTime::ZERO + SimDuration::from_millis(i as u64 * 3))
-            .collect();
-        let p = Pipeline::new()
-            .stage(Stage::new("a", 2, SimDuration::from_millis(s1), 0.0))
-            .stage(Stage::new("b", 3, SimDuration::from_millis(s2), 0.0));
-        let mut srng = SimRng::seed_from_u64(9);
-        let out = p.process(&times, &mut srng);
-        assert_eq!(out.len(), n, "case {case}");
-        for (a, e) in times.iter().zip(out.iter()) {
-            assert!(
-                *e >= *a + SimDuration::from_millis(s1 + s2),
-                "pipeline exit beats sum of stage services (case {case})"
-            );
+        let mut rng = SimRng::seed_from_u64(0xFAA5)
+            .derive("pipeline_composes")
+            .derive(&case.to_string());
+        let p = OpenLambdaParams {
+            ol_workers: rng.uniform_u64(1, 3) as usize,
+            ol_worker_overhead: SimDuration::from_millis(rng.uniform_u64(1, 9)),
+            sandbox_servers: rng.uniform_u64(1, 3) as usize,
+            sandbox_overhead: SimDuration::from_millis(rng.uniform_u64(1, 9)),
+            jitter: 0.0,
+            ..OpenLambdaParams::default()
+        };
+        let exact =
+            p.gateway_latency + p.ol_worker_overhead + p.sandbox_overhead + p.udp_notify_delay;
+        let mut w = WorkloadSpec::openlambda(rng.uniform_u64(1, 149) as usize, 3).generate();
+        for (i, r) in w.requests.iter_mut().enumerate() {
+            r.arrival = SimTime::ZERO + SimDuration::from_millis(i as u64 * 3);
+        }
+        let d = OpenLambda::new(p).dispatch(&w);
+        assert_eq!(d.platform_delay.len(), w.len(), "case {case}");
+        assert_eq!(d.platform_delay[0], exact, "case {case}");
+        let os = &d.os_workload.requests;
+        for ((http, os), &delay) in w.requests.iter().zip(os).zip(&d.platform_delay) {
+            assert!(delay >= exact, "beat the hops' sum (case {case})");
+            assert_eq!(os.arrival, http.arrival + delay, "case {case}");
+            queued += usize::from(delay > exact);
         }
     }
+    assert!(queued > 0, "some request must queue at a hop");
 }

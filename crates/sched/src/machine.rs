@@ -616,7 +616,8 @@ impl Machine {
     /// call, including events a handler schedules for exactly `t` while the
     /// span is being processed (e.g. an I/O block at `t - d` scheduling its
     /// wake at `t`). `tests/machine_scenarios.rs` pins this with end-of-span
-    /// regression cases.
+    /// regression cases. Like that call, it panics if `t` is before
+    /// [`Machine::now`].
     pub fn advance_to(&mut self, t: SimTime) -> Vec<Notification> {
         let mut out = Vec::new();
         while self.advance_until_notified(t, &mut out) < t {}
@@ -651,8 +652,18 @@ impl Machine {
     /// same-instant follow-ups (wakes, slice renewals), and a batch pop
     /// would defer them to the next call, which controllers observe as a
     /// late notification.
+    ///
+    /// # Panics
+    /// Panics in every build if `t` is before [`Machine::now`]: the clock
+    /// never runs backwards.
     pub fn advance_until_notified(&mut self, t: SimTime, out: &mut Vec<Notification>) -> SimTime {
-        debug_assert!(t >= self.now, "time must not go backwards");
+        assert!(
+            t >= self.now,
+            "time must not go backwards: asked to advance to {t} ({} ns) at {} ({} ns)",
+            t.as_nanos(),
+            self.now,
+            self.now.as_nanos()
+        );
         loop {
             let queued = self.peek_live().filter(|&at| at <= t);
             if !self.out.is_empty() && !self.tickless.open.is_empty() {

@@ -229,6 +229,18 @@ fn zero_length_advance_and_empty_machine_are_safe() {
 }
 
 #[test]
+#[should_panic(
+    expected = "time must not go backwards: asked to advance to 10.000ms (10000000 ns) \
+                           at 30.000ms (30000000 ns)"
+)]
+fn advancing_to_an_earlier_instant_panics_in_every_build() {
+    let mut m = Machine::new(exact(1));
+    m.spawn(TaskSpec::cpu(0, ms(50)));
+    m.advance_to(at(30));
+    m.advance_to(at(10));
+}
+
+#[test]
 fn live_task_count_tracks_lifecycle() {
     let mut m = Machine::new(exact(1));
     let _a = m.spawn(TaskSpec::cpu(0, ms(10)));

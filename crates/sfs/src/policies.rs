@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 
 use sfs_sched::{Notification, Pid, Policy, ProcState};
 use sfs_simcore::{SimDuration, SimTime};
-use sfs_workload::{AppKind, Request, Workload};
+use sfs_workload::{AppKind, Request, Workload, LONG_THRESHOLD_MS};
 
 use crate::sim::{Controller, MachineView, Telemetry};
 use crate::stats::RequestOutcome;
@@ -124,9 +124,10 @@ fn app_index(app: AppKind) -> usize {
 
 impl HistoryPriority {
     /// A strawman with the paper's FILTER priority (50) and the Table I
-    /// long-function boundary (1550 ms) as the prediction threshold.
+    /// long-function boundary ([`LONG_THRESHOLD_MS`]) as the prediction
+    /// threshold.
     pub fn new() -> HistoryPriority {
-        HistoryPriority::with_threshold(50, 1550.0)
+        HistoryPriority::with_threshold(50, LONG_THRESHOLD_MS)
     }
 
     /// Custom FIFO priority and short/long prediction boundary.

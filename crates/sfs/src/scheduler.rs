@@ -139,10 +139,11 @@ pub struct SfsController {
     /// Absolute queue-delay deadline (SLO variant); `None` = paper SFS.
     slo_deadline: Option<SimDuration>,
     slice: SliceController,
-    queue: VecDeque<u32>,
-    /// Per-worker queues (used only in [`QueueMode::PerWorker`]).
-    worker_queues: Vec<VecDeque<u32>>,
-    /// Round-robin cursor for per-worker assignment.
+    /// Request queues: the one global queue in [`QueueMode::Global`], one
+    /// per worker in [`QueueMode::PerWorker`]. Worker `w` fetches from
+    /// `queues[w % queues.len()]`.
+    queues: Vec<VecDeque<u32>>,
+    /// Round-robin cursor over `queues` for enqueueing.
     next_rr: usize,
     /// Per-request state slab, indexed by `pid.0` (the *slot*), the only
     /// request index. The sim spawns one process per request with densely
@@ -192,8 +193,10 @@ impl SfsController {
             cfg,
             slo_deadline: None,
             slice: SliceController::new(&cfg),
-            queue: VecDeque::new(),
-            worker_queues: (0..cfg.workers).map(|_| VecDeque::new()).collect(),
+            queues: match cfg.queue_mode {
+                QueueMode::Global => vec![VecDeque::new()],
+                QueueMode::PerWorker => vec![VecDeque::new(); cfg.workers],
+            },
             next_rr: 0,
             states: Vec::new(),
             finished: None,
@@ -233,41 +236,27 @@ impl SfsController {
     // Event handling
     // ------------------------------------------------------------------
 
-    /// Route a request into the configured queue topology.
+    /// Route a request into the configured queue topology: round-robin
+    /// over the queues, so always the one queue in global mode.
     fn enqueue_req(&mut self, slot: u32) {
         self.states[slot as usize].loc = Loc::Queued;
-        match self.cfg.queue_mode {
-            QueueMode::Global => self.queue.push_back(slot),
-            QueueMode::PerWorker => {
-                let w = self.next_rr % self.worker_queues.len();
-                self.next_rr += 1;
-                self.worker_queues[w].push_back(slot);
-            }
-        }
+        let q = self.next_rr % self.queues.len();
+        self.next_rr += 1;
+        self.queues[q].push_back(slot);
     }
 
-    /// Steps 2 / 4.4: idle workers fetch requests; overloaded requests are
-    /// left to CFS.
+    /// Steps 2 / 4.4: idle workers fetch requests, in worker order;
+    /// overloaded requests are left to CFS. A fetch never frees a worker,
+    /// so in global mode this is "the first idle worker pops the head"
+    /// until no worker is idle or the queue is empty.
     fn try_assign(&mut self, m: &mut MachineView<'_>) {
-        match self.cfg.queue_mode {
-            QueueMode::Global => loop {
-                let Some(w) = self.workers.iter().position(Option::is_none) else {
-                    return;
-                };
-                let Some(slot) = self.queue.pop_front() else {
-                    return;
+        for w in 0..self.workers.len() {
+            let q = w % self.queues.len();
+            while self.workers[w].is_none() {
+                let Some(slot) = self.queues[q].pop_front() else {
+                    break;
                 };
                 self.assign_step(m, w, slot);
-            },
-            QueueMode::PerWorker => {
-                for w in 0..self.workers.len() {
-                    while self.workers[w].is_none() {
-                        let Some(slot) = self.worker_queues[w].pop_front() else {
-                            break;
-                        };
-                        self.assign_step(m, w, slot);
-                    }
-                }
             }
         }
     }
@@ -484,8 +473,7 @@ impl SfsController {
                     }
                 });
             };
-            shed(&mut self.queue);
-            for q in self.worker_queues.iter_mut() {
+            for q in self.queues.iter_mut() {
                 shed(q);
             }
         }
@@ -520,8 +508,7 @@ impl SfsController {
     fn work_pending(&self) -> bool {
         self.earliest.is_some()
             || !self.blocked.is_empty()
-            || !self.queue.is_empty()
-            || self.worker_queues.iter().any(|q| !q.is_empty())
+            || self.queues.iter().any(|q| !q.is_empty())
     }
 
     fn arm_poll(&mut self, m: &MachineView<'_>) {
@@ -669,8 +656,7 @@ impl Controller for SfsController {
                 Loc::None => {}
                 Loc::Queued => {
                     let s = slot as u32;
-                    self.queue.retain(|&q| q != s);
-                    for q in self.worker_queues.iter_mut() {
+                    for q in self.queues.iter_mut() {
                         q.retain(|&x| x != s);
                     }
                     self.states[slot].loc = Loc::None;

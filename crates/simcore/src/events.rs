@@ -119,21 +119,6 @@ impl<E> EventQueue<E> {
             _ => None,
         }
     }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True iff no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drop all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
 }
 
 #[cfg(test)]
@@ -173,7 +158,7 @@ mod tests {
         assert_eq!(q.pop_until(at(15)).map(|(_, e)| e), Some(1));
         assert_eq!(q.pop_until(at(15)), None);
         assert_eq!(q.pop_until(at(20)).map(|(_, e)| e), Some(2));
-        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -186,7 +171,7 @@ mod tests {
         let mut seen: Vec<SimTime> = q.instants().collect();
         seen.sort();
         assert_eq!(seen, vec![at(10), at(20), at(30)]);
-        assert_eq!(q.len(), 3, "the view consumes nothing");
+        assert_eq!(q.instants().count(), 3, "the view consumes nothing");
     }
 
     #[test]
@@ -202,7 +187,7 @@ mod tests {
             Some((at(10), &'y')),
             "same-instant ties in push order"
         );
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.instants().count(), 2);
     }
 
     #[test]
@@ -210,9 +195,8 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(at(7), 0);
         assert_eq!(q.peek_time(), Some(at(7)));
-        assert_eq!(q.len(), 1);
-        q.clear();
-        assert!(q.is_empty());
+        assert_eq!(q.instants().count(), 1);
+        assert_eq!(q.pop(), Some((at(7), 0)));
         assert_eq!(q.peek_time(), None);
     }
 

@@ -49,8 +49,9 @@ fn event_queue_total_order() {
 ///
 /// The model is a plain `Vec<(time, push_order, payload)>` with a stable
 /// sort: the specification of "ascending time, FIFO within ties". Every
-/// queue operation — `push`, `pop`, `pop_until` and `clear` — must agree
-/// with it at every step.
+/// queue operation — `push`, `pop`, `pop_until` and a drain through `pop`
+/// — must agree with it at every step, as must the pending-event count
+/// `instants` gives.
 #[test]
 fn event_queue_matches_reference_model() {
     for case in 0..CASES {
@@ -96,11 +97,19 @@ fn event_queue_matches_reference_model() {
                     );
                 }
                 _ => {
-                    q.clear();
-                    model.clear();
+                    // Drain: every pending event pops in the model's order.
+                    model.sort_by_key(|&(t, ord, _)| (t, ord));
+                    for (t, _, p) in model.drain(..) {
+                        assert_eq!(q.pop(), Some((at_ms(t), p)), "drain (case {case} op {op})");
+                    }
+                    assert_eq!(q.pop(), None, "drained (case {case} op {op})");
                 }
             }
-            assert_eq!(q.len(), model.len(), "len (case {case} op {op})");
+            assert_eq!(
+                q.instants().count(),
+                model.len(),
+                "size (case {case} op {op})"
+            );
             model.sort_by_key(|&(t, ord, _)| (t, ord));
             assert_eq!(
                 q.peek_time(),

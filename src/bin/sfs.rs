@@ -55,7 +55,7 @@ use sfs_repro::sfs::{
 };
 use sfs_repro::simcore::SimDuration;
 use sfs_repro::simcore::{Samples, SimTime};
-use sfs_repro::workload::{self, Workload, WorkloadSpec};
+use sfs_repro::workload::{self, Workload, WorkloadSpec, LONG_THRESHOLD_MS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -473,7 +473,7 @@ fn cmd_compare(flags: &BTreeMap<String, String>) {
             baseline_ctx: c.ctx_switches,
         })
         .collect();
-    let h = headline_claims(&pairs, 1550.0);
+    let h = headline_claims(&pairs, LONG_THRESHOLD_MS);
     println!(
         "\nshort ({:.1}% of requests): mean speedup {:.1}x (median {:.1}x)\n\
          long: mean slowdown {:.2}x | improved overall: {:.1}%",

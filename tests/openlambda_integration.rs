@@ -1,13 +1,171 @@
-//! End-to-end OpenLambda platform integration: dispatch pipeline, container
+//! End-to-end OpenLambda platform integration: dispatch hops, container
 //! accounting, contention model, and SFS-vs-CFS behaviour behind the
 //! platform.
 
 use sfs_repro::faas::{OpenLambda, OpenLambdaParams};
+use sfs_repro::sched::TaskSpec;
 use sfs_repro::sfs::{Baseline, SfsConfig};
-use sfs_repro::simcore::Samples;
-use sfs_repro::workload::{IatSpec, Spike, WorkloadSpec};
+use sfs_repro::simcore::{Samples, SimDuration, SimTime};
+use sfs_repro::workload::{AppKind, IatSpec, Request, Spike, Workload, WorkloadSpec};
 
 const CORES: usize = 24;
+
+fn at(ms: u64) -> SimTime {
+    SimTime::ZERO + SimDuration::from_millis(ms)
+}
+
+/// `n` OpenLambda requests arriving `gap_ms` apart.
+fn spaced(n: usize, gap_ms: u64) -> Workload {
+    let mut w = WorkloadSpec::openlambda(n, 3).generate();
+    for (i, r) in w.requests.iter_mut().enumerate() {
+        r.arrival = at(i as u64 * gap_ms);
+    }
+    w
+}
+
+/// The three hops' overheads, each scaled by `k`, plus the UDP delay: a
+/// request's platform delay when no hop makes it queue.
+fn hop_sum(p: &OpenLambdaParams, k: f64) -> SimDuration {
+    let hops = [p.gateway_latency, p.ol_worker_overhead, p.sandbox_overhead];
+    hops.into_iter().map(|o| o.mul_f64(k)).sum::<SimDuration>() + p.udp_notify_delay
+}
+
+#[test]
+fn jittered_dispatch_delay_stays_within_the_hops() {
+    // Arrivals 100 ms apart never queue at a hop, so each delay is the
+    // three jittered overheads plus the UDP delay.
+    let p = OpenLambdaParams::default();
+    let (lo, mid, hi) = (
+        hop_sum(&p, 1.0 - p.jitter),
+        hop_sum(&p, 1.0),
+        hop_sum(&p, 1.0 + p.jitter),
+    );
+    let d = OpenLambda::new(p).dispatch(&spaced(1_000, 100));
+    for &delay in &d.platform_delay {
+        assert!(
+            (lo..=hi).contains(&delay),
+            "delay {delay} outside [{lo}, {hi}]"
+        );
+    }
+    assert!(
+        d.platform_delay.iter().any(|&x| x < mid),
+        "jitter lowers some"
+    );
+    assert!(
+        d.platform_delay.iter().any(|&x| x > mid),
+        "jitter raises some"
+    );
+}
+
+#[test]
+fn unjittered_dispatch_composes_the_hops() {
+    // Two requests at 0 ms, one server at each of the 1 ms OL-worker and
+    // 2 ms sandbox hops, the default 0.2 ms gateway (1,024 servers, so
+    // no queueing there) and 0.05 ms UDP delay:
+    //   r0  gateway 0 → 0.2, OL 0.2 → 1.2, sandbox 1.2 → 3.2, +0.05
+    //   r1  gateway 0 → 0.2, OL 1.2 → 2.2, sandbox 3.2 → 5.2, +0.05
+    let p = OpenLambdaParams {
+        ol_workers: 1,
+        ol_worker_overhead: SimDuration::from_millis(1),
+        sandbox_servers: 1,
+        sandbox_overhead: SimDuration::from_millis(2),
+        jitter: 0.0,
+        ..OpenLambdaParams::default()
+    };
+    assert_eq!(hop_sum(&p, 1.0), SimDuration::from_micros(3_250));
+    let d = OpenLambda::new(p).dispatch(&spaced(2, 0));
+    assert_eq!(
+        d.platform_delay,
+        [
+            SimDuration::from_micros(3_250),
+            SimDuration::from_micros(5_250)
+        ]
+    );
+}
+
+/// `(container_peak, pool_blocked)` from dispatching `(arrival, run)` ms
+/// requests onto `containers` pre-warmed containers. With no hop overhead
+/// and no UDP delay, each request holds its container over
+/// `[arrival, arrival + run)` ms.
+fn container_check(containers: usize, timeline: &[(u64, u64)]) -> (usize, bool) {
+    let ol = OpenLambda::new(OpenLambdaParams {
+        gateway_latency: SimDuration::ZERO,
+        ol_worker_overhead: SimDuration::ZERO,
+        sandbox_overhead: SimDuration::ZERO,
+        udp_notify_delay: SimDuration::ZERO,
+        jitter: 0.0,
+        containers,
+        ..OpenLambdaParams::default()
+    });
+    let requests = (timeline.iter().zip(0..))
+        .map(|(&(arrival, run), id)| Request {
+            id,
+            arrival: at(arrival),
+            app: AppKind::Fib,
+            duration_ms: run as f64,
+            injected_io_ms: None,
+            cold_start_ms: None,
+            spec: TaskSpec::cpu(id, SimDuration::from_millis(run)),
+        })
+        .collect();
+    let d = ol.dispatch(&Workload { requests });
+    (d.container_peak, d.pool_blocked)
+}
+
+#[test]
+fn container_check_grants_until_capacity() {
+    // Three requests held from 0: two containers serve two, and the
+    // third blocks.
+    let three = [(0, 10), (0, 10), (0, 10)];
+    assert_eq!(container_check(2, &three), (2, true));
+    assert_eq!(container_check(3, &three), (3, false));
+}
+
+#[test]
+fn container_check_ample_pool_never_blocks() {
+    // 500 requests 1 ms apart, each held for a second: all 500 are held
+    // from 499 ms, so a pool of 500 or more reports that exact peak.
+    let ramp: Vec<(u64, u64)> = (0..500).map(|i| (i, 1_000)).collect();
+    assert_eq!(container_check(1_000, &ramp), (500, false));
+    assert_eq!(container_check(500, &ramp), (500, false));
+    assert_eq!(container_check(499, &ramp), (499, true));
+}
+
+#[test]
+fn container_check_releases_before_acquiring_at_one_instant() {
+    // r0 holds [0, 5) and r1 arrives at 5: the release at 5 comes first,
+    // so one container serves both without blocking.
+    assert_eq!(container_check(1, &[(0, 5), (5, 5)]), (1, false));
+    // Held a millisecond longer, r0 still holds its container at 5.
+    assert_eq!(container_check(1, &[(0, 6), (5, 5)]), (1, true));
+}
+
+#[test]
+fn container_check_drained_pool_grants_again() {
+    //   r0 [0, 10)  r1 [0, 5)  r2 [5, 20)  r3 [12, 15)  r4 [30, 31)
+    // Held: 2 from 0, 1 then 2 at 5, 1 at 10, 2 at 12, 1 at 15, none at
+    // 20, and 1 again at 30: the drained pool grants r4 with the peak kept.
+    let fits = [(0, 10), (0, 5), (5, 15), (12, 3), (30, 1)];
+    assert_eq!(container_check(2, &fits), (2, false));
+    assert_eq!(container_check(1, &fits), (1, true));
+    // One more request over [14, 16) makes three held at 14.
+    let over = [(0, 10), (0, 5), (5, 15), (12, 3), (14, 2), (30, 1)];
+    assert_eq!(container_check(2, &over), (2, true));
+    assert_eq!(container_check(3, &over), (3, false));
+    // Filled, drained to zero at 5, and filled again at 10: the refill
+    // finds both containers free.
+    let refill = [(0, 5), (0, 5), (10, 5), (10, 5)];
+    assert_eq!(container_check(2, &refill), (2, false));
+}
+
+#[test]
+#[should_panic(expected = "pool needs at least one container")]
+fn an_empty_container_pool_is_rejected() {
+    OpenLambda::new(OpenLambdaParams {
+        containers: 0,
+        ..Default::default()
+    });
+}
 
 #[test]
 fn platform_preserves_request_identity() {
