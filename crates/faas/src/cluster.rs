@@ -43,6 +43,9 @@
 //! hosts execute into index-ordered slots (see the [`fleet`](crate::fleet)
 //! module docs).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use sfs_core::{ControllerFactory, RequestOutcome, SfsConfig};
 use sfs_simcore::{parallel, SeedSequencer, SimDuration, SimTime};
 use sfs_workload::{AppKind, Request, Table1Sampler, Workload, LONG_THRESHOLD_MS};
@@ -128,7 +131,7 @@ pub struct HostLoad {
     pub ewma_turnaround_ms: Option<f64>,
     /// Predicted next-free instant of each core: the host as a pool of
     /// FCFS servers, one per core ([`fcfs`]).
-    core_free: Vec<SimTime>,
+    core_free: Servers,
 }
 
 impl HostLoad {
@@ -137,7 +140,7 @@ impl HostLoad {
             depth: 0,
             outstanding_long_ms: 0.0,
             ewma_turnaround_ms: None,
-            core_free: vec![SimTime::ZERO; cores],
+            core_free: servers(cores, SimTime::ZERO),
         }
     }
 
@@ -149,22 +152,25 @@ impl HostLoad {
         self.depth = 0;
         self.outstanding_long_ms = 0.0;
         self.ewma_turnaround_ms = None;
-        self.core_free.fill(now);
+        self.core_free = servers(self.core_free.len(), now);
+    }
+
+    /// Remaining modelled backlog at `now` in exact nanoseconds: the sum
+    /// over the host's cores of `free − now`, zero for a core already
+    /// free. An integer sum does not depend on core order, and two hosts
+    /// whose backlogs tie to the nanosecond compare equal.
+    pub(crate) fn backlog_ns(&self, now: SimTime) -> u128 {
+        (self.core_free.iter())
+            .map(|&Reverse(free)| u128::from(free.since(now).as_nanos()))
+            .sum()
     }
 
     /// Remaining modelled backlog (ms) at `now`: how much already-placed
-    /// work the host's cores still have ahead of them.
+    /// work the host's cores still have ahead of them. The router compares
+    /// the exact sum of the cores' nanoseconds; this is that sum converted
+    /// to milliseconds once.
     pub fn backlog_ms(&self, now: SimTime) -> f64 {
-        self.core_free
-            .iter()
-            .map(|&f| {
-                if f > now {
-                    f.since(now).as_millis_f64()
-                } else {
-                    0.0
-                }
-            })
-            .sum()
+        self.backlog_ns(now) as f64 / 1.0e6
     }
 
     /// Dispatch `service_ms` of work at `now`; returns the predicted
@@ -175,18 +181,29 @@ impl HostLoad {
     }
 }
 
-/// The crate's one first-come-first-served server-pool model, over each
-/// server's next-free instant: the earliest-free server (lowest index on
-/// ties) takes a request arriving at `arrival`, starts it at
-/// `max(arrival, free)` and holds it for `service`. Returns the instant the
-/// request leaves. [`HostLoad`]'s cores and OpenLambda's dispatch hops
+/// A pool of identical servers as a min-heap of their next-free instants,
+/// the earliest on top. The servers are interchangeable, so the pool is
+/// the multiset of instants and keeps no server order.
+pub(crate) type Servers = BinaryHeap<Reverse<SimTime>>;
+
+/// A pool of `n` servers, each free from `at`.
+pub(crate) fn servers(n: usize, at: SimTime) -> Servers {
+    BinaryHeap::from(vec![Reverse(at); n])
+}
+
+/// The crate's one first-come-first-served server-pool model: the
+/// earliest-free server takes a request arriving at `arrival`, starts it
+/// at `max(arrival, free)` and holds it for `service`. Returns the instant
+/// the request leaves. A leave instant depends only on the multiset of
+/// free instants, so replacing the heap's top costs O(log servers) however
+/// large the pool. [`HostLoad`]'s cores and OpenLambda's dispatch hops
 /// ([`OpenLambda::dispatch`](crate::OpenLambda::dispatch)) are such pools.
-pub(crate) fn fcfs(free: &mut [SimTime], arrival: SimTime, service: SimDuration) -> SimTime {
-    let (server, &earliest) = (free.iter().enumerate())
-        .min_by_key(|&(_, &t)| t)
+pub(crate) fn fcfs(free: &mut Servers, arrival: SimTime, service: SimDuration) -> SimTime {
+    let mut earliest = free
+        .peek_mut()
         .expect("a server pool has at least one server");
-    let leave = earliest.max(arrival) + service;
-    free[server] = leave;
+    let leave = earliest.0.max(arrival) + service;
+    *earliest = Reverse(leave);
     leave
 }
 
@@ -558,6 +575,35 @@ mod tests {
         }
     }
 
+    /// `LeastLoaded` compares exact nanosecond backlogs. Four simultaneous
+    /// requests on two 2-core hosts: the first three leave host 0 with
+    /// cores busy for +100 µs and +200 µs, host 1 with one core busy for
+    /// +300 µs and one idle. The backlogs tie, so the fourth goes to the
+    /// lowest slot; a sum of per-core milliseconds reads 0.1 + 0.2 > 0.3
+    /// and would send it to host 1.
+    #[test]
+    fn least_loaded_ties_exact_backlogs_to_the_lowest_slot() {
+        let request = |id: u64, us: u64| Request {
+            id,
+            arrival: SimTime::ZERO,
+            app: AppKind::Fib,
+            duration_ms: us as f64 / 1e3,
+            injected_io_ms: None,
+            cold_start_ms: None,
+            spec: sfs_sched::TaskSpec::cpu(id, SimDuration::from_micros(us)),
+        };
+        let w = Workload {
+            requests: vec![
+                request(0, 100),
+                request(1, 300),
+                request(2, 200),
+                request(3, 50),
+            ],
+        };
+        let run = Cluster::new(2, 2).run(Placement::LeastLoaded, &w);
+        assert_eq!(run.per_host, [3, 1], "the tie goes to slot 0");
+    }
+
     #[test]
     fn results_are_identical_for_every_thread_count() {
         let cluster = Cluster::new(4, 2).with_affinity(
@@ -833,10 +879,10 @@ mod tests {
         SimTime::ZERO + SimDuration::from_millis(ms)
     }
 
-    /// The leave instant of each of `arrivals` at a `servers`-server FCFS
+    /// The leave instant of each of `arrivals` at an `n`-server FCFS
     /// pool that holds every request for `service_ms`.
-    fn fcfs_all(servers: usize, service_ms: u64, arrivals: &[SimTime]) -> Vec<SimTime> {
-        let mut free = vec![SimTime::ZERO; servers];
+    fn fcfs_all(n: usize, service_ms: u64, arrivals: &[SimTime]) -> Vec<SimTime> {
+        let mut free = servers(n, SimTime::ZERO);
         let service = SimDuration::from_millis(service_ms);
         arrivals
             .iter()
@@ -904,6 +950,30 @@ mod tests {
                 for w in leaves.windows(2) {
                     assert!(w[0] <= w[1], "one server left out of order (case {case})");
                 }
+            }
+        }
+    }
+
+    /// The heap gives every request the leave instant that a scan of a
+    /// slice of free instants (earliest server, lowest index on ties)
+    /// gives, over seeded pools up to the gateway's 1,024 servers, with
+    /// unordered arrivals and per-request services, as a later dispatch
+    /// hop sees them.
+    #[test]
+    fn fcfs_heap_matches_a_scan_of_server_slots() {
+        let mut rng = sfs_simcore::SimRng::seed_from_u64(0xFCF5);
+        for case in 0..64 {
+            let n = [1, 2, 3, 8, 72, 1_024][case % 6];
+            let (mut heap, mut slots) = (servers(n, SimTime::ZERO), vec![SimTime::ZERO; n]);
+            for _ in 0..rng.uniform_u64(0, 3_000) {
+                let arrival = SimTime::ZERO + SimDuration::from_micros(rng.uniform_u64(0, 50_000));
+                let service = SimDuration::from_micros(rng.uniform_u64(0, 2_000));
+                let (server, &free) = (slots.iter().enumerate())
+                    .min_by_key(|&(_, &t)| t)
+                    .expect("the pool has servers");
+                slots[server] = free.max(arrival) + service;
+                let leave = fcfs(&mut heap, arrival, service);
+                assert_eq!(leave, slots[server], "case {case}, {n} servers");
             }
         }
     }

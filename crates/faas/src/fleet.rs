@@ -48,9 +48,12 @@
 //!
 //! Execution maps outcomes back to requests by workload index
 //! ([`sfs_core::run_rebased`]), never by request id, so any set of unique
-//! ids — sparse, large, out of arrival order — routes and re-bases.
+//! ids — sparse, large, out of arrival order — routes and re-bases. Each
+//! unit's outcomes come back sorted by id, and the units' runs are merged
+//! by id rather than concatenated and re-sorted.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use sfs_core::{run_rebased, ControllerFactory, RequestOutcome, SfsConfig};
 use sfs_sched::Phase;
@@ -240,6 +243,8 @@ pub struct RegionStats {
 pub struct FleetRun {
     /// Outcomes of every completed request, sorted by id, re-based to the
     /// front-door arrival (turnaround includes RTT and re-dispatch time).
+    /// Each execution unit returns its outcomes sorted by id, and the
+    /// units' runs are merged by id, each record moved once.
     pub outcomes: Vec<RequestOutcome>,
     /// Ids the front door shed on arrival (every region past the shed
     /// threshold or without an active host).
@@ -385,8 +390,8 @@ struct Slot {
     /// Dispatches still running here, in dispatch order.
     in_flight: Vec<InFlight>,
     /// Warm pool: per function key, the predicted finish of its latest
-    /// dispatch here.
-    warm: BTreeMap<u64, SimTime>,
+    /// dispatch here, sorted by key.
+    warm: Vec<(u64, SimTime)>,
     /// Placements per epoch; the last list is the current epoch. Each
     /// rejoin (after a crash, an outage or a cold boot) starts a new one,
     /// so pre- and post-reset placements never share an execution unit.
@@ -401,7 +406,7 @@ impl Slot {
             straggle: 1.0,
             pending_up: None,
             in_flight: Vec::new(),
-            warm: BTreeMap::new(),
+            warm: Vec::new(),
             units: vec![Vec::new()],
         }
     }
@@ -427,14 +432,15 @@ impl RegionState {
     }
 
     /// The front door's load signal: modelled backlog (ms) per active
-    /// core. Infinite when the region has no active host.
+    /// core, from the exact nanosecond sum over the active hosts, converted
+    /// and divided once. Infinite when the region has no active host.
     fn backlog_per_core_ms(&self, now: SimTime, cores_per_host: usize) -> f64 {
         let active = self.active_count();
         if active == 0 {
             return f64::INFINITY;
         }
-        let backlog: f64 = self.actives().map(|(_, l)| l.backlog_ms(now)).sum();
-        backlog / (active * cores_per_host) as f64
+        let backlog_ns: u128 = self.actives().map(|(_, l)| l.backlog_ns(now)).sum();
+        backlog_ns as f64 / (1.0e6 * (active * cores_per_host) as f64)
     }
 
     /// The active hosts' modelled loads, by slot index.
@@ -458,9 +464,11 @@ impl RegionState {
     ) -> Option<usize> {
         match placement {
             Placement::RoundRobin => self.rr_next(),
-            Placement::LeastLoaded => {
-                argmin_f64(self.actives().map(|(h, l)| (h, l.backlog_ms(now))))
-            }
+            // `min_by_key` keeps the first of equal keys: ties go to the
+            // lowest slot.
+            Placement::LeastLoaded => (self.actives())
+                .min_by_key(|(_, l)| l.backlog_ns(now))
+                .map(|(h, _)| h),
             Placement::LongToLightest if long => {
                 argmin_f64(self.actives().map(|(h, l)| (h, l.outstanding_long_ms)))
             }
@@ -594,8 +602,7 @@ impl Fleet {
                 factory.run_on(self.cores_per_host, sub).outcomes
             })
         });
-        run.outcomes = unit_outcomes.into_iter().flatten().collect();
-        run.outcomes.sort_by_key(|o| o.id);
+        run.outcomes = merge_by_id(unit_outcomes);
         run
     }
 
@@ -838,11 +845,9 @@ impl<'a> Router<'a> {
         let slot = &mut reg.slots[host];
         let mut service_ms = r.spec.cpu_demand().as_millis_f64();
         let mut penalty = SimDuration::ZERO;
+        let warm_at = slot.warm.binary_search_by_key(&key, |&(k, _)| k);
         if let Some(aff) = self.fleet.affinity {
-            let warm = slot
-                .warm
-                .get(&key)
-                .is_some_and(|&t| at_host <= t + aff.keep_alive);
+            let warm = warm_at.is_ok_and(|i| at_host <= slot.warm[i].1 + aff.keep_alive);
             if !warm {
                 penalty = aff.cold_start;
                 service_ms += aff.cold_start.as_millis_f64();
@@ -866,7 +871,10 @@ impl<'a> Router<'a> {
         if attempts > 0 {
             self.redispatches += 1;
         }
-        slot.warm.insert(key, finish);
+        match warm_at {
+            Ok(i) => slot.warm[i].1 = finish,
+            Err(i) => slot.warm.insert(i, (key, finish)),
+        }
         let seq = self.dispatch_seq;
         self.dispatch_seq += 1;
         slot.in_flight.push(InFlight {
@@ -893,28 +901,30 @@ impl<'a> Router<'a> {
     /// lowest `rtt + backlog/core` score wins; if none, any region under
     /// the shed threshold; if none (or no region has an active host), the
     /// request is shed. Ties resolve to the lowest region index.
+    ///
+    /// One pass reads each region's load once and keeps, per threshold,
+    /// the [`argmin_f64`] winner over scores that are infinite at or past
+    /// the threshold, with its load; the winner must then be under it.
     fn route_region(&self, now: SimTime) -> Option<usize> {
-        let loads: Vec<f64> = self
-            .regions
-            .iter()
-            .map(|r| r.backlog_per_core_ms(now, self.fleet.cores_per_host))
-            .collect();
         let door = self.fleet.front_door;
-        for threshold in [door.spill_backlog_ms, door.shed_backlog_ms] {
-            let scores = loads.iter().zip(&self.regions).map(|(&l, r)| {
-                if l < threshold {
-                    r.cfg.rtt_ms + l
+        let thresholds = [door.spill_backlog_ms, door.shed_backlog_ms];
+        let mut best: [Option<(usize, f64, f64)>; 2] = [None; 2];
+        for (i, r) in self.regions.iter().enumerate() {
+            let load = r.backlog_per_core_ms(now, self.fleet.cores_per_host);
+            for (b, &threshold) in best.iter_mut().zip(&thresholds) {
+                let score = if load < threshold {
+                    r.cfg.rtt_ms + load
                 } else {
                     f64::INFINITY
-                }
-            });
-            if let Some(b) = argmin_f64(scores.enumerate()) {
-                if loads[b] < threshold {
-                    return Some(b);
+                };
+                if b.map_or(true, |(_, s, _)| score.total_cmp(&s).is_lt()) {
+                    *b = Some((i, score, load));
                 }
             }
         }
-        None
+        (best.into_iter().zip(thresholds))
+            .find_map(|(b, threshold)| b.filter(|&(_, _, load)| load < threshold))
+            .map(|(i, ..)| i)
     }
 
     /// A predicted completion: the request leaves the host's model and its
@@ -1116,6 +1126,29 @@ impl<'a> Router<'a> {
         };
         (units, run)
     }
+}
+
+/// Merge runs that are each sorted by id into one id-sorted vector,
+/// moving each record once. A min-heap holds each run's head as
+/// `(id, run)`, so equal ids leave in run order: the result equals the
+/// runs concatenated and stable-sorted by id.
+fn merge_by_id(runs: Vec<Vec<RequestOutcome>>) -> Vec<RequestOutcome> {
+    let mut merged = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    let mut runs: Vec<_> = runs.into_iter().map(|r| r.into_iter().peekable()).collect();
+    let mut heads: BinaryHeap<Reverse<(u64, usize)>> = (runs.iter_mut().enumerate())
+        .filter_map(|(u, r)| r.peek().map(|o| Reverse((o.id, u))))
+        .collect();
+    while let Some(mut head) = heads.peek_mut() {
+        let Reverse((_, u)) = *head;
+        merged.push(runs[u].next().expect("a queued run has a head"));
+        match runs[u].peek() {
+            Some(o) => *head = Reverse((o.id, u)),
+            None => {
+                PeekMut::pop(head);
+            }
+        }
+    }
+    merged
 }
 
 /// The contiguous host slots of AZ `group` (0 = low half, 1 = high half).
@@ -1415,6 +1448,67 @@ mod tests {
             let mut all = a.clone();
             all.extend_from_slice(&b);
             assert_eq!(all, (0..n).collect::<Vec<usize>>(), "n={n}");
+        }
+    }
+
+    /// An outcome that records where it came from: `ctx_switches` holds
+    /// its run in the high half and its position in the low half.
+    fn tagged(id: u64, run: usize, pos: usize) -> RequestOutcome {
+        RequestOutcome {
+            id,
+            arrival: SimTime::ZERO,
+            finished: SimTime::ZERO,
+            turnaround: SimDuration::ZERO,
+            ideal: SimDuration::ZERO,
+            cpu_demand: SimDuration::ZERO,
+            rte: 1.0,
+            ctx_switches: ((run as u64) << 32) | pos as u64,
+            migrations: 0,
+            queue_delay: SimDuration::ZERO,
+            demoted: false,
+            offloaded: false,
+            filter_rounds: 0,
+            io_blocks: 0,
+        }
+    }
+
+    /// Over no runs, empty runs, a single run, round-robin ids and seeded
+    /// runs with repeated ids, merging gives the records, in the order,
+    /// that concatenating the runs and stable-sorting them by id gives.
+    #[test]
+    fn merge_by_id_equals_concatenate_and_stable_sort() {
+        let mut cases: Vec<Vec<Vec<u64>>> = vec![
+            vec![],
+            vec![vec![]; 3],
+            vec![vec![4, 9, 9, 12]],
+            (0..3).map(|u| (u..30).step_by(3).collect()).collect(),
+        ];
+        let mut rng = SimRng::seed_from_u64(0x3E76);
+        for _ in 0..300 {
+            let runs = (0..rng.uniform_u64(0, 8))
+                .map(|_| {
+                    let n = rng.uniform_u64(0, 40);
+                    let mut ids: Vec<u64> = (0..n).map(|_| rng.uniform_u64(0, 60)).collect();
+                    ids.sort_unstable();
+                    ids
+                })
+                .collect();
+            cases.push(runs);
+        }
+        let fields = |v: &[RequestOutcome]| -> Vec<(u64, u64)> {
+            v.iter().map(|o| (o.id, o.ctx_switches)).collect()
+        };
+        for (case, ids) in cases.iter().enumerate() {
+            let runs: Vec<Vec<RequestOutcome>> = (ids.iter().enumerate())
+                .map(|(u, run)| {
+                    (run.iter().enumerate())
+                        .map(|(p, &id)| tagged(id, u, p))
+                        .collect()
+                })
+                .collect();
+            let mut sorted = runs.concat();
+            sorted.sort_by_key(|o| o.id);
+            assert_eq!(fields(&merge_by_id(runs)), fields(&sorted), "case {case}");
         }
     }
 

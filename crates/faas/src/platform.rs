@@ -21,7 +21,7 @@ use sfs_sched::MachineParams;
 use sfs_simcore::{SimDuration, SimRng, SimTime};
 use sfs_workload::Workload;
 
-use crate::cluster::fcfs;
+use crate::cluster::{fcfs, servers};
 
 /// Platform deployment parameters (defaults model the paper's 72-core
 /// m5.metal OpenLambda deployment).
@@ -118,12 +118,12 @@ impl OpenLambda {
         // All requests cross a hop, in request order, before any crosses
         // the next; that fixes the order of the jitter draws.
         let mut times: Vec<SimTime> = workload.requests.iter().map(|r| r.arrival).collect();
-        for (servers, overhead) in [
+        for (n, overhead) in [
             (1_024, p.gateway_latency),
             (p.ol_workers, p.ol_worker_overhead),
             (p.sandbox_servers, p.sandbox_overhead),
         ] {
-            let mut free = vec![SimTime::ZERO; servers];
+            let mut free = servers(n, SimTime::ZERO);
             for t in times.iter_mut() {
                 let service = if p.jitter > 0.0 {
                     overhead.mul_f64(rng.uniform(1.0 - p.jitter, 1.0 + p.jitter))

@@ -2,10 +2,11 @@
 //! outcomes back to requests by workload index. A workload whose ids are
 //! sparse, large and descending in arrival order must run exactly like the
 //! same workload with dense ids `0..n`, outcome for outcome, under the
-//! cluster, the fleet (faults and re-dispatch included) and the OpenLambda
-//! platform.
+//! cluster, the fleet (faults and re-dispatch included), the OpenLambda
+//! platform, and one host's `Sim::run`, which places each outcome at its
+//! request's arrival-order position before sorting by id.
 
-use sfs_core::{Baseline, RequestOutcome};
+use sfs_core::{Baseline, ControllerFactory, RequestOutcome, SfsConfig};
 use sfs_faas::{Cluster, FaultSpec, Fleet, OpenLambda, OpenLambdaParams, Placement};
 use sfs_simcore::SimDuration;
 use sfs_workload::{Workload, WorkloadSpec};
@@ -91,4 +92,12 @@ fn cluster_fleet_and_openlambda_run_sparse_ids_like_dense_ones() {
     let d = ol.run(&Baseline::Cfs, 8, &dense);
     let s = ol.run(&Baseline::Cfs, 8, &sparse);
     assert_same_modulo_ids("openlambda", &d, &s);
+
+    let sfs = SfsConfig::new(8);
+    for factory in [&sfs as &dyn ControllerFactory, &Baseline::Cfs] {
+        let d = factory.run_on(8, &dense);
+        let s = factory.run_on(8, &sparse);
+        let what = format!("single host {}", factory.label());
+        assert_same_modulo_ids(&what, &d.outcomes, &s.outcomes);
+    }
 }

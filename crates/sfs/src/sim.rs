@@ -461,7 +461,15 @@ impl<'a> Sim<'a> {
         self
     }
 
-    /// Run the workload to completion.
+    /// Run the workload to completion. The outcomes come back sorted by
+    /// request id.
+    ///
+    /// Requests spawn in `(arrival, index)` order and this run never
+    /// compacts the task table, so a request's pid is its position in that
+    /// order. Each outcome is written into that slot as its request
+    /// finishes, and the id sort then finds the slots already in id order
+    /// whenever ids ascend with arrivals, as in a generated workload or a
+    /// fleet host's sub-workload.
     ///
     /// # Panics
     /// Panics if no workload or no controller was set, or if the
@@ -497,7 +505,7 @@ impl<'a> Sim<'a> {
         }
 
         let mut machine = self.machine();
-        let mut outcomes: Vec<RequestOutcome> = Vec::with_capacity(workload.len());
+        let mut slots: Vec<Option<RequestOutcome>> = vec![None; workload.len()];
         let arrivals = workload
             .arrival_order()
             .into_iter()
@@ -506,10 +514,13 @@ impl<'a> Sim<'a> {
             &mut machine,
             &mut *controller,
             arrivals,
-            |o| outcomes.push(o),
+            |pid, o| slots[pid.0 as usize] = Some(o),
             None,
         );
 
+        let mut outcomes: Vec<RequestOutcome> = (slots.into_iter())
+            .map(|o| o.expect("every spawned request finishes"))
+            .collect();
         outcomes.sort_by_key(|o| o.id);
         let mut telemetry = Telemetry::default();
         controller.finish(&mut telemetry);
@@ -573,7 +584,7 @@ impl<'a> Sim<'a> {
             &mut machine,
             &mut *controller,
             arrivals.into_iter(),
-            &mut sink,
+            |_, o| sink(o),
             Some(COMPACT_TASK_TABLE_LEN),
         );
 
@@ -673,12 +684,12 @@ struct DriveResult {
 /// The simulation loop shared by [`Sim::run`] and [`Sim::run_streaming`].
 /// One pass is one step: run the machine to its first notifying instant,
 /// bounded by the next arrival and the controller's next wakeup, then at
-/// the instant reached deliver notifications, emit outcomes, spawn due
-/// arrivals and fire controller timers. Arrivals come from one iterator in
-/// either case — a
-/// replayed workload's requests by reference in `(arrival, index)` order,
-/// or a stream's owned requests — so a streamed run is event-for-event
-/// the same simulation as a replayed one.
+/// the instant reached deliver notifications, emit outcomes (each with its
+/// request's pid), spawn due arrivals and fire controller timers. Arrivals
+/// come from one iterator in either case — a replayed workload's requests
+/// by reference in `(arrival, index)` order, or a stream's owned requests —
+/// so a streamed run is event-for-event the same simulation as a replayed
+/// one.
 fn drive<I, C, F>(
     machine: &mut Machine,
     controller: &mut C,
@@ -690,7 +701,7 @@ where
     I: Iterator,
     I::Item: Borrow<Request>,
     C: Controller + ?Sized,
-    F: FnMut(RequestOutcome),
+    F: FnMut(Pid, RequestOutcome),
 {
     let mut arrivals = arrivals.peekable();
     let mut last_arrival = SimTime::ZERO;
@@ -748,7 +759,7 @@ where
             if let Notification::Finished(rec) = note {
                 let mut o = outcome_of(rec);
                 controller.annotate(&mut o);
-                emit(o);
+                emit(rec.pid, o);
                 completed += 1;
             }
         }

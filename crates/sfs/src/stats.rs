@@ -91,7 +91,11 @@ pub fn run_rebased(
         "every rewritten request yields one outcome"
     );
     for (k, (o, &idx)) in outcomes.iter_mut().zip(&source).enumerate() {
-        debug_assert_eq!(o.id, k as u64, "outcomes come back sorted by id");
+        assert!(
+            o.id == k as u64,
+            "run_rebased: outcome {k} has id {}; `run` must return its outcomes sorted by id",
+            o.id
+        );
         let r = &submitted.requests[idx];
         o.id = r.id;
         o.arrival = r.arrival;
@@ -290,6 +294,20 @@ mod tests {
             filter_rounds: 1,
             io_blocks: 0,
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "run_rebased: outcome 0 has id 2")]
+    fn run_rebased_rejects_outcomes_out_of_position() {
+        let w = sfs_workload::WorkloadSpec::azure_sampled(3, 1).generate();
+        run_rebased(&w, w.requests.iter().cloned().enumerate(), |sub| {
+            (sub.requests.iter().rev())
+                .map(|r| RequestOutcome {
+                    id: r.id,
+                    ..mk_outcome(10, 5)
+                })
+                .collect()
+        });
     }
 
     #[test]
