@@ -39,7 +39,7 @@
 
 #![warn(missing_docs)]
 
-// lint: allow-file(K1, crate-root re-exports of the runqueue types keep the public API stable; no logic here touches their internals)
+// lint: allow-file(K1, the crate-root re-export of CfsRunqueue serves its differential suite and perf_suite's micro benchmarks; no logic here touches its internals)
 
 pub mod machine;
 pub mod policy;
@@ -48,16 +48,8 @@ pub mod task;
 pub mod trace;
 mod window;
 
-/// The CFS runqueue/weight module (lives under [`policy`]; re-exported at
-/// the crate root for API compatibility).
-pub use policy::cfs;
-/// The RT runqueue module (lives under [`policy`]; re-exported at the
-/// crate root for API compatibility).
-pub use policy::rt;
-
 pub use machine::{Machine, MachineParams, Notification};
-pub use policy::cfs::{weight_of_nice, CfsParams, CfsRunqueue, NICE_0_WEIGHT};
-pub use policy::rt::{RtRunqueue, RR_TIMESLICE};
+pub use policy::cfs::CfsRunqueue;
 pub use policy::{KernelCtx, KernelPolicy, KernelPolicyKind, Placed, PreemptKind};
 pub use smp::SmpParams;
 pub use task::{FinishedTask, Phase, Pid, Policy, ProcState, TaskSpec};

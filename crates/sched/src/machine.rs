@@ -28,20 +28,21 @@
 
 use sfs_simcore::{EventQueue, SimDuration, SimTime};
 
-use crate::policy::cfs::CfsParams;
 use crate::policy::{KernelCtx, KernelPolicy, KernelPolicyKind, Placed, PreemptKind};
 use crate::smp::SmpParams;
 use crate::task::{FinishedTask, Phase, Pid, Policy, ProcState, Task, TaskSpec};
 use crate::trace::{ScheduleTrace, Segment};
 use crate::window::{now_key, Key, Tickless, Window, MAX_TURNS};
 
+/// Upper bound on the consolidation inflation factor
+/// ([`MachineParams::contention_beta`]).
+const CONTENTION_CAP: f64 = 6.0;
+
 /// Machine construction parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct MachineParams {
     /// Number of CPU cores.
     pub cores: usize,
-    /// CFS tunables.
-    pub cfs: CfsParams,
     /// Direct + indirect cost charged on every dispatch of a *different*
     /// task than the core last ran (register/TLB/cache disturbance). The
     /// paper's short-function amplification partly comes from this cost
@@ -55,9 +56,8 @@ pub struct MachineParams {
     /// co-live containers thrash caches and memory bandwidth, so a deep
     /// backlog drains at far below nominal throughput. Schedulers that
     /// bound effective concurrency (SFS's FILTER) avoid the inflation.
+    /// The factor is capped at 6.
     pub contention_beta: f64,
-    /// Upper bound on the contention inflation factor.
-    pub contention_cap: f64,
     /// Kernel scheduling discipline (built at machine construction).
     pub kpolicy: KernelPolicyKind,
     /// SMP behaviour: periodic load balancing, migration penalty, and
@@ -70,10 +70,8 @@ impl Default for MachineParams {
     fn default() -> Self {
         MachineParams {
             cores: 4,
-            cfs: CfsParams::default(),
             ctx_switch_cost: SimDuration::from_micros(5),
             contention_beta: 0.0,
-            contention_cap: 6.0,
             kpolicy: KernelPolicyKind::Cfs,
             smp: SmpParams::default(),
         }
@@ -246,7 +244,6 @@ impl Machine {
             kpolicy.as_mut(),
             KernelCtx {
                 now: *now,
-                cfs: &params.cfs,
                 smp: &params.smp,
                 tasks,
                 cores: cores.as_mut_slice(),
@@ -325,7 +322,7 @@ impl Machine {
             return 1.0;
         }
         let ratio = self.active_tasks as f64 / self.params.cores as f64;
-        (1.0 + self.params.contention_beta * ratio.log2()).min(self.params.contention_cap)
+        (1.0 + self.params.contention_beta * ratio.log2()).min(CONTENTION_CAP)
     }
 
     /// Transition a task's kernel state, maintaining the active count.
@@ -1371,8 +1368,8 @@ mod tests {
     use super::rotation::{rotation_ops, Op};
     use super::*;
 
-    /// On 24 cores, the rotation timelines `tests/kpolicy_diff.rs` diffs
-    /// against the eager machine keep enough windows open at once that the
+    /// On 24 cores, the rotation timelines `tests/kpolicy_diff.rs` runs
+    /// windowed and eager keep enough windows open at once that the
     /// machine looks boundaries up through its index.
     #[test]
     fn many_open_windows_use_the_index() {
@@ -1395,9 +1392,10 @@ mod tests {
     }
 
     /// The rotation timelines `tests/kpolicy_diff.rs` diffs against the
-    /// eager machine really run in windows: on every machine shape and
-    /// seed it uses, windows open and settle skipped turns, so that suite
-    /// cannot pass by never leaving the eager path.
+    /// machine's own eager path (tracing on) really run in windows: on
+    /// every machine shape and seed it uses, windows open and settle
+    /// skipped turns, so that suite cannot pass by never leaving the eager
+    /// path; and with tracing on none opens, so its oracle never leaves it.
     #[test]
     fn windows_open_on_rotation_timelines() {
         let ms = SimDuration::from_millis;
@@ -1414,16 +1412,23 @@ mod tests {
                         ctx_switch_cost: cost,
                         ..Default::default()
                     };
-                    let mut m = Machine::new(params.with_smp(smp));
-                    let mut pids = Vec::new();
-                    for (t, op) in rotation_ops(seed, 48) {
-                        m.advance_to(t);
-                        match op {
-                            Op::Spawn(spec) => pids.push(m.spawn(spec)),
-                            Op::SetPolicy(i, p) => m.set_policy(pids[i], p),
+                    let run = |traced: bool| {
+                        let mut m = Machine::new(params.with_smp(smp));
+                        if traced {
+                            m.enable_tracing();
                         }
-                    }
-                    m.run_until_quiescent();
+                        let mut pids = Vec::new();
+                        for (t, op) in rotation_ops(seed, 48) {
+                            m.advance_to(t);
+                            match op {
+                                Op::Spawn(spec) => pids.push(m.spawn(spec)),
+                                Op::SetPolicy(i, p) => m.set_policy(pids[i], p),
+                            }
+                        }
+                        m.run_until_quiescent();
+                        m
+                    };
+                    let m = run(false);
                     let ctx = format!("cores={cores} cost={cost} seed={seed} smp={smp:?}");
                     let skipped = m.tickless.switches;
                     assert!(m.tickless.next_order > 0, "no window opened ({ctx})");
@@ -1432,6 +1437,12 @@ mod tests {
                         "windows settled only {skipped} of {} switches ({ctx})",
                         m.total_ctx_switches()
                     );
+                    // Tracing declines every window; one seed per shape
+                    // shows it, an eager run costing many more events.
+                    if seed == 3 {
+                        let traced = run(true).tickless.next_order;
+                        assert_eq!(traced, 0, "traced window ({ctx})");
+                    }
                 }
             }
         }

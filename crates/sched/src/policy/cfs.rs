@@ -1,13 +1,14 @@
 //! CFS (Completely Fair Scheduler) runqueue model.
 //!
 //! Per-core red-black-tree runqueue ordered by `vruntime` (§II-B of the
-//! paper), implemented with a `BTreeSet<(vruntime, Pid)>` which gives the
-//! same O(log n) pick-smallest discipline. Mirrors mainline defaults:
+//! paper), implemented with a 4-ary heap keyed by `(vruntime, Pid)` which
+//! gives the same O(log n) pick-smallest discipline. Mirrors mainline
+//! defaults, fixed for every machine:
 //!
-//! * `sched_latency_ns`        = 24 ms (scheduling period for ≤ 8 runnable),
-//! * `sched_min_granularity`   = 3 ms  (slice floor; period stretches when
-//!   more than `sched_latency / min_granularity` tasks are runnable),
-//! * `sched_wakeup_granularity`= 4 ms  (preemption hysteresis on wakeup),
+//! * [`SCHED_LATENCY`]      = 24 ms (scheduling period for ≤ 8 runnable),
+//! * [`MIN_GRANULARITY`]    = 3 ms  (slice floor; period stretches when
+//!   more than `SCHED_LATENCY / MIN_GRANULARITY` tasks are runnable),
+//! * [`WAKEUP_GRANULARITY`] = 4 ms  (preemption hysteresis on wakeup),
 //! * nice→weight table from `kernel/sched/core.c` (`sched_prio_to_weight`).
 //!
 //! The paper's core observation (§III) falls out of these rules: with `k`
@@ -40,67 +41,54 @@ pub fn weight_of_nice(nice: i8) -> u32 {
     NICE_TO_WEIGHT[idx]
 }
 
-/// Tunables for the CFS model.
-#[derive(Debug, Clone, Copy)]
-pub struct CfsParams {
-    /// Target scheduling period when few tasks are runnable.
-    pub sched_latency: SimDuration,
-    /// Minimum slice any task receives before preemption.
-    pub min_granularity: SimDuration,
-    /// Wakeup preemption hysteresis: a waking task preempts the current one
-    /// only if its vruntime lags by more than this (weight-scaled in the
-    /// kernel; fixed here).
-    pub wakeup_granularity: SimDuration,
-}
+/// `sched_latency_ns`: the scheduling period while at most
+/// `SCHED_LATENCY / MIN_GRANULARITY` tasks are runnable.
+pub const SCHED_LATENCY: SimDuration = SimDuration::from_millis(24);
 
-impl Default for CfsParams {
-    fn default() -> Self {
-        CfsParams {
-            sched_latency: SimDuration::from_millis(24),
-            min_granularity: SimDuration::from_millis(3),
-            wakeup_granularity: SimDuration::from_millis(4),
-        }
+/// `sched_min_granularity_ns`: the slice floor, and each task's share of
+/// the period once more tasks are runnable.
+pub const MIN_GRANULARITY: SimDuration = SimDuration::from_millis(3);
+
+/// `sched_wakeup_granularity_ns`: a waking task preempts the current one
+/// only if its vruntime lags by more than this (weight-scaled in the
+/// kernel; fixed here).
+pub const WAKEUP_GRANULARITY: SimDuration = SimDuration::from_millis(4);
+
+/// The scheduling period for `nr_running` tasks: [`SCHED_LATENCY`] while
+/// `nr ≤ SCHED_LATENCY / MIN_GRANULARITY`, else `nr × MIN_GRANULARITY`
+/// (the kernel's `__sched_period`).
+pub fn period(nr_running: u64) -> SimDuration {
+    let nr_latency = SCHED_LATENCY.as_nanos() / MIN_GRANULARITY.as_nanos();
+    if nr_running <= nr_latency {
+        SCHED_LATENCY
+    } else {
+        MIN_GRANULARITY * nr_running
     }
 }
 
-impl CfsParams {
-    /// The scheduling period for `nr_running` tasks: `sched_latency` while
-    /// `nr ≤ sched_latency/min_granularity`, else `nr × min_granularity`
-    /// (the kernel's `__sched_period`).
-    pub fn period(&self, nr_running: u64) -> SimDuration {
-        let nr_latency = (self.sched_latency.as_nanos() / self.min_granularity.as_nanos()).max(1);
-        if nr_running <= nr_latency {
-            self.sched_latency
-        } else {
-            self.min_granularity * nr_running
-        }
+/// Time slice for a task of `weight` among `total_weight` of runnable load
+/// with `nr_running` tasks (the kernel's `sched_slice`), floored at
+/// [`MIN_GRANULARITY`].
+pub fn slice(nr_running: u64, weight: u32, total_weight: u64) -> SimDuration {
+    if total_weight == 0 {
+        return SCHED_LATENCY;
     }
+    let s = period(nr_running).mul_f64(weight as f64 / total_weight as f64);
+    s.max(MIN_GRANULARITY)
+}
 
-    /// Time slice for a task of `weight` among `total_weight` of runnable
-    /// load with `nr_running` tasks (the kernel's `sched_slice`), floored at
-    /// `min_granularity`.
-    pub fn slice(&self, nr_running: u64, weight: u32, total_weight: u64) -> SimDuration {
-        if total_weight == 0 {
-            return self.sched_latency;
-        }
-        let period = self.period(nr_running);
-        let s = period.mul_f64(weight as f64 / total_weight as f64);
-        s.max(self.min_granularity)
+/// vruntime delta for `exec` real runtime at `weight`
+/// (`delta_exec × NICE_0_LOAD / weight`, truncated to 64 bits). The
+/// product is taken in 128 bits only when it overflows 64.
+pub fn vruntime_delta(exec: SimDuration, weight: u32) -> u64 {
+    let exec = exec.as_nanos();
+    if weight == NICE_0_WEIGHT {
+        return exec;
     }
-
-    /// vruntime delta for `exec` real runtime at `weight`
-    /// (`delta_exec × NICE_0_LOAD / weight`, truncated to 64 bits). The
-    /// product is taken in 128 bits only when it overflows 64.
-    pub fn vruntime_delta(exec: SimDuration, weight: u32) -> u64 {
-        let exec = exec.as_nanos();
-        if weight == NICE_0_WEIGHT {
-            return exec;
-        }
-        let weight = u64::from(weight.max(1));
-        match exec.checked_mul(u64::from(NICE_0_WEIGHT)) {
-            Some(scaled) => scaled / weight,
-            None => ((u128::from(exec) * u128::from(NICE_0_WEIGHT)) / u128::from(weight)) as u64,
-        }
+    let weight = u64::from(weight.max(1));
+    match exec.checked_mul(u64::from(NICE_0_WEIGHT)) {
+        Some(scaled) => scaled / weight,
+        None => ((u128::from(exec) * u128::from(NICE_0_WEIGHT)) / u128::from(weight)) as u64,
     }
 }
 
@@ -348,39 +336,34 @@ mod tests {
 
     #[test]
     fn period_stretches_under_load() {
-        let p = CfsParams::default();
-        assert_eq!(p.period(1), ms(24));
-        assert_eq!(p.period(8), ms(24));
+        assert_eq!(period(1), ms(24));
+        assert_eq!(period(8), ms(24));
         // Beyond sched_latency/min_granularity = 8 tasks the period grows.
-        assert_eq!(p.period(9), ms(27));
-        assert_eq!(p.period(100), ms(300));
+        assert_eq!(period(9), ms(27));
+        assert_eq!(period(100), ms(300));
     }
 
     #[test]
     fn slice_is_proportional_and_floored() {
-        let p = CfsParams::default();
         // Two equal nice-0 tasks: half the 24ms period each.
-        let s = p.slice(2, NICE_0_WEIGHT, 2 * NICE_0_WEIGHT as u64);
+        let s = slice(2, NICE_0_WEIGHT, 2 * NICE_0_WEIGHT as u64);
         assert_eq!(s, ms(12));
         // Many tasks: the floor kicks in.
-        let s = p.slice(1000, NICE_0_WEIGHT, 1000 * NICE_0_WEIGHT as u64);
+        let s = slice(1000, NICE_0_WEIGHT, 1000 * NICE_0_WEIGHT as u64);
         assert_eq!(s, ms(3));
         // Empty queue: full latency.
-        assert_eq!(p.slice(0, NICE_0_WEIGHT, 0), ms(24));
+        assert_eq!(slice(0, NICE_0_WEIGHT, 0), ms(24));
     }
 
     #[test]
     fn vruntime_scales_inversely_with_weight() {
         // nice 0: 1ms of runtime -> 1ms of vruntime.
-        assert_eq!(
-            CfsParams::vruntime_delta(ms(1), NICE_0_WEIGHT),
-            ms(1).as_nanos()
-        );
+        assert_eq!(vruntime_delta(ms(1), NICE_0_WEIGHT), ms(1).as_nanos());
         // High-priority (heavy) tasks accrue vruntime slower.
-        let d = CfsParams::vruntime_delta(ms(1), weight_of_nice(-5));
+        let d = vruntime_delta(ms(1), weight_of_nice(-5));
         assert!(d < ms(1).as_nanos() / 3);
         // Low-priority (light) tasks accrue faster.
-        let d = CfsParams::vruntime_delta(ms(1), weight_of_nice(5));
+        let d = vruntime_delta(ms(1), weight_of_nice(5));
         assert!(d > ms(3).as_nanos());
     }
 
@@ -401,7 +384,7 @@ mod tests {
         for w in weights {
             for &exec in &spans {
                 assert_eq!(
-                    CfsParams::vruntime_delta(SimDuration(exec), w),
+                    vruntime_delta(SimDuration(exec), w),
                     reference(exec, w),
                     "exec={exec} weight={w}"
                 );

@@ -3,7 +3,7 @@
 //!
 //! Each fair task carries an *eligible time* `ve` (stored in the task's
 //! vruntime slot, advancing with weighted service exactly like CFS
-//! vruntime) and a *virtual deadline* `vd = ve + Δ(min_granularity, w)`.
+//! vruntime) and a *virtual deadline* `vd = ve + Δ(MIN_GRANULARITY, w)`.
 //! A task is **eligible** when its `ve` is at or behind the queue's
 //! weighted-average virtual time (`ve · ΣW ≤ Σ wᵢ·veᵢ`), i.e. it has
 //! received no more than its fair share; among eligible tasks the earliest
@@ -20,7 +20,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use sfs_simcore::SimDuration;
 
-use crate::policy::cfs::CfsParams;
+use crate::policy::cfs;
 use crate::policy::rt::{RtRunqueue, RR_TIMESLICE};
 use crate::policy::{rt_band_enqueue, KernelCtx, KernelPolicy, Placed, PreemptKind};
 use crate::smp::pick_imbalance;
@@ -46,8 +46,8 @@ struct EevdfRunqueue {
 
 impl EevdfRunqueue {
     /// Virtual deadline for a task with eligible time `ve` and weight `w`.
-    fn deadline(cfs: &CfsParams, ve: u64, w: u32) -> u64 {
-        ve + CfsParams::vruntime_delta(cfs.min_granularity, w)
+    fn deadline(ve: u64, w: u32) -> u64 {
+        ve + cfs::vruntime_delta(cfs::MIN_GRANULARITY, w)
     }
 
     /// Clamp a waking task's `ve` to the placement floor (sleepers must
@@ -63,8 +63,8 @@ impl EevdfRunqueue {
         }
     }
 
-    fn insert(&mut self, cfs: &CfsParams, pid: Pid, ve: u64, w: u32) {
-        let vd = Self::deadline(cfs, ve, w);
+    fn insert(&mut self, pid: Pid, ve: u64, w: u32) {
+        let vd = Self::deadline(ve, w);
         self.by_deadline.insert((vd, ve, pid));
         self.by_ve.insert((ve, pid));
         self.entries.insert(pid, (ve, w));
@@ -72,9 +72,9 @@ impl EevdfRunqueue {
         self.sum_wv += u128::from(w) * u128::from(ve);
     }
 
-    fn remove(&mut self, cfs: &CfsParams, pid: Pid) -> Option<(u64, u32)> {
+    fn remove(&mut self, pid: Pid) -> Option<(u64, u32)> {
         let (ve, w) = self.entries.remove(&pid)?;
-        let vd = Self::deadline(cfs, ve, w);
+        let vd = Self::deadline(ve, w);
         self.by_deadline.remove(&(vd, ve, pid));
         self.by_ve.remove(&(ve, pid));
         self.total_weight -= u64::from(w);
@@ -89,20 +89,20 @@ impl EevdfRunqueue {
     }
 
     /// Remove and return the earliest-virtual-deadline eligible task.
-    fn pop(&mut self, cfs: &CfsParams) -> Option<(u64, Pid, u32)> {
+    fn pop(&mut self) -> Option<(u64, Pid, u32)> {
         let &(_, _, pid) = self
             .by_deadline
             .iter()
             .find(|&&(_, ve, _)| self.eligible(ve))?;
-        let (ve, w) = self.remove(cfs, pid).expect("scanned entry exists");
+        let (ve, w) = self.remove(pid).expect("scanned entry exists");
         Some((ve, pid, w))
     }
 
     /// Remove and return the *latest*-deadline task (the migration and
     /// steal victim: it would run last here, so it loses the least).
-    fn pop_latest(&mut self, cfs: &CfsParams) -> Option<(u64, Pid, u32)> {
+    fn pop_latest(&mut self) -> Option<(u64, Pid, u32)> {
         let &(_, _, pid) = self.by_deadline.iter().next_back()?;
-        let (ve, w) = self.remove(cfs, pid).expect("scanned entry exists");
+        let (ve, w) = self.remove(pid).expect("scanned entry exists");
         Some((ve, pid, w))
     }
 
@@ -159,17 +159,16 @@ impl EevdfPolicy {
         }
         ctx.set_home_core(pid, Some(core_id));
         let w = ctx.weight_of(pid);
-        self.rq[core_id].insert(ctx.cfs_params(), pid, ve, w);
+        self.rq[core_id].insert(pid, ve, w);
 
         match ctx.current(core_id) {
             None => Placed::RescheduleIdle(core_id),
             Some(curr) if !ctx.policy_of(curr).is_realtime() => {
                 // Deadline preemption: the waking task preempts when its
                 // virtual deadline beats the running task's.
-                let vd_new = EevdfRunqueue::deadline(ctx.cfs_params(), ve, w);
+                let vd_new = EevdfRunqueue::deadline(ve, w);
                 let curr_ve = ctx.running_vruntime(core_id, curr);
-                let vd_curr =
-                    EevdfRunqueue::deadline(ctx.cfs_params(), curr_ve, ctx.weight_of(curr));
+                let vd_curr = EevdfRunqueue::deadline(curr_ve, ctx.weight_of(curr));
                 if vd_new < vd_curr {
                     Placed::Preempt(core_id)
                 } else {
@@ -199,7 +198,7 @@ impl KernelPolicy for EevdfPolicy {
         if ctx.policy_of(pid).is_realtime() {
             self.rt.remove(pid);
         } else if let Some(core_id) = ctx.home_core(pid) {
-            self.rq[core_id].remove(ctx.cfs_params(), pid);
+            self.rq[core_id].remove(pid);
         }
     }
 
@@ -207,7 +206,7 @@ impl KernelPolicy for EevdfPolicy {
         if let Some((pid, _)) = self.rt.pop() {
             return Some(pid);
         }
-        if let Some((ve, pid, _)) = self.rq[core].pop(ctx.cfs_params()) {
+        if let Some((ve, pid, _)) = self.rq[core].pop() {
             ctx.set_vruntime(pid, ve);
             return Some(pid);
         }
@@ -215,7 +214,7 @@ impl KernelPolicy for EevdfPolicy {
         let victim = (0..self.rq.len())
             .filter(|&i| i != core && !self.rq[i].is_empty())
             .max_by_key(|&i| self.rq[i].len())?;
-        let (ve, pid, _) = self.rq[victim].pop_latest(ctx.cfs_params())?;
+        let (ve, pid, _) = self.rq[victim].pop_latest()?;
         ctx.note_migration(pid);
         ctx.set_home_core(pid, Some(core));
         ctx.set_vruntime(pid, self.rq[core].place(ve));
@@ -237,7 +236,7 @@ impl KernelPolicy for EevdfPolicy {
                 ctx.set_vruntime(pid, ve);
                 ctx.set_home_core(pid, Some(core));
                 let w = ctx.weight_of(pid);
-                self.rq[core].insert(ctx.cfs_params(), pid, ve, w);
+                self.rq[core].insert(pid, ve, w);
             }
         }
     }
@@ -253,7 +252,7 @@ impl KernelPolicy for EevdfPolicy {
                 let w = ctx.weight_of(pid);
                 let nr = self.rq[core].len() as u64 + 1;
                 let total = self.rq[core].total_weight + u64::from(w);
-                ctx.cfs_params().slice(nr, w, total)
+                cfs::slice(nr, w, total)
             }
         }
     }
@@ -263,7 +262,7 @@ impl KernelPolicy for EevdfPolicy {
             return;
         }
         let w = ctx.weight_of(pid);
-        let ve = ctx.vruntime(pid) + CfsParams::vruntime_delta(ran, w);
+        let ve = ctx.vruntime(pid) + cfs::vruntime_delta(ran, w);
         ctx.set_vruntime(pid, ve);
         let floor = self.rq[core].min_ve().map_or(ve, |m| m.min(ve));
         self.rq[core].advance_min(floor);
@@ -293,14 +292,14 @@ impl KernelPolicy for EevdfPolicy {
 
     fn balance(&mut self, ctx: &mut KernelCtx<'_>) -> Option<Placed> {
         let depths: Vec<u64> = self.rq.iter().map(|q| q.len() as u64).collect();
-        let (src, dst) = pick_imbalance(&depths, ctx.smp_params().balance_threshold)?;
-        let (ve, pid, w) = self.rq[src].pop_latest(ctx.cfs_params())?;
+        let (src, dst) = pick_imbalance(&depths)?;
+        let (ve, pid, w) = self.rq[src].pop_latest()?;
         ctx.note_migration(pid);
         ctx.add_migration_cost(pid, ctx.smp_params().migration_cost);
         let placed = self.rq[dst].place(ve);
         ctx.set_vruntime(pid, placed);
         ctx.set_home_core(pid, Some(dst));
-        self.rq[dst].insert(ctx.cfs_params(), pid, placed, w);
+        self.rq[dst].insert(pid, placed, w);
         match ctx.current(dst) {
             None => Some(Placed::RescheduleIdle(dst)),
             Some(_) => Some(Placed::Queued),

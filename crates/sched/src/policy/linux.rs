@@ -4,13 +4,14 @@
 //! migration.
 //!
 //! This is the pre-refactor machine's hard-wired behaviour transplanted
-//! verbatim onto the hook seam — the kernel-policy differential suite
-//! (`tests/kpolicy_diff.rs`) and the 21 golden snapshots lock it
-//! bit-identical.
+//! verbatim onto the hook seam. `tests/kpolicy_diff.rs` locks it bit for
+//! bit with timeline digests recorded while that machine still ran beside
+//! it (`tests/golden/kpolicy_timelines.txt`), as do the CFS golden
+//! snapshots of `sfs-bench`.
 
 use sfs_simcore::SimDuration;
 
-use crate::policy::cfs::{weight_of_nice, CfsParams, CfsRunqueue};
+use crate::policy::cfs::{self, weight_of_nice, CfsRunqueue};
 use crate::policy::rt::{RtRunqueue, RR_TIMESLICE};
 use crate::policy::{rt_band_enqueue, KernelCtx, KernelPolicy, Placed, PreemptKind, Rotation};
 use crate::smp::pick_imbalance;
@@ -24,10 +25,9 @@ pub struct LinuxPolicy {
     /// Per-core CFS runqueues.
     rq: Vec<CfsRunqueue>,
     /// Per-core memo of the last fair slice: `(nr, weight, total_weight)`
-    /// and [`CfsParams::slice`] of it. The machine's CFS tunables are fixed
-    /// for its lifetime, so the slice is recomputed only when the core's
-    /// runqueue composition changes. `nr` is never 0, so the initial key
-    /// matches nothing.
+    /// and [`cfs::slice`] of it, recomputed only when the core's runqueue
+    /// composition changes. `nr` is never 0, so the initial key matches
+    /// nothing.
     slice_memo: Vec<((u64, u32, u64), SimDuration)>,
     /// Per core: slice-expiry boundaries to let pass before testing the
     /// queue for a rotation again. A failed test costs O(queue), so the
@@ -131,7 +131,7 @@ impl LinuxPolicy {
                 // Wakeup preemption: preempt if the waking task's vruntime
                 // lags the current one by more than wakeup_granularity.
                 let curr_v = ctx.running_vruntime(core_id, curr);
-                let gran = ctx.cfs_params().wakeup_granularity.as_nanos();
+                let gran = cfs::WAKEUP_GRANULARITY.as_nanos();
                 if floor + gran < curr_v {
                     Placed::Preempt(core_id)
                 } else {
@@ -242,7 +242,7 @@ impl KernelPolicy for LinuxPolicy {
                 let total = self.rq[core].total_weight() + w as u64;
                 let memo = &mut self.slice_memo[core];
                 if memo.0 != (nr, w, total) {
-                    *memo = ((nr, w, total), ctx.cfs_params().slice(nr, w, total));
+                    *memo = ((nr, w, total), cfs::slice(nr, w, total));
                 }
                 memo.1
             }
@@ -268,7 +268,7 @@ impl KernelPolicy for LinuxPolicy {
             return;
         }
         let w = ctx.weight_of(pid);
-        let v = ctx.vruntime(pid) + CfsParams::vruntime_delta(ran, w);
+        let v = ctx.vruntime(pid) + cfs::vruntime_delta(ran, w);
         ctx.set_vruntime(pid, v);
         let leftmost = self.rq[core].peek().map(|(lv, _)| lv);
         let floor = leftmost.map_or(v, |lv| lv.min(v));
@@ -299,7 +299,7 @@ impl KernelPolicy for LinuxPolicy {
 
     fn balance(&mut self, ctx: &mut KernelCtx<'_>) -> Option<Placed> {
         let depths: Vec<u64> = self.rq.iter().map(|q| q.len() as u64).collect();
-        let (src, dst) = pick_imbalance(&depths, ctx.smp_params().balance_threshold)?;
+        let (src, dst) = pick_imbalance(&depths)?;
         self.touch(ctx, src);
         self.touch(ctx, dst);
         // Pull from the tail: the task that would run last on the busy
@@ -372,7 +372,7 @@ impl KernelPolicy for LinuxPolicy {
                 && ctx.last_core(p) == Some(core)
                 && ctx.pending_migration_cost(p).is_zero()
         };
-        let d = CfsParams::vruntime_delta(slice, w);
+        let d = cfs::vruntime_delta(slice, w);
         let weights_differ = || q.entries().any(|(_, _, pw)| pw != w);
         if !self.rt.is_empty() || nr_w_total != (nr, w, total) || d == 0 || weights_differ() {
             self.retest[core] = nr as u32;
@@ -457,14 +457,13 @@ mod tests {
     use crate::task::{Task, TaskSpec};
     use crate::window::Tickless;
 
-    /// The memoised `slice_for` returns `CfsParams::slice` of the core's
+    /// The memoised `slice_for` returns `cfs::slice` of the core's
     /// current composition across a randomized run of enqueues, pops and
     /// removals on every core, for tasks of any nice level.
     #[test]
     fn memoised_slice_matches_cfs_slice() {
         const CORES: usize = 3;
         const TASKS: u64 = 48;
-        let cfs = CfsParams::default();
         let smp = SmpParams::default();
         let mut rng = SimRng::seed_from_u64(0x511CE).derive("slice_memo");
         let mut tasks: Vec<Task> = (0..TASKS)
@@ -504,7 +503,6 @@ mod tests {
             tasks[pid.0 as usize].policy = Policy::Normal { nice };
             let mut ctx = KernelCtx {
                 now: SimTime::ZERO,
-                cfs: &cfs,
                 smp: &smp,
                 tasks: &mut tasks,
                 cores: &mut cores,
@@ -512,7 +510,7 @@ mod tests {
             };
             let got = lp.slice_for(&mut ctx, core, pid);
             let w = weight_of_nice(nice);
-            let want = cfs.slice(
+            let want = cfs::slice(
                 lp.rq[core].len() as u64 + 1,
                 w,
                 lp.rq[core].total_weight() + w as u64,

@@ -26,6 +26,11 @@
 //!   normal band runs to block under a system ceiling, higher bands
 //!   preempt immediately.
 //!
+//! The two ports of the pre-refactor machine, [`LinuxPolicy`] and
+//! [`SrtfPolicy`], are pinned bit for bit by `tests/kpolicy_diff.rs`:
+//! digests of randomized timelines, recorded while that machine still ran
+//! beside them (`tests/golden/kpolicy_timelines.txt`).
+//!
 //! Hook contract (who calls what, when) is documented on [`KernelPolicy`];
 //! decisions flow back to the machine as [`Placed`] values so a hook never
 //! re-enters the event loop.
@@ -47,7 +52,7 @@ pub use srtf::SrtfPolicy;
 use sfs_simcore::{SimDuration, SimTime};
 
 use crate::machine::CoreSched;
-use crate::policy::cfs::{weight_of_nice, CfsParams};
+use crate::policy::cfs::weight_of_nice;
 use crate::smp::SmpParams;
 use crate::task::{Pid, Policy, ProcState, Task};
 use crate::window::Tickless;
@@ -156,14 +161,13 @@ pub enum PreemptKind {
 /// |---|---|
 /// | clocks | [`now`](Self::now) |
 /// | topology | [`nr_cores`](Self::nr_cores), [`current`](Self::current) |
-/// | tunables | [`cfs_params`](Self::cfs_params), [`smp_params`](Self::smp_params) |
+/// | tunables | [`smp_params`](Self::smp_params) |
 /// | task state | [`policy_of`](Self::policy_of), [`state_of`](Self::state_of), [`remaining_cpu`](Self::remaining_cpu), [`has_run`](Self::has_run) |
 /// | vruntime | [`vruntime`](Self::vruntime), [`set_vruntime`](Self::set_vruntime), [`weight_of`](Self::weight_of), [`running_vruntime`](Self::running_vruntime) |
 /// | placement | [`home_core`](Self::home_core), [`set_home_core`](Self::set_home_core), [`note_migration`](Self::note_migration), [`add_migration_cost`](Self::add_migration_cost) |
 /// | in-flight run | [`inflight`](Self::inflight) |
 pub struct KernelCtx<'a> {
     pub(crate) now: SimTime,
-    pub(crate) cfs: &'a CfsParams,
     pub(crate) smp: &'a SmpParams,
     pub(crate) tasks: &'a mut Vec<Task>,
     pub(crate) cores: &'a mut [CoreSched],
@@ -194,12 +198,7 @@ impl KernelCtx<'_> {
         self.cores[core].current
     }
 
-    /// CFS tunables (slice/period/wakeup-granularity rules).
-    pub fn cfs_params(&self) -> &CfsParams {
-        self.cfs
-    }
-
-    /// SMP tunables (balance threshold, migration/affinity costs).
+    /// SMP tunables (balance interval, migration/affinity costs).
     pub fn smp_params(&self) -> &SmpParams {
         self.smp
     }
@@ -295,7 +294,7 @@ impl KernelCtx<'_> {
         let extra = if inflight.is_zero() {
             0
         } else {
-            CfsParams::vruntime_delta(inflight, self.weight_of(pid))
+            cfs::vruntime_delta(inflight, self.weight_of(pid))
         };
         self.task(pid).vruntime + extra
     }

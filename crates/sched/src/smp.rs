@@ -9,9 +9,9 @@
 //!
 //! * **Balance tick** — every [`SmpParams::balance_interval`] the machine
 //!   compares per-core queued depths and migrates one task from the busiest
-//!   to the idlest CFS runqueue when the gap reaches
-//!   [`SmpParams::balance_threshold`] (one migration per tick, like the
-//!   kernel's conservative `load_balance` envelope).
+//!   to the idlest CFS runqueue when the gap reaches two tasks (one
+//!   migration per tick, like the kernel's conservative `load_balance`
+//!   envelope).
 //! * **Migration penalty** — a balance-migrated task pays
 //!   [`SmpParams::migration_cost`] of extra dispatch latency the next time
 //!   it gets a CPU (its cache footprint is gone).
@@ -34,11 +34,6 @@ use sfs_simcore::SimDuration;
 pub struct SmpParams {
     /// Period of the load-balance tick. `ZERO` disables balancing.
     pub balance_interval: SimDuration,
-    /// Minimum queued-depth gap (busiest − idlest CFS runqueue) that
-    /// triggers a migration. Below the threshold the tick is a pure scan.
-    /// A threshold under 2 is meaningless (moving a task across a gap of 1
-    /// just inverts the imbalance) and is clamped to 2 by the balancer.
-    pub balance_threshold: u64,
     /// Extra dispatch latency a balance-migrated task pays on its next
     /// dispatch (cold cache after a forced move). Charged once per
     /// migration, on top of the ordinary context-switch cost.
@@ -53,7 +48,6 @@ impl Default for SmpParams {
     fn default() -> Self {
         SmpParams {
             balance_interval: SimDuration::ZERO,
-            balance_threshold: 2,
             migration_cost: SimDuration::ZERO,
             affinity_cost: SimDuration::ZERO,
         }
@@ -67,8 +61,8 @@ impl SmpParams {
     }
 
     /// The standard "SMP on" configuration used by the SMP bench
-    /// scenarios: balance every `interval`, threshold 2, with the given
-    /// migration and affinity costs.
+    /// scenarios: balance every `interval`, with the given migration and
+    /// affinity costs.
     pub fn balanced(
         interval: SimDuration,
         migration_cost: SimDuration,
@@ -76,22 +70,25 @@ impl SmpParams {
     ) -> SmpParams {
         SmpParams {
             balance_interval: interval,
-            balance_threshold: 2,
             migration_cost,
             affinity_cost,
         }
     }
 }
 
+/// The queued-depth gap (busiest − idlest CFS runqueue) that triggers a
+/// migration; below it the tick is a pure scan. Moving a task across a gap
+/// of 1 would only swap which core is the busy one.
+const BALANCE_THRESHOLD: u64 = 2;
+
 /// Pick the (busiest, idlest) pair of cores by queued depth, if the gap
-/// reaches `threshold` (clamped to ≥ 2). Ties break on the lowest core
-/// index for both ends — the deterministic contract every balance decision
-/// relies on. Returns `None` when the load is already balanced.
-pub fn pick_imbalance(depths: &[u64], threshold: u64) -> Option<(usize, usize)> {
+/// reaches [`BALANCE_THRESHOLD`]. Ties break on the lowest core index for
+/// both ends — the deterministic contract every balance decision relies
+/// on. Returns `None` when the load is already balanced.
+pub(crate) fn pick_imbalance(depths: &[u64]) -> Option<(usize, usize)> {
     if depths.len() < 2 {
         return None;
     }
-    let threshold = threshold.max(2);
     let mut busiest = 0usize;
     let mut idlest = 0usize;
     for (i, &d) in depths.iter().enumerate().skip(1) {
@@ -102,7 +99,7 @@ pub fn pick_imbalance(depths: &[u64], threshold: u64) -> Option<(usize, usize)> 
             idlest = i;
         }
     }
-    if depths[busiest] >= depths[idlest] + threshold {
+    if depths[busiest] >= depths[idlest] + BALANCE_THRESHOLD {
         Some((busiest, idlest))
     } else {
         None
@@ -123,29 +120,17 @@ mod tests {
 
     #[test]
     fn imbalance_requires_threshold_gap() {
-        assert_eq!(pick_imbalance(&[3, 1], 2), Some((0, 1)));
-        assert_eq!(pick_imbalance(&[2, 1], 2), None, "gap of 1 never migrates");
-        assert_eq!(pick_imbalance(&[5, 5, 5], 2), None, "balanced load");
-        assert_eq!(pick_imbalance(&[0, 0], 2), None, "all idle");
-        assert_eq!(pick_imbalance(&[7], 2), None, "single core");
-        assert_eq!(pick_imbalance(&[], 2), None);
-    }
-
-    #[test]
-    fn threshold_is_clamped_to_two() {
-        // threshold 0/1 would migrate across a gap of 1, which only swaps
-        // which core is the busy one; the clamp forbids it.
-        assert_eq!(pick_imbalance(&[2, 1], 0), None);
-        assert_eq!(pick_imbalance(&[2, 1], 1), None);
-        assert_eq!(pick_imbalance(&[3, 1], 1), Some((0, 1)));
-        // Larger thresholds are honoured as given.
-        assert_eq!(pick_imbalance(&[4, 1], 4), None);
-        assert_eq!(pick_imbalance(&[5, 1], 4), Some((0, 1)));
+        assert_eq!(pick_imbalance(&[3, 1]), Some((0, 1)));
+        assert_eq!(pick_imbalance(&[2, 1]), None, "gap of 1 never migrates");
+        assert_eq!(pick_imbalance(&[5, 5, 5]), None, "balanced load");
+        assert_eq!(pick_imbalance(&[0, 0]), None, "all idle");
+        assert_eq!(pick_imbalance(&[7]), None, "single core");
+        assert_eq!(pick_imbalance(&[]), None);
     }
 
     #[test]
     fn ties_break_on_lowest_core_index() {
-        assert_eq!(pick_imbalance(&[4, 4, 0, 0], 2), Some((0, 2)));
-        assert_eq!(pick_imbalance(&[0, 4, 4, 0], 2), Some((1, 0)));
+        assert_eq!(pick_imbalance(&[4, 4, 0, 0]), Some((0, 2)));
+        assert_eq!(pick_imbalance(&[0, 4, 4, 0]), Some((1, 0)));
     }
 }

@@ -255,8 +255,7 @@ fn live_task_count_tracks_lifecycle() {
 #[test]
 fn contention_factor_reflects_active_tasks() {
     let mut params = exact(2);
-    params.contention_beta = 1.0;
-    params.contention_cap = 3.0;
+    params.contention_beta = 2.5;
     let mut m = Machine::new(params);
     assert_eq!(m.contention_factor(), 1.0);
     for i in 0..2 {
@@ -266,8 +265,13 @@ fn contention_factor_reflects_active_tasks() {
     for i in 2..8 {
         m.spawn(TaskSpec::cpu(i, ms(100)));
     }
-    // 8 active on 2 cores → 1 + log2(4) = 3.0 (at the cap).
-    assert!((m.contention_factor() - 3.0).abs() < 1e-9);
+    // 8 active on 2 cores → 1 + 2.5 × log2(4) = 6.0 (at the cap).
+    assert!((m.contention_factor() - 6.0).abs() < 1e-9);
+    for i in 8..16 {
+        m.spawn(TaskSpec::cpu(i, ms(100)));
+    }
+    // 16 active → 1 + 2.5 × log2(8) = 8.5, held at the cap.
+    assert!((m.contention_factor() - 6.0).abs() < 1e-9);
     m.run_until_quiescent();
     assert_eq!(m.contention_factor(), 1.0, "all done: inflation gone");
 }

@@ -1,16 +1,17 @@
 //! Rotation timelines: op sequences that keep CFS cores rotating, shared
-//! by the differential suite (`kpolicy_diff.rs`, against the frozen eager
-//! machine) and the machine's own unit test that windows open on them.
-//! The including module provides `Phase`, `Policy` and `TaskSpec`.
+//! by `kpolicy_diff.rs` (the windowed machine against its own eager path,
+//! and a golden digest per timeline) and the machine's own unit test that
+//! windows open on them. The including module provides `Phase`, `Policy`
+//! and `TaskSpec`.
 
 use sfs_simcore::{SimDuration, SimRng, SimTime};
 
 use super::{Phase, Policy, TaskSpec};
 
-/// One controller-visible operation, applied identically to both machines.
+/// One controller-visible operation, applied identically to every run.
 #[derive(Debug, Clone)]
 pub enum Op {
-    /// Spawn the given spec; the n-th spawn receives pid n on both sides.
+    /// Spawn the given spec; the n-th spawn receives pid n.
     Spawn(TaskSpec),
     /// `set_policy` on the task from the i-th spawn.
     SetPolicy(usize, Policy),
