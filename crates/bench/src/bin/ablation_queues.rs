@@ -6,8 +6,8 @@
 //! imbalance, core under-utilisation). This harness quantifies them on the
 //! standalone workload at 90% load.
 
-use sfs_bench::{banner, run_sfs, save, section, turnarounds_ms, Sweep};
-use sfs_core::SfsConfig;
+use sfs_bench::{banner, save, section, turnarounds_ms, Sweep};
+use sfs_core::{ControllerFactory, SfsConfig};
 use sfs_metrics::{cdf_chart, PercentileTable};
 use sfs_workload::WorkloadSpec;
 
@@ -29,10 +29,12 @@ fn main() {
     };
     let mut sweep = Sweep::new("ablation_queues", seed);
     sweep.scenario("global queue", move |_| {
-        run_sfs(SfsConfig::new(CORES), CORES, &gen())
+        SfsConfig::new(CORES).run_on(CORES, &gen())
     });
     sweep.scenario("per-worker queues", move |_| {
-        run_sfs(SfsConfig::new(CORES).per_worker_queues(), CORES, &gen())
+        SfsConfig::new(CORES)
+            .per_worker_queues()
+            .run_on(CORES, &gen())
     });
     let results = sweep.run_with_threads(threads);
     let (global, per) = (&results[0].value, &results[1].value);

@@ -3,8 +3,8 @@
 //! short-function win comes from (the shorter the bucket, the larger the
 //! speedup) and how the crossover approaches 1× at the long bucket.
 
-use sfs_bench::{banner, run_factory, run_sfs, save, section, Sweep};
-use sfs_core::{Baseline, RequestOutcome, SfsConfig};
+use sfs_bench::{banner, save, section, Sweep};
+use sfs_core::{Baseline, ControllerFactory, RequestOutcome, SfsConfig};
 use sfs_metrics::MarkdownTable;
 use sfs_simcore::Samples;
 use sfs_workload::{WorkloadSpec, TABLE1};
@@ -28,13 +28,13 @@ fn main() {
     let mut sweep: Sweep<'_, (Vec<RequestOutcome>, Option<sfs_workload::Workload>)> =
         Sweep::new("breakdown_buckets", seed);
     sweep.scenario("SFS", move |_| {
-        (run_sfs(SfsConfig::new(CORES), CORES, &gen()).outcomes, None)
+        (SfsConfig::new(CORES).run_on(CORES, &gen()).outcomes, None)
     });
     sweep.scenario("CFS", move |_| {
         // The CFS trial keeps its workload so the bucketing below doesn't
         // regenerate it a third time on the main thread.
         let w = gen();
-        (run_factory(&Baseline::Cfs, CORES, &w).outcomes, Some(w))
+        (Baseline::Cfs.run_on(CORES, &w).outcomes, Some(w))
     });
     let results = sweep.run_with_threads(threads);
     let (sfs, cfs) = (&results[0].value.0, &results[1].value.0);

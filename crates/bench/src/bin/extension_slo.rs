@@ -6,8 +6,8 @@
 //! SFS and every kernel baseline at 80% and 100% load, plus the tightest
 //! sellable bound per scheduler.
 
-use sfs_bench::{banner, run_factory, run_sfs, save, section, Sweep};
-use sfs_core::{Baseline, RequestOutcome, SfsConfig};
+use sfs_bench::{banner, save, section, Sweep};
+use sfs_core::{Baseline, ControllerFactory, RequestOutcome, SfsConfig};
 use sfs_metrics::{evaluate_slo, tightest_bound, MarkdownTable, SloRule};
 use sfs_workload::WorkloadSpec;
 
@@ -33,12 +33,12 @@ fn main() {
         sweep.scenario("SFS", move |_| {
             (
                 load,
-                run_sfs(SfsConfig::new(CORES), CORES, &gen(load)).outcomes,
+                SfsConfig::new(CORES).run_on(CORES, &gen(load)).outcomes,
             )
         });
         for b in BASELINES {
             sweep.scenario(b.name(), move |_| {
-                (load, run_factory(&b, CORES, &gen(load)).outcomes)
+                (load, b.run_on(CORES, &gen(load)).outcomes)
             });
         }
     }

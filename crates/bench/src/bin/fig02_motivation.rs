@@ -6,8 +6,8 @@
 //! Linux policies but with a large RTE < 0.2 mass at 100%; FIFO worst
 //! (convoy effect).
 
-use sfs_bench::{banner, rtes, run_factory, save, section, turnarounds_ms, Sweep};
-use sfs_core::{Baseline, Ideal, RequestOutcome, Sim};
+use sfs_bench::{banner, rtes, save, section, turnarounds_ms, Sweep};
+use sfs_core::{Baseline, ControllerFactory, Ideal, RequestOutcome, Sim};
 use sfs_metrics::{cdf_chart, CdfReport, MarkdownTable};
 use sfs_sched::MachineParams;
 use sfs_workload::WorkloadSpec;
@@ -35,7 +35,7 @@ fn main() {
     for &load in &[0.8, 1.0] {
         for b in BASELINES {
             sweep.scenario(format!("{} {:.0}%", b.name(), load * 100.0), move |_| {
-                (load, run_factory(&b, CORES, &gen(load)).outcomes)
+                (load, b.run_on(CORES, &gen(load)).outcomes)
             });
         }
     }

@@ -5,10 +5,8 @@
 //! requests (median ~constant); CFS median and tail grow with load; SFS
 //! tail slightly above CFS's at matched load.
 
-use sfs_bench::{
-    banner, rtes, run_factory, run_sfs, save, section, split_short_long, turnarounds_ms, Sweep,
-};
-use sfs_core::{Baseline, RequestOutcome, SfsConfig};
+use sfs_bench::{banner, rtes, save, section, split_short_long, turnarounds_ms, Sweep};
+use sfs_core::{Baseline, ControllerFactory, RequestOutcome, SfsConfig};
 use sfs_metrics::{cdf_chart, CdfReport, MarkdownTable, PercentileTable};
 use sfs_workload::WorkloadSpec;
 
@@ -34,10 +32,10 @@ fn main() {
                 .generate()
         };
         sweep.scenario(format!("SFS {:.0}%", load * 100.0), move |_| {
-            run_sfs(SfsConfig::new(CORES), CORES, &gen()).outcomes
+            SfsConfig::new(CORES).run_on(CORES, &gen()).outcomes
         });
         sweep.scenario(format!("CFS {:.0}%", load * 100.0), move |_| {
-            run_factory(&Baseline::Cfs, CORES, &gen()).outcomes
+            Baseline::Cfs.run_on(CORES, &gen()).outcomes
         });
     }
     let results = sweep.run_with_threads(threads);

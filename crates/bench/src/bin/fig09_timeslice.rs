@@ -4,8 +4,8 @@
 //! Expected shape: adaptive SFS beats the 100/200 ms fixed slices overall;
 //! the 50 ms slice helps ~30% of short requests but hurts the rest.
 
-use sfs_bench::{banner, run_sfs, save, section, turnarounds_ms, Sweep};
-use sfs_core::SfsConfig;
+use sfs_bench::{banner, save, section, turnarounds_ms, Sweep};
+use sfs_core::{ControllerFactory, SfsConfig};
 use sfs_metrics::{cdf_chart, CdfReport};
 use sfs_workload::WorkloadSpec;
 
@@ -38,7 +38,7 @@ fn main() {
             let w = WorkloadSpec::azure_sampled(n, seed)
                 .with_load(CORES, 0.8)
                 .generate();
-            run_sfs(cfg, CORES, &w)
+            cfg.run_on(CORES, &w)
         });
     }
     let results = sweep.run_with_threads(threads);

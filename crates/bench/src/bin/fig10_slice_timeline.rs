@@ -4,8 +4,8 @@
 //! Expected shape: S tracks the IAT signal scaled by the core count —
 //! when arrivals speed up the slice tightens, and vice versa.
 
-use sfs_bench::{banner, run_sfs, save, section, Sweep};
-use sfs_core::SfsConfig;
+use sfs_bench::{banner, save, section, Sweep};
+use sfs_core::{ControllerFactory, SfsConfig};
 use sfs_metrics::timeline_chart;
 use sfs_workload::{IatSpec, Spike, WorkloadSpec};
 
@@ -26,7 +26,7 @@ fn main() {
             spikes: Spike::evenly_spaced(4, n / 12, 4.0, n),
         };
         let w = spec.with_load(CORES, 0.8).generate();
-        run_sfs(SfsConfig::new(CORES), CORES, &w)
+        SfsConfig::new(CORES).run_on(CORES, &w)
     });
     let r = sweep.run_with_threads(threads).remove(0).value;
 

@@ -6,8 +6,8 @@
 //! I/O-oblivious SFS is clearly worse (blocked functions burn their FILTER
 //! slice and get demoted).
 
-use sfs_bench::{banner, run_sfs, save, section, turnarounds_ms, Sweep};
-use sfs_core::SfsConfig;
+use sfs_bench::{banner, save, section, turnarounds_ms, Sweep};
+use sfs_core::{ControllerFactory, SfsConfig};
 use sfs_metrics::{cdf_chart, CdfReport};
 use sfs_simcore::SimDuration;
 use sfs_workload::WorkloadSpec;
@@ -30,7 +30,6 @@ fn main() {
     let gen = move || {
         let mut spec = WorkloadSpec::azure_replay(n, seed);
         spec.io_fraction = 0.75;
-        spec.io_range_ms = (10.0, 100.0);
         spec.with_load(CORES, 0.8).generate()
     };
 
@@ -50,7 +49,7 @@ fn main() {
     ];
     let mut sweep = Sweep::new("fig11", seed);
     for (label, cfg) in variants {
-        sweep.scenario(label, move |_| run_sfs(cfg, CORES, &gen()));
+        sweep.scenario(label, move |_| cfg.run_on(CORES, &gen()));
     }
     let results = sweep.run_with_threads(threads);
 

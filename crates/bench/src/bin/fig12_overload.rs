@@ -6,8 +6,8 @@
 //! drain slowly; with it the timeline stays smooth and ~50% of requests see
 //! materially lower turnaround.
 
-use sfs_bench::{banner, run_sfs, save, section, turnarounds_ms, Sweep};
-use sfs_core::SfsConfig;
+use sfs_bench::{banner, save, section, turnarounds_ms, Sweep};
+use sfs_core::{ControllerFactory, SfsConfig};
 use sfs_metrics::{cdf_chart, timeline_chart, CdfReport};
 use sfs_workload::{IatSpec, Spike, WorkloadSpec};
 
@@ -31,11 +31,9 @@ fn main() {
         spec.with_load(CORES, 0.85).generate()
     };
     let mut sweep = Sweep::new("fig12", seed);
-    sweep.scenario("SFS", move |_| {
-        run_sfs(SfsConfig::new(CORES), CORES, &gen())
-    });
+    sweep.scenario("SFS", move |_| SfsConfig::new(CORES).run_on(CORES, &gen()));
     sweep.scenario("SFS w/o hybrid", move |_| {
-        run_sfs(SfsConfig::new(CORES).without_hybrid(), CORES, &gen())
+        SfsConfig::new(CORES).without_hybrid().run_on(CORES, &gen())
     });
     let results = sweep.run_with_threads(threads);
     let (hybrid, pure) = (&results[0].value, &results[1].value);

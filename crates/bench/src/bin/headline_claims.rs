@@ -7,8 +7,8 @@
 //! Runs the standalone Fig. 6 setup at 100% load and aggregates per-request
 //! speedups with `sfs_metrics::headline_claims`.
 
-use sfs_bench::{banner, run_factory, run_sfs, save, section, Sweep};
-use sfs_core::{Baseline, RequestOutcome, SfsConfig};
+use sfs_bench::{banner, save, section, Sweep};
+use sfs_core::{Baseline, ControllerFactory, RequestOutcome, SfsConfig};
 use sfs_metrics::{headline_claims, MarkdownTable, Paired};
 use sfs_workload::{WorkloadSpec, LONG_THRESHOLD_MS};
 
@@ -30,11 +30,9 @@ fn main() {
     };
     let mut sweep: Sweep<'_, Vec<RequestOutcome>> = Sweep::new("headline", seed);
     sweep.scenario("SFS", move |_| {
-        run_sfs(SfsConfig::new(CORES), CORES, &gen()).outcomes
+        SfsConfig::new(CORES).run_on(CORES, &gen()).outcomes
     });
-    sweep.scenario("CFS", move |_| {
-        run_factory(&Baseline::Cfs, CORES, &gen()).outcomes
-    });
+    sweep.scenario("CFS", move |_| Baseline::Cfs.run_on(CORES, &gen()).outcomes);
     let results = sweep.run_with_threads(threads);
     let (sfs, cfs) = (&results[0].value, &results[1].value);
 

@@ -14,7 +14,7 @@
 //! lands between CFS and SFS, and SLO-SFS tracks SFS while bounding queue
 //! age.
 
-use sfs_bench::{banner, rtes, run_factory, run_sfs, save, section, turnarounds_ms, Sweep};
+use sfs_bench::{banner, rtes, save, section, turnarounds_ms, Sweep};
 use sfs_core::{
     Baseline, Controller, ControllerFactory, HistoryPriority, RequestOutcome, SfsConfig,
     SfsController, Sim, UserMlfq,
@@ -77,7 +77,7 @@ fn main() {
     for fam in ["diurnal", "correlated", "cold-start"] {
         sweep.scenario(format!("SFS {fam}"), move |_| {
             let w = family(fam, n, seed).with_load(CORES, LOAD).generate();
-            let r = run_sfs(SfsConfig::new(CORES), CORES, &w);
+            let r = SfsConfig::new(CORES).run_on(CORES, &w);
             Cell {
                 offloaded: r.telemetry.offloaded,
                 demoted: r.telemetry.demoted,
@@ -87,7 +87,7 @@ fn main() {
         sweep.scenario(format!("CFS {fam}"), move |_| {
             let w = family(fam, n, seed).with_load(CORES, LOAD).generate();
             Cell {
-                outcomes: run_factory(&Baseline::Cfs, CORES, &w).outcomes,
+                outcomes: Baseline::Cfs.run_on(CORES, &w).outcomes,
                 offloaded: 0,
                 demoted: 0,
             }
@@ -165,7 +165,7 @@ fn main() {
         for policy in ["HIST", "MLFQ", "SLO-SFS"] {
             psweep.scenario(format!("{policy} {fam}"), move |_| {
                 let w = family(fam, n, seed).with_load(CORES, LOAD).generate();
-                run_factory(&NewPolicy(policy), CORES, &w).outcomes
+                NewPolicy(policy).run_on(CORES, &w).outcomes
             });
         }
     }

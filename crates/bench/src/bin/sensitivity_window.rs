@@ -3,8 +3,8 @@
 //! window length matters most: short windows chase noise, long windows lag
 //! rate changes.
 
-use sfs_bench::{banner, run_sfs, save, section, turnarounds_ms, Sweep};
-use sfs_core::SfsConfig;
+use sfs_bench::{banner, save, section, turnarounds_ms, Sweep};
+use sfs_core::{ControllerFactory, SfsConfig};
 use sfs_metrics::PercentileTable;
 use sfs_workload::{IatSpec, Spike, WorkloadSpec};
 
@@ -28,7 +28,7 @@ fn main() {
         sweep.scenario(format!("N={window_n}"), move |_| {
             let mut cfg = SfsConfig::new(CORES);
             cfg.window_n = window_n;
-            run_sfs(cfg, CORES, &gen())
+            cfg.run_on(CORES, &gen())
         });
     }
     let results = sweep.run_with_threads(threads);

@@ -11,8 +11,8 @@
 //! Expected shape: a few percent, dominated by polling, and only weakly
 //! dependent on the polling interval (the paper measures 3.4–3.8% average).
 
-use sfs_bench::{banner, run_sfs, save, section, Sweep};
-use sfs_core::SfsConfig;
+use sfs_bench::{banner, save, section, Sweep};
+use sfs_core::{ControllerFactory, SfsConfig};
 use sfs_metrics::MarkdownTable;
 use sfs_simcore::SimDuration;
 use sfs_workload::WorkloadSpec;
@@ -41,7 +41,7 @@ fn main() {
                 .generate();
             let mut cfg = SfsConfig::new(CORES);
             cfg.poll_interval = SimDuration::from_millis(ms);
-            run_sfs(cfg, CORES, &w)
+            cfg.run_on(CORES, &w)
         });
     }
     let results = sweep.run_with_threads(threads);

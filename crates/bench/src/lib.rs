@@ -22,25 +22,9 @@ pub mod timebench;
 
 pub use sweep::{Scenario, Sweep, SweepResult, Trial};
 
-use sfs_core::{ControllerFactory, RequestOutcome, RunOutcome, SfsConfig, SfsController, Sim};
-use sfs_sched::MachineParams;
+use sfs_core::RequestOutcome;
 use sfs_simcore::SimDuration;
-use sfs_workload::{Workload, LONG_THRESHOLD_MS};
-
-/// Run `w` under SFS (`cfg`) on a default Linux machine with `cores`
-/// cores — the shared harness glue for every figure binary.
-pub fn run_sfs(cfg: SfsConfig, cores: usize, w: &Workload) -> RunOutcome {
-    Sim::on(MachineParams::linux(cores))
-        .workload(w)
-        .controller(SfsController::new(cfg))
-        .run()
-}
-
-/// Run `w` under any controller recipe (a [`sfs_core::Baseline`], an
-/// [`SfsConfig`], or a custom factory) on `cores` cores.
-pub fn run_factory(f: &dyn ControllerFactory, cores: usize, w: &Workload) -> RunOutcome {
-    f.run_on(cores, w)
-}
+use sfs_workload::LONG_THRESHOLD_MS;
 
 /// Seed of every harness unless `SFS_BENCH_SEED` overrides it.
 pub const DEFAULT_SEED: u64 = 0x5F5_2022;

@@ -51,33 +51,6 @@ fn sweep_results_are_bit_identical_at_1_2_and_8_threads() {
     }
 }
 
-/// The SMP scenarios, explicitly: the balance tick and migration machinery
-/// run inside one machine's event loop, so worker threads must not leak
-/// into balance decisions. (These are also members of `SCENARIOS` and thus
-/// covered above; this test keeps the SMP gate visible on its own when the
-/// scenario matrix grows.)
-#[test]
-fn smp_scenarios_are_thread_count_invariant() {
-    let run_all = |threads: usize| -> Vec<(String, u64)> {
-        let mut sweep = Sweep::new(format!("smp determinism x{threads}"), support::SEED);
-        for &name in support::SMP_SCENARIOS {
-            sweep.scenario(name, move |_| {
-                support::fingerprint(&support::run_scenario(name))
-            });
-        }
-        sweep
-            .run_with_threads(threads)
-            .into_iter()
-            .map(|r| (r.label, r.value))
-            .collect()
-    };
-    let single = run_all(1);
-    assert_eq!(single.len(), support::SMP_SCENARIOS.len());
-    for threads in [2, 8] {
-        assert_eq!(single, run_all(threads), "threads={threads}");
-    }
-}
-
 /// The fleet scenarios, explicitly — and at every *internal* thread count:
 /// the front door routes and injects faults sequentially, so the unit
 /// fan-out must not leak into routing, autoscaling, or fault attribution.

@@ -41,7 +41,7 @@ use sfs_bench::Sweep;
 use sfs_core::{
     Baseline, Controller, ControllerFactory, RunOutcome, SfsConfig, SfsController, Sim, UserMlfq,
 };
-use sfs_faas::{Autoscaler, FaultSpec, Fleet, FleetRun, Placement};
+use sfs_faas::{FaultSpec, Fleet, FleetRun, Placement};
 use sfs_sched::{MachineParams, Phase, Policy, TaskSpec};
 use sfs_simcore::{SimDuration, SimRng, SimTime};
 use sfs_workload::{AppKind, Request, Workload, WorkloadSpec};
@@ -139,7 +139,6 @@ fn route_fault_mixes() -> [(&'static str, Option<FaultSpec>); 4] {
                 stragglers: 2,
                 outages: 1,
                 max_redispatch: 1,
-                ..FaultSpec::default()
             }),
         ),
     ]
@@ -226,7 +225,7 @@ fn fleet_route_matrix_matches_golden_snapshot() {
                                 SimDuration::from_millis(30),
                             );
                             fleet.faults = faults;
-                            fleet.autoscaler = autoscale.then(Autoscaler::default);
+                            fleet.autoscale = autoscale;
                             if tight {
                                 fleet.front_door.spill_backlog_ms = 40.0;
                                 fleet.front_door.shed_backlog_ms = SHED_MS;

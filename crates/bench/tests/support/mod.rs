@@ -79,19 +79,6 @@ pub const SCENARIOS: &[&str] = &[
 #[allow(dead_code)] // each test binary compiles its own copy of this module
 pub const FLEET_SCENARIOS: &[&str] = &["fleet2_jsq_sfs", "fleet2_faults_sfs", "fleet2_hash_cfs"];
 
-/// The SMP-enabled scenario subset (SFS vs CFS at cores ∈ {2,4,8} under
-/// azure replay, plus an overload burst pair at 4 cores).
-#[allow(dead_code)] // each test binary compiles its own copy of this module
-pub const SMP_SCENARIOS: &[&str] = &[
-    "smp2_sfs",
-    "smp4_sfs",
-    "smp8_sfs",
-    "smp4_cfs",
-    "smp8_cfs",
-    "smp4_burst_sfs",
-    "smp4_burst_cfs",
-];
-
 /// Request count: small enough for CI, large enough for stable shapes.
 pub const N: usize = 1_200;
 /// Fixed master seed for the whole suite.

@@ -219,14 +219,10 @@ pub struct Cluster {
     /// Warm-container affinity model; `None` disables cold starts (every
     /// host serves every function at full speed).
     pub affinity: Option<Affinity>,
-    /// EWMA smoothing factor for the turnaround feedback (0 < α ≤ 1).
-    pub ewma_alpha: f64,
     /// Seed for the consistent-hash ring (virtual-node positions derive
     /// from it by pure `SeedSequencer` functions, as for the fleet's
     /// region 0).
     pub seed: u64,
-    /// Virtual nodes per host on the hash ring.
-    pub vnodes: usize,
 }
 
 /// Result of a cluster run.
@@ -252,9 +248,7 @@ impl Cluster {
             cores_per_host,
             sfs: SfsConfig::new(cores_per_host),
             affinity: None,
-            ewma_alpha: 0.2,
             seed: 0xC105_7E4D,
-            vnodes: 64,
         }
     }
 
@@ -337,11 +331,9 @@ impl Cluster {
                 spill_backlog_ms: f64::INFINITY,
                 shed_backlog_ms: f64::INFINITY,
             },
-            autoscaler: None,
+            autoscale: false,
             faults: None,
-            ewma_alpha: self.ewma_alpha,
             seed: self.seed,
-            vnodes: self.vnodes,
         }
     }
 }

@@ -13,11 +13,13 @@
 //!   traffic (spillover to the next-best region); when every region is
 //!   past the shed threshold the request is **shed** at the door.
 //! * **Autoscaler** — each region scales its active host count on queue
-//!   depth, with warm-pool keep-alive economics extending the PR 4
+//!   depth every 500 ms, with warm-pool keep-alive economics extending the
 //!   affinity model: scale-down *parks* a host warm (it drains its queue
-//!   and keeps its containers) for a keep-alive window before releasing
-//!   it; scale-up prefers reactivating a parked host (instant, warm) over
-//!   booting a released one (boot delay, cold warm-pool).
+//!   and keeps its containers) for a 5 s keep-alive window before
+//!   releasing it; scale-up prefers reactivating a parked host (instant,
+//!   warm) over booting a released one (250 ms, cold warm-pool). The
+//!   thresholds and timings are constants; [`Fleet::autoscale`] turns the
+//!   autoscaler on or off.
 //! * **Fault injection** — deterministic, seed-derived scenarios: host
 //!   crashes (in-flight work re-dispatched through the front door),
 //!   straggler hosts (a slowdown factor on everything they run), and
@@ -92,53 +94,43 @@ pub struct FrontDoor {
     pub shed_backlog_ms: f64,
 }
 
-/// Per-region autoscaler policy with warm-pool keep-alive economics.
-#[derive(Debug, Clone, Copy)]
-pub struct Autoscaler {
-    /// Evaluation period.
-    pub tick: SimDuration,
-    /// Scale up when mean outstanding depth per active host exceeds this.
-    pub up_depth_per_host: f64,
-    /// Scale down when mean outstanding depth per active host falls below.
-    pub down_depth_per_host: f64,
-    /// How long a scaled-down host stays parked warm before release.
-    pub warm_park: SimDuration,
-    /// Boot delay when scale-up must provision a released (cold) slot.
-    pub boot_delay: SimDuration,
-}
-
-impl Default for Autoscaler {
-    fn default() -> Autoscaler {
-        Autoscaler {
-            tick: SimDuration::from_millis(500),
-            up_depth_per_host: 4.0,
-            down_depth_per_host: 0.5,
-            warm_park: SimDuration::from_secs(5),
-            boot_delay: SimDuration::from_millis(250),
-        }
-    }
-}
+/// Autoscaler evaluation period.
+const SCALE_TICK: SimDuration = SimDuration::from_millis(500);
+/// The autoscaler scales up when mean outstanding depth per active host
+/// exceeds this.
+const UP_DEPTH_PER_HOST: f64 = 4.0;
+/// The autoscaler scales down when mean outstanding depth per active host
+/// falls below this.
+const DOWN_DEPTH_PER_HOST: f64 = 0.5;
+/// How long a scaled-down host stays parked warm before release.
+const WARM_PARK: SimDuration = SimDuration::from_secs(5);
+/// Boot delay when scale-up must provision a released (cold) slot.
+const BOOT_DELAY: SimDuration = SimDuration::from_millis(250);
+/// Slowdown multiplier for straggler hosts.
+const STRAGGLER_FACTOR: f64 = 4.0;
+/// Crash repair time (down → active again, cold).
+const REPAIR: SimDuration = SimDuration::from_millis(500);
+/// EWMA smoothing factor for per-host turnaround feedback (0 < α ≤ 1).
+const EWMA_ALPHA: f64 = 0.2;
+/// Virtual nodes per host on each region's hash ring.
+const VNODES: usize = 64;
 
 /// A deterministic fault scenario: counts per fault kind, expanded into a
 /// concrete seed-derived plan by [`Fleet::run_with_threads`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
     /// Host crashes (in-flight work re-dispatched; host repairs and
-    /// rejoins cold after [`FaultSpec::repair`]).
+    /// rejoins cold 500 ms later).
     pub crashes: usize,
-    /// Straggler hosts: everything placed on one after onset runs
-    /// [`FaultSpec::straggler_factor`]× slower.
+    /// Straggler hosts: everything placed on one after onset runs 4×
+    /// slower.
     pub stragglers: usize,
-    /// Slowdown multiplier for straggler hosts.
-    pub straggler_factor: f64,
     /// Correlated AZ outages: a contiguous half of a region's host slots
     /// goes down and rejoins together.
     pub outages: usize,
     /// How many times one request may be re-dispatched after fault evictions
     /// before it is declared lost.
     pub max_redispatch: u32,
-    /// Crash repair time (down → active again, cold).
-    pub repair: SimDuration,
 }
 
 impl Default for FaultSpec {
@@ -146,10 +138,8 @@ impl Default for FaultSpec {
         FaultSpec {
             crashes: 0,
             stragglers: 0,
-            straggler_factor: 4.0,
             outages: 0,
             max_redispatch: 3,
-            repair: SimDuration::from_millis(500),
         }
     }
 }
@@ -201,17 +191,14 @@ pub struct Fleet {
     pub affinity: Option<Affinity>,
     /// Front-door spill/shed thresholds.
     pub front_door: FrontDoor,
-    /// Autoscaler policy; `None` pins every region at its initial hosts.
-    pub autoscaler: Option<Autoscaler>,
+    /// Whether each region's autoscaler runs; `false` pins every region at
+    /// its initial hosts.
+    pub autoscale: bool,
     /// Fault scenario; `None` runs fault-free.
     pub faults: Option<FaultSpec>,
-    /// EWMA smoothing for per-host turnaround feedback.
-    pub ewma_alpha: f64,
     /// Fleet seed: hash rings, fault plans, and every other stochastic
     /// input derive from it by pure functions.
     pub seed: u64,
-    /// Virtual nodes per host on each region's hash ring.
-    pub vnodes: usize,
 }
 
 /// Per-region counters surfaced by [`FleetRun`].
@@ -524,11 +511,9 @@ impl Fleet {
                 spill_backlog_ms: 250.0,
                 shed_backlog_ms: 10_000.0,
             },
-            autoscaler: Some(Autoscaler::default()),
+            autoscale: true,
             faults: None,
-            ewma_alpha: 0.2,
             seed: 0xF1EE_7D00,
-            vnodes: 64,
         }
     }
 
@@ -688,7 +673,7 @@ impl<'a> Router<'a> {
                         .collect(),
                     ring: build_ring(
                         cfg.max_hosts,
-                        fleet.vnodes,
+                        VNODES,
                         SeedSequencer::new(fleet.seed).seed_for(i as u64),
                     ),
                     depth: 0,
@@ -765,9 +750,9 @@ impl<'a> Router<'a> {
                 );
             }
         }
-        if let Some(auto) = fleet.autoscaler {
+        if fleet.autoscale {
             for region in 0..fleet.regions.len() {
-                self.push(t0 + auto.tick, EventKind::ScaleTick { region });
+                self.push(t0 + SCALE_TICK, EventKind::ScaleTick { region });
             }
         }
     }
@@ -791,11 +776,11 @@ impl<'a> Router<'a> {
                 EventKind::Completion { region, host, seq } => self.complete(region, host, seq),
                 EventKind::Crash { region, host } => {
                     if self.take_host_down(region, host, at) {
-                        self.schedule_up(region, host, at + self.faults.repair);
+                        self.schedule_up(region, host, at + REPAIR);
                     }
                 }
                 EventKind::Straggler { region, host } => {
-                    self.regions[region].slots[host].straggle = self.faults.straggler_factor;
+                    self.regions[region].slots[host].straggle = STRAGGLER_FACTOR;
                 }
                 EventKind::OutageStart {
                     region,
@@ -931,7 +916,6 @@ impl<'a> Router<'a> {
     /// turnaround folds into the host's EWMA. Stale if a crash evicted the
     /// dispatch first.
     fn complete(&mut self, region: usize, host: usize, seq: u64) {
-        let alpha = self.fleet.ewma_alpha;
         let reg = &mut self.regions[region];
         let slot = &mut reg.slots[host];
         let Some(i) = slot.in_flight.iter().position(|fl| fl.seq == seq) else {
@@ -945,7 +929,7 @@ impl<'a> Router<'a> {
             load.outstanding_long_ms = (load.outstanding_long_ms - fl.service_ms).max(0.0);
         }
         load.ewma_turnaround_ms = Some(match load.ewma_turnaround_ms {
-            Some(e) => alpha * fl.turnaround_ms + (1.0 - alpha) * e,
+            Some(e) => EWMA_ALPHA * fl.turnaround_ms + (1.0 - EWMA_ALPHA) * e,
             None => fl.turnaround_ms,
         });
     }
@@ -1032,36 +1016,34 @@ impl<'a> Router<'a> {
             slot.state = HostState::Released;
             reg.stats.warm_host_ms += until.since(since).as_millis_f64();
             reg.stats.releases += 1;
-        } else if let Some(auto) = self.fleet.autoscaler {
+        } else {
             // A slot cannot release with work on it: extend the window
             // (the bill keeps running from `since`).
-            let next = at + auto.warm_park;
+            let next = at + WARM_PARK;
             slot.state = HostState::ParkedWarm { since, until: next };
             self.push(next, EventKind::ParkExpire { region, host });
         }
     }
 
     /// An autoscaler tick: evaluate the region, then re-arm while
-    /// arrivals remain or any work is in flight.
+    /// arrivals remain or any work is in flight. Ticks are armed only when
+    /// [`Fleet::autoscale`] is on.
     fn scale(&mut self, region: usize, at: SimTime) {
-        let Some(auto) = self.fleet.autoscaler else {
-            return;
-        };
-        self.scale_region(region, &auto, at);
+        self.scale_region(region, at);
         if !self.arrivals_done || self.regions.iter().any(|r| r.depth > 0) {
-            self.push(at + auto.tick, EventKind::ScaleTick { region });
+            self.push(at + SCALE_TICK, EventKind::ScaleTick { region });
         }
     }
 
     /// One autoscaler evaluation for one region.
-    fn scale_region(&mut self, region: usize, auto: &Autoscaler, now: SimTime) {
+    fn scale_region(&mut self, region: usize, now: SimTime) {
         let reg = &mut self.regions[region];
         let active = reg.active_count();
         if active == 0 {
             return;
         }
         let depth_per_host = reg.depth as f64 / active as f64;
-        if depth_per_host > auto.up_depth_per_host {
+        if depth_per_host > UP_DEPTH_PER_HOST {
             // Prefer the cheapest capacity: a parked host is warm and
             // instant.
             if let Some(slot) = reg
@@ -1081,13 +1063,13 @@ impl<'a> Router<'a> {
             {
                 reg.slots[h].state = HostState::Booting;
                 reg.stats.boots += 1;
-                self.schedule_up(region, h, now + auto.boot_delay);
+                self.schedule_up(region, h, now + BOOT_DELAY);
             }
-        } else if depth_per_host < auto.down_depth_per_host && active > reg.cfg.min_hosts {
+        } else if depth_per_host < DOWN_DEPTH_PER_HOST && active > reg.cfg.min_hosts {
             // Park the highest-index active host: it drains its queue warm
             // and releases when the keep-alive window lapses.
             if let Some(h) = reg.slots.iter().rposition(|s| s.state == HostState::Active) {
-                let until = now + auto.warm_park;
+                let until = now + WARM_PARK;
                 reg.slots[h].state = HostState::ParkedWarm { since: now, until };
                 reg.stats.parks += 1;
                 self.push(until, EventKind::ParkExpire { region, host: h });
@@ -1273,7 +1255,6 @@ mod tests {
                 stragglers: 2,
                 outages: 1,
                 max_redispatch: 0,
-                ..FaultSpec::default()
             },
         ];
         for (si, spec) in specs.iter().enumerate() {
@@ -1345,12 +1326,7 @@ mod tests {
     fn autoscaler_parks_warm_and_bills_the_keepalive() {
         // A workload that ends leaves the fleet idle: the scaler must park
         // down to min_hosts and the parked time must be billed.
-        let mut fleet = Fleet::new(1, 4, 2);
-        fleet.autoscaler = Some(Autoscaler {
-            down_depth_per_host: 1.5,
-            warm_park: SimDuration::from_millis(800),
-            ..Autoscaler::default()
-        });
+        let fleet = Fleet::new(1, 4, 2);
         let w = workload(400, 8, 0.4, 47);
         let run = fleet.run(Placement::JoinShortestQueue, &w);
         assert_conserved(&run, 400);
@@ -1373,7 +1349,7 @@ mod tests {
         let mut fleet = Fleet::new(2, 2, 2);
         fleet.regions[0].initial_hosts = 1;
         fleet.regions[0].max_hosts = 1;
-        fleet.autoscaler = None;
+        fleet.autoscale = false;
         fleet.front_door.spill_backlog_ms = 20.0;
         let w = workload(500, 4, 1.2, 51);
         let run = fleet.run(Placement::JoinShortestQueue, &w);
@@ -1390,7 +1366,7 @@ mod tests {
         // Shed threshold at the spill threshold: once every region drowns,
         // requests are refused rather than queued without bound.
         let mut fleet = Fleet::new(2, 1, 1);
-        fleet.autoscaler = None;
+        fleet.autoscale = false;
         fleet.front_door.spill_backlog_ms = 30.0;
         fleet.front_door.shed_backlog_ms = 60.0;
         let w = workload(400, 2, 1.5, 53);

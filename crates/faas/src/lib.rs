@@ -26,5 +26,5 @@ pub mod fleet;
 pub mod platform;
 
 pub use cluster::{Affinity, Cluster, ClusterRun, HostLoad, Placement};
-pub use fleet::{Autoscaler, FaultSpec, Fleet, FleetRun, FrontDoor, RegionConfig, RegionStats};
+pub use fleet::{FaultSpec, Fleet, FleetRun, FrontDoor, RegionConfig, RegionStats};
 pub use platform::{Dispatched, OpenLambda, OpenLambdaParams};

@@ -7,7 +7,7 @@
 //! * percentile figures (8, 15) → [`PercentileTable`],
 //! * tables (I, II) → [`MarkdownTable`].
 
-use sfs_simcore::{QuantileSketch, Samples};
+use sfs_simcore::Samples;
 
 /// Quantile grid used when printing CDFs (dense at the tail, like the
 /// paper's log-scale axes).
@@ -67,14 +67,6 @@ impl CdfReport {
         self.series.is_empty()
     }
 
-    /// Access a series' samples by label.
-    pub fn samples_mut(&mut self, label: &str) -> Option<&mut Samples> {
-        self.series
-            .iter_mut()
-            .find(|s| s.label == label)
-            .map(|s| &mut s.samples)
-    }
-
     /// CSV: one row per quantile, one column per series.
     pub fn to_csv(&mut self) -> String {
         let mut out = String::from("fraction");
@@ -116,36 +108,9 @@ impl CdfReport {
 
 /// Percentile breakdown table (Fig. 8 / Fig. 15): rows = series, columns =
 /// p50/p90/p99/p99.9/p99.99.
-///
-/// Rows are backed either by exact [`Samples`] ([`PercentileTable::push`])
-/// or by a streaming [`QuantileSketch`]
-/// ([`PercentileTable::push_sketch`]) — the renderings are identical, so
-/// O(1)-memory runs report through the same tables as exact ones.
 #[derive(Debug, Clone, Default)]
 pub struct PercentileTable {
-    series: Vec<PctRow>,
-}
-
-/// One table row: a label over an exact or sketched distribution.
-#[derive(Debug, Clone)]
-struct PctRow {
-    label: String,
-    source: PctSource,
-}
-
-#[derive(Debug, Clone)]
-enum PctSource {
-    Exact(Samples),
-    Sketch(QuantileSketch),
-}
-
-impl PctRow {
-    fn percentile(&mut self, p: f64) -> f64 {
-        match &mut self.source {
-            PctSource::Exact(s) => s.percentile(p),
-            PctSource::Sketch(k) => k.percentile(p),
-        }
-    }
+    series: Vec<Series>,
 }
 
 /// The percentiles the paper reports in Fig. 8/15.
@@ -159,19 +124,7 @@ impl PercentileTable {
 
     /// Add one series from raw values (exact percentiles).
     pub fn push(&mut self, label: impl Into<String>, values: Vec<f64>) {
-        self.series.push(PctRow {
-            label: label.into(),
-            source: PctSource::Exact(Samples::from_vec(values)),
-        });
-    }
-
-    /// Add one series backed by a streaming sketch (percentiles within the
-    /// sketch's relative-error bound; memory independent of sample count).
-    pub fn push_sketch(&mut self, label: impl Into<String>, sketch: QuantileSketch) {
-        self.series.push(PctRow {
-            label: label.into(),
-            source: PctSource::Sketch(sketch),
-        });
+        self.series.push(Series::new(label, values));
     }
 
     /// Percentile value for a series (by label).
@@ -179,7 +132,7 @@ impl PercentileTable {
         self.series
             .iter_mut()
             .find(|s| s.label == label)
-            .map(|s| s.percentile(pct))
+            .map(|s| s.samples.percentile(pct))
     }
 
     /// Markdown rendering.
@@ -196,7 +149,7 @@ impl PercentileTable {
         for s in self.series.iter_mut() {
             out.push_str(&format!("| {} |", s.label));
             for p in PAPER_PERCENTILES {
-                out.push_str(&format!(" {:.1} |", s.percentile(p)));
+                out.push_str(&format!(" {:.1} |", s.samples.percentile(p)));
             }
             out.push('\n');
         }
@@ -213,7 +166,7 @@ impl PercentileTable {
         for s in self.series.iter_mut() {
             out.push_str(&s.label.to_string());
             for p in PAPER_PERCENTILES {
-                out.push_str(&format!(",{:.3}", s.percentile(p)));
+                out.push_str(&format!(",{:.3}", s.samples.percentile(p)));
             }
             out.push('\n');
         }
@@ -310,29 +263,6 @@ mod tests {
         assert!(md.contains("p99.99"));
         let csv = t.to_csv();
         assert!(csv.starts_with("series,p50,p90,p99,p99.9,p99.99"));
-    }
-
-    #[test]
-    fn percentile_table_sketch_rows_match_exact_rows() {
-        // The same distribution pushed exactly and as a sketch must render
-        // through the same table, agreeing within the sketch's 1% bound.
-        let values: Vec<f64> = (1..=10_000).map(|i| i as f64).collect();
-        let mut sketch = QuantileSketch::new(0.01);
-        for &v in &values {
-            sketch.push(v);
-        }
-        let mut t = PercentileTable::new();
-        t.push("exact", values);
-        t.push_sketch("sketch", sketch);
-        for p in PAPER_PERCENTILES {
-            let e = t.value("exact", p).unwrap();
-            let s = t.value("sketch", p).unwrap();
-            assert!((s - e).abs() <= 0.011 * e, "p{p}: sketch {s} vs exact {e}");
-        }
-        let md = t.to_markdown();
-        assert!(md.contains("| exact |") && md.contains("| sketch |"));
-        let csv = t.to_csv();
-        assert_eq!(csv.lines().count(), 3);
     }
 
     #[test]

@@ -89,15 +89,6 @@ impl MachineParams {
         }
     }
 
-    /// SRTF-oracle machine with `cores` cores.
-    pub fn srtf(cores: usize) -> Self {
-        MachineParams {
-            cores,
-            kpolicy: KernelPolicyKind::Srtf,
-            ..Default::default()
-        }
-    }
-
     /// The same machine with the given SMP behaviour knobs.
     pub fn with_smp(mut self, smp: SmpParams) -> Self {
         self.smp = smp;

@@ -54,7 +54,7 @@ use sfs_simcore::{SimDuration, SimTime};
 use crate::machine::CoreSched;
 use crate::policy::cfs::weight_of_nice;
 use crate::smp::SmpParams;
-use crate::task::{Pid, Policy, ProcState, Task};
+use crate::task::{Pid, Policy, Task};
 use crate::window::Tickless;
 
 /// Built-in kernel policies selectable by name — the value that travels
@@ -162,7 +162,7 @@ pub enum PreemptKind {
 /// | clocks | [`now`](Self::now) |
 /// | topology | [`nr_cores`](Self::nr_cores), [`current`](Self::current) |
 /// | tunables | [`smp_params`](Self::smp_params) |
-/// | task state | [`policy_of`](Self::policy_of), [`state_of`](Self::state_of), [`remaining_cpu`](Self::remaining_cpu), [`has_run`](Self::has_run) |
+/// | task state | [`policy_of`](Self::policy_of), [`remaining_cpu`](Self::remaining_cpu), [`has_run`](Self::has_run) |
 /// | vruntime | [`vruntime`](Self::vruntime), [`set_vruntime`](Self::set_vruntime), [`weight_of`](Self::weight_of), [`running_vruntime`](Self::running_vruntime) |
 /// | placement | [`home_core`](Self::home_core), [`set_home_core`](Self::set_home_core), [`note_migration`](Self::note_migration), [`add_migration_cost`](Self::add_migration_cost) |
 /// | in-flight run | [`inflight`](Self::inflight) |
@@ -206,11 +206,6 @@ impl KernelCtx<'_> {
     /// The task's scheduling policy class.
     pub fn policy_of(&self, pid: Pid) -> Policy {
         self.task(pid).policy
-    }
-
-    /// The task's kernel run state.
-    pub fn state_of(&self, pid: Pid) -> ProcState {
-        self.task(pid).state
     }
 
     /// CFS weight of the task (nice-derived; RT tasks weigh as nice 0).

@@ -11,6 +11,7 @@
 
 use sfs_sched::{KernelPolicyKind, MachineParams, Policy};
 
+use crate::config::FILTER_PRIO;
 use crate::policies::KernelOnly;
 use crate::sim::{Controller, ControllerFactory};
 
@@ -19,9 +20,10 @@ use crate::sim::{Controller, ControllerFactory};
 pub enum Baseline {
     /// Linux default: every request under `SCHED_NORMAL` nice 0.
     Cfs,
-    /// Every request under `SCHED_FIFO` at one priority (convoy-prone).
+    /// Every request under `SCHED_FIFO` at [`FILTER_PRIO`]
+    /// (convoy-prone).
     Fifo,
-    /// Every request under `SCHED_RR` at one priority.
+    /// Every request under `SCHED_RR` at [`FILTER_PRIO`].
     Rr,
     /// The offline oracle.
     Srtf,
@@ -55,8 +57,8 @@ impl Baseline {
             | Baseline::Eevdf
             | Baseline::Deadline
             | Baseline::Srp => Policy::NORMAL,
-            Baseline::Fifo => Policy::Fifo { prio: 50 },
-            Baseline::Rr => Policy::Rr { prio: 50 },
+            Baseline::Fifo => Policy::Fifo { prio: FILTER_PRIO },
+            Baseline::Rr => Policy::Rr { prio: FILTER_PRIO },
         }
     }
 

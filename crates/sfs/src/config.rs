@@ -1,10 +1,32 @@
-//! SFS configuration knobs.
+//! SFS configuration knobs and the paper's fixed numbers.
 //!
-//! Defaults follow the paper's evaluation settings: sliding window N = 100
-//! (§V-C), status-polling interval 4 ms (§V-D), overload factor O = 3
-//! (§V-E), and FILTER functions at `SCHED_FIFO` priority 50.
+//! [`SfsConfig`] holds what the evaluation varies: the sliding window N
+//! (default 100, §V-C), the status-polling interval (default 4 ms, Fig. 11
+//! sweeps 1–8 ms), the slice mode, I/O awareness, the hybrid overload
+//! fallback and the queue topology. What the paper fixes is a constant:
+//! the overload factor O = 3 ([`OVERLOAD_FACTOR`], §V-E), the FILTER
+//! priority ([`FILTER_PRIO`]), and the adaptive slice's starting value and
+//! clamps ([`INITIAL_SLICE`], [`MIN_SLICE`], [`MAX_SLICE`]).
 
 use sfs_simcore::SimDuration;
+
+/// Overload threshold factor O: a request whose queueing delay is at least
+/// `O × S` when popped triggers the CFS bypass (§V-E).
+pub const OVERLOAD_FACTOR: f64 = 3.0;
+
+/// Static `SCHED_FIFO` priority of FILTER functions, and of every request
+/// under the FIFO/RR baselines and [`HistoryPriority`](crate::HistoryPriority)'s
+/// predicted-short class.
+pub const FILTER_PRIO: u8 = 50;
+
+/// Slice used before the first adaptive recalculation.
+pub const INITIAL_SLICE: SimDuration = SimDuration::from_millis(100);
+
+/// Lower clamp on the adaptive slice.
+pub const MIN_SLICE: SimDuration = SimDuration::from_millis(1);
+
+/// Upper clamp on the adaptive slice.
+pub const MAX_SLICE: SimDuration = SimDuration::from_secs(10);
 
 /// How the FILTER time slice `S` is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,12 +63,6 @@ pub struct SfsConfig {
     pub window_n: usize,
     /// Time slice selection.
     pub slice_mode: SliceMode,
-    /// Slice used before the first adaptive recalculation.
-    pub initial_slice: SimDuration,
-    /// Lower/upper clamps on the adaptive slice.
-    pub min_slice: SimDuration,
-    /// Upper clamp on the adaptive slice.
-    pub max_slice: SimDuration,
     /// Kernel-status polling interval (paper: 4 ms; Fig. 11 sweeps 1–8 ms).
     pub poll_interval: SimDuration,
     /// `true` = detect I/O blocks by polling and re-enqueue blocked
@@ -56,11 +72,6 @@ pub struct SfsConfig {
     /// Enable the hybrid overload fallback to CFS (§V-E). Disabling it gives
     /// the "SFS w/o hybrid" baseline of Fig. 12.
     pub hybrid_overload: bool,
-    /// Overload threshold factor O: a request whose queueing delay is at
-    /// least `O × S` when popped triggers the CFS bypass (paper: 3).
-    pub overload_factor: f64,
-    /// Static priority FILTER functions run at under `SCHED_FIFO`.
-    pub filter_prio: u8,
     /// Queue topology (global by default; per-worker is an ablation).
     pub queue_mode: QueueMode,
     /// Record per-request/timeline series (queue-delay series, slice and
@@ -77,14 +88,9 @@ impl SfsConfig {
             workers,
             window_n: 100,
             slice_mode: SliceMode::Adaptive,
-            initial_slice: SimDuration::from_millis(100),
-            min_slice: SimDuration::from_millis(1),
-            max_slice: SimDuration::from_secs(10),
             poll_interval: SimDuration::from_millis(4),
             io_aware: true,
             hybrid_overload: true,
-            overload_factor: 3.0,
-            filter_prio: 50,
             queue_mode: QueueMode::Global,
             record_series: true,
         }
@@ -131,15 +137,6 @@ impl SfsConfig {
         if self.window_n == 0 {
             return Err("window N must be >= 1".into());
         }
-        if self.min_slice > self.max_slice {
-            return Err("min_slice exceeds max_slice".into());
-        }
-        if self.overload_factor <= 0.0 {
-            return Err("overload factor must be positive".into());
-        }
-        if !(1..=99).contains(&self.filter_prio) {
-            return Err("SCHED_FIFO priority must be 1..=99".into());
-        }
         if self.poll_interval.is_zero() {
             return Err("poll interval must be positive".into());
         }
@@ -156,7 +153,6 @@ mod tests {
         let c = SfsConfig::new(12);
         assert_eq!(c.window_n, 100);
         assert_eq!(c.poll_interval, SimDuration::from_millis(4));
-        assert_eq!(c.overload_factor, 3.0);
         assert!(c.io_aware);
         assert!(c.hybrid_overload);
         assert_eq!(c.slice_mode, SliceMode::Adaptive);
@@ -187,15 +183,6 @@ mod tests {
         assert!(c.validate().is_err());
         c = SfsConfig::new(1);
         c.window_n = 0;
-        assert!(c.validate().is_err());
-        c = SfsConfig::new(1);
-        c.min_slice = SimDuration::from_secs(100);
-        assert!(c.validate().is_err());
-        c = SfsConfig::new(1);
-        c.overload_factor = 0.0;
-        assert!(c.validate().is_err());
-        c = SfsConfig::new(1);
-        c.filter_prio = 0;
         assert!(c.validate().is_err());
         c = SfsConfig::new(1);
         c.poll_interval = SimDuration::ZERO;

@@ -11,7 +11,9 @@
 //!   workers + FILTER/CFS flow), plus its SLO-deadline variant;
 //! * [`policies`] — [`KernelOnly`] baselines, the [`Ideal`] bound, and
 //!   further controllers ([`HistoryPriority`], [`UserMlfq`]);
-//! * [`config`] — SFS tunables (window N, poll interval, overload factor O);
+//! * [`config`] — SFS tunables (window N, poll interval, slice mode, …)
+//!   and the paper's fixed numbers (overload factor O, FILTER priority,
+//!   slice clamps);
 //! * [`timeslice`] — the adaptive FILTER slice `S = mean(IAT_N) × c`;
 //! * [`baseline`] — [`Baseline`] descriptors ([`ControllerFactory`] form);
 //! * [`stats`] — per-request outcomes and run aggregates.
@@ -41,7 +43,7 @@ pub mod stats;
 pub mod timeslice;
 
 pub use baseline::Baseline;
-pub use config::{QueueMode, SfsConfig, SliceMode};
+pub use config::{QueueMode, SfsConfig, SliceMode, FILTER_PRIO};
 pub use policies::{HistoryPriority, Ideal, KernelOnly, UserMlfq};
 pub use scheduler::SfsController;
 pub use sim::{

@@ -20,6 +20,7 @@ use sfs_sched::{Notification, Pid, Policy, ProcState};
 use sfs_simcore::{SimDuration, SimTime};
 use sfs_workload::{AppKind, Request, Workload, LONG_THRESHOLD_MS};
 
+use crate::config::FILTER_PRIO;
 use crate::sim::{Controller, MachineView, Telemetry};
 use crate::stats::RequestOutcome;
 
@@ -101,10 +102,6 @@ impl Controller for Ideal {
 /// the exact failure SFS's FILTER slice exists to prevent.
 #[derive(Debug, Clone)]
 pub struct HistoryPriority {
-    /// `SCHED_FIFO` priority for predicted-short requests.
-    prio: u8,
-    /// Predicted-duration boundary between short and long (ms).
-    threshold_ms: f64,
     /// Per-app `(total observed CPU ms, completions)`, indexed by
     /// [`app_index`].
     history: [(f64, u64); 3],
@@ -123,22 +120,11 @@ fn app_index(app: AppKind) -> usize {
 }
 
 impl HistoryPriority {
-    /// A strawman with the paper's FILTER priority (50) and the Table I
-    /// long-function boundary ([`LONG_THRESHOLD_MS`]) as the prediction
-    /// threshold.
+    /// A strawman that runs predicted-short requests at the paper's FILTER
+    /// priority ([`FILTER_PRIO`]) and predicts from the Table I
+    /// long-function boundary ([`LONG_THRESHOLD_MS`]).
     pub fn new() -> HistoryPriority {
-        HistoryPriority::with_threshold(50, LONG_THRESHOLD_MS)
-    }
-
-    /// Custom FIFO priority and short/long prediction boundary.
-    pub fn with_threshold(prio: u8, threshold_ms: f64) -> HistoryPriority {
-        assert!(
-            (1..=99).contains(&prio),
-            "SCHED_FIFO priority must be 1..=99"
-        );
         HistoryPriority {
-            prio,
-            threshold_ms,
             history: [(0.0, 0); 3],
             live: BTreeMap::new(),
             fast_tracked: 0,
@@ -167,12 +153,12 @@ impl Controller for HistoryPriority {
         // Optimistic cold start: an app with no history is assumed short
         // (most of Table I's mass is short).
         let short = match self.predicted_ms(req.app) {
-            Some(ms) => ms < self.threshold_ms,
+            Some(ms) => ms < LONG_THRESHOLD_MS,
             None => true,
         };
         if short {
             self.fast_tracked += 1;
-            Policy::Fifo { prio: self.prio }
+            Policy::Fifo { prio: FILTER_PRIO }
         } else {
             Policy::NORMAL
         }
@@ -211,9 +197,8 @@ impl Controller for HistoryPriority {
 /// approximating SRTF's preference without any real-time class — a
 /// lighter-touch policy than SFS (no FIFO starvation risk, no overload
 /// mode) at the cost of reaction latency and weaker isolation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct UserMlfq {
-    poll_interval: SimDuration,
     /// Live pid → current ladder tier.
     live: BTreeMap<Pid, usize>,
     next_poll: Option<SimTime>,
@@ -233,18 +218,8 @@ impl UserMlfq {
         (SimDuration::from_millis(1550), 19),
     ];
 
-    /// An MLFQ controller sweeping `/proc` every `poll_interval`.
-    pub fn new(poll_interval: SimDuration) -> UserMlfq {
-        assert!(!poll_interval.is_zero(), "poll interval must be positive");
-        UserMlfq {
-            poll_interval,
-            live: BTreeMap::new(),
-            next_poll: None,
-            polls: 0,
-            polled_tasks: 0,
-            bottomed: 0,
-        }
-    }
+    /// Period of the `/proc` sweep: SFS's default poll interval (§V-D).
+    const POLL_INTERVAL: SimDuration = SimDuration::from_millis(4);
 
     /// Ladder tier for a given consumed-CPU total.
     fn tier_of(cpu: SimDuration) -> usize {
@@ -252,12 +227,6 @@ impl UserMlfq {
             .iter()
             .rposition(|&(thr, _)| cpu >= thr)
             .unwrap_or(0)
-    }
-}
-
-impl Default for UserMlfq {
-    fn default() -> Self {
-        UserMlfq::new(SimDuration::from_millis(4))
     }
 }
 
@@ -275,7 +244,7 @@ impl Controller for UserMlfq {
     fn on_arrival(&mut self, m: &mut MachineView<'_>, _req: &Request, pid: Pid) {
         self.live.insert(pid, 0);
         if self.next_poll.is_none() {
-            self.next_poll = Some(m.now() + self.poll_interval);
+            self.next_poll = Some(m.now() + Self::POLL_INTERVAL);
         }
     }
 
@@ -323,7 +292,7 @@ impl Controller for UserMlfq {
         self.next_poll = if self.live.is_empty() {
             None
         } else {
-            Some(m.now() + self.poll_interval)
+            Some(m.now() + Self::POLL_INTERVAL)
         };
     }
 
@@ -387,11 +356,11 @@ mod tests {
 
     #[test]
     fn history_priority_predicts_from_app_history() {
-        let mut h = HistoryPriority::with_threshold(50, 100.0);
+        let mut h = HistoryPriority::new();
         assert!(h.predicted_ms(AppKind::Fib).is_none());
-        h.history[app_index(AppKind::Fib)] = (1_000.0, 2); // mean 500 ms
+        h.history[app_index(AppKind::Fib)] = (4_000.0, 2); // mean 2000 ms: long
         h.history[app_index(AppKind::Md)] = (90.0, 3); // mean 30 ms
-        assert_eq!(h.predicted_ms(AppKind::Fib), Some(500.0));
+        assert_eq!(h.predicted_ms(AppKind::Fib), Some(2_000.0));
         let fib = sfs_workload::WorkloadSpec::azure_sampled(1, 0).generate();
         let mut req = fib.requests[0].clone();
         req.app = AppKind::Fib;

@@ -33,7 +33,7 @@ use sfs_sched::{Notification, Pid, Policy, ProcState};
 use sfs_simcore::{SimDuration, SimTime, TimeSeries};
 use sfs_workload::Request;
 
-use crate::config::{QueueMode, SfsConfig};
+use crate::config::{QueueMode, SfsConfig, FILTER_PRIO, OVERLOAD_FACTOR};
 use crate::sim::{Controller, MachineView, Telemetry};
 use crate::stats::RequestOutcome;
 use crate::timeslice::SliceController;
@@ -294,7 +294,7 @@ impl SfsController {
         let over_slo = self.slo_deadline.is_some_and(|d| age >= d);
         if over_slo || self.cfg.hybrid_overload {
             let threshold = SimDuration::from_millis_f64(
-                self.slice.current().as_millis_f64() * self.cfg.overload_factor,
+                self.slice.current().as_millis_f64() * OVERLOAD_FACTOR,
             );
             if over_slo || (self.cfg.hybrid_overload && delay >= threshold) {
                 self.states[slot as usize].offloaded = true;
@@ -314,12 +314,7 @@ impl SfsController {
         }
 
         // Step 2: promote to FIFO — the FILTER pool.
-        m.set_policy(
-            pid,
-            Policy::Fifo {
-                prio: self.cfg.filter_prio,
-            },
-        );
+        m.set_policy(pid, Policy::Fifo { prio: FILTER_PRIO });
         let cpu_at_start = m.cpu_time(pid);
         self.states[slot as usize].filter_rounds += 1;
         let armed = self.arm();

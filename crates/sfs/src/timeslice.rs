@@ -8,7 +8,7 @@
 
 use sfs_simcore::{SimDuration, SimTime, SlidingWindow, TimeSeries};
 
-use crate::config::{SfsConfig, SliceMode};
+use crate::config::{SfsConfig, SliceMode, INITIAL_SLICE, MAX_SLICE, MIN_SLICE};
 
 /// Produces the FILTER time slice `S`, adapting it from observed IATs.
 #[derive(Debug)]
@@ -17,8 +17,6 @@ pub struct SliceController {
     cores: usize,
     window: SlidingWindow,
     window_n: usize,
-    min_slice: SimDuration,
-    max_slice: SimDuration,
     current: SimDuration,
     arrivals_since_recalc: usize,
     last_arrival: Option<SimTime>,
@@ -35,7 +33,7 @@ impl SliceController {
     /// Build from an [`SfsConfig`].
     pub fn new(cfg: &SfsConfig) -> SliceController {
         let current = match cfg.slice_mode {
-            SliceMode::Adaptive => cfg.initial_slice,
+            SliceMode::Adaptive => INITIAL_SLICE,
             SliceMode::Fixed(s) => s,
         };
         SliceController {
@@ -43,8 +41,6 @@ impl SliceController {
             cores: cfg.workers,
             window: SlidingWindow::new(cfg.window_n),
             window_n: cfg.window_n,
-            min_slice: cfg.min_slice,
-            max_slice: cfg.max_slice,
             current,
             arrivals_since_recalc: 0,
             last_arrival: None,
@@ -77,8 +73,8 @@ impl SliceController {
                 self.arrivals_since_recalc = 0;
                 let mean_iat_ms = self.window.mean();
                 let s = SimDuration::from_millis_f64(mean_iat_ms * self.cores as f64)
-                    .max(self.min_slice)
-                    .min(self.max_slice);
+                    .max(MIN_SLICE)
+                    .min(MAX_SLICE);
                 self.current = s;
                 self.recalcs += 1;
                 if self.record_series {
@@ -154,12 +150,12 @@ mod tests {
     fn initial_slice_used_before_first_recalc() {
         let c = cfg(8);
         let mut sc = SliceController::new(&c);
-        assert_eq!(sc.current(), c.initial_slice);
+        assert_eq!(sc.current(), INITIAL_SLICE);
         for i in 0..50 {
             sc.on_arrival(t(i));
         }
         // Fewer than N=100 arrivals: still the initial slice.
-        assert_eq!(sc.current(), c.initial_slice);
+        assert_eq!(sc.current(), INITIAL_SLICE);
         assert_eq!(sc.recalcs(), 0);
     }
 
@@ -183,16 +179,15 @@ mod tests {
     fn clamps_apply() {
         let mut c = cfg(100);
         c.window_n = 2;
-        c.max_slice = SimDuration::from_millis(500);
-        c.min_slice = SimDuration::from_millis(200);
         let mut sc = SliceController::new(&c);
-        // Huge IATs: S would be 100 × 1000ms = 100s, clamped to 500ms max.
+        // Huge IATs: S would be 100 × 1000ms = 100s, clamped to the 10s cap.
         sc.on_arrival(t(0));
         sc.on_arrival(t(1_000));
-        assert_eq!(sc.current(), SimDuration::from_millis(500));
-        // 1ms IATs: S would be 100ms, clamped up to the 200ms floor.
-        sc.on_arrival(t(1_001));
-        sc.on_arrival(t(1_002));
-        assert_eq!(sc.current(), SimDuration::from_millis(200));
+        assert_eq!(sc.current(), MAX_SLICE);
+        // 3µs IATs: S would be 100 × 3µs = 0.3ms, clamped up to the 1ms floor.
+        let us = |n: u64| t(1_000) + SimDuration::from_micros(n);
+        sc.on_arrival(us(3));
+        sc.on_arrival(us(6));
+        assert_eq!(sc.current(), MIN_SLICE);
     }
 }

@@ -81,11 +81,10 @@ fn long_function_demoted_exactly_at_slice() {
 
 #[test]
 fn filter_runs_under_fifo_policy() {
-    // Mid-flight, a FILTER function must be SCHED_FIFO at the configured
-    // priority; after demotion it must be SCHED_NORMAL.
+    // Mid-flight, a FILTER function must be SCHED_FIFO; after demotion it
+    // must be SCHED_NORMAL.
     let w = craft(&[(0, 300.0, None), (5, 10.0, None)]);
-    let mut cfg = SfsConfig::new(1).with_fixed_slice(50);
-    cfg.filter_prio = 42;
+    let cfg = SfsConfig::new(1).with_fixed_slice(50);
     // Drive the simulator manually via its components: use the public API
     // only — run to completion and assert on aggregate evidence instead.
     let r = run_sfs(cfg, exact(1), w);
@@ -173,7 +172,6 @@ fn overload_threshold_is_o_times_s() {
     let w = craft(&rows);
     let mut cfg = SfsConfig::new(1).with_fixed_slice(50);
     cfg.hybrid_overload = true;
-    cfg.overload_factor = 3.0;
     let r = run_sfs(cfg, exact(1), w);
     assert!(
         r.telemetry.offloaded > 0,

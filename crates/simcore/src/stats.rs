@@ -229,11 +229,6 @@ impl Samples {
     pub fn raw(&self) -> &[f64] {
         &self.data
     }
-
-    /// Consume into the raw vector.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
 }
 
 /// A streaming quantile sketch with a bounded relative-error contract.
@@ -302,11 +297,6 @@ impl QuantileSketch {
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
-    }
-
-    /// The relative-error bound `α` this sketch guarantees.
-    pub fn relative_error_bound(&self) -> f64 {
-        self.alpha
     }
 
     /// Bucket key of a value above the floor: `ceil(ln v / ln γ)`.

@@ -68,6 +68,20 @@ impl DurationDist {
     }
 }
 
+/// Injected I/O duration range in ms, drawn uniformly (§VIII-B: 10–100 ms).
+const IO_RANGE_MS: (f64, f64) = (10.0, 100.0);
+
+/// Heavy-tailed cold-start penalty, Pareto `(scale_ms, alpha)`: most
+/// spin-ups are near `scale_ms`, a few dominate the tail.
+const COLD_START_PARETO: (f64, f64) = (50.0, 1.8);
+
+/// Analytic mean of one cold-start penalty (ms): Pareto mean
+/// `scale·α/(α−1)`, finite because [`COLD_START_PARETO`]'s `α > 1`.
+fn mean_cold_start_ms() -> f64 {
+    let (scale, alpha) = COLD_START_PARETO;
+    scale * alpha / (alpha - 1.0)
+}
+
 /// Full description of a generated workload.
 #[derive(Debug, Clone)]
 pub struct WorkloadSpec {
@@ -81,17 +95,13 @@ pub struct WorkloadSpec {
     /// Application mix.
     pub apps: AppMix,
     /// Fraction of requests that get one injected leading I/O operation
-    /// (the §VIII-B experiment sets 0.75).
+    /// (the §VIII-B experiment sets 0.75), lasting 10–100 ms (uniform).
     pub io_fraction: f64,
-    /// Injected I/O duration range in ms (paper: 10–100 ms, uniform).
-    pub io_range_ms: (f64, f64),
     /// Fraction of requests that pay a cold start: container spin-up burns
-    /// CPU *before* the function body runs. 0 disables (the paper's
-    /// pre-warmed setup).
+    /// CPU *before* the function body runs, Pareto(50 ms, α = 1.8): most
+    /// spin-ups are near 50 ms, a few dominate the tail. 0 disables (the
+    /// paper's pre-warmed setup).
     pub cold_start_fraction: f64,
-    /// Heavy-tailed cold-start penalty, Pareto `(scale_ms, alpha)`: most
-    /// spin-ups are near `scale_ms`, a few dominate the tail.
-    pub cold_start_pareto: (f64, f64),
     /// Master RNG seed: same seed → identical workload.
     pub seed: u64,
 }
@@ -107,9 +117,7 @@ impl WorkloadSpec {
             iat: IatSpec::Poisson { mean_ms: 50.0 },
             apps: AppMix::FibOnly,
             io_fraction: 0.0,
-            io_range_ms: (10.0, 100.0),
             cold_start_fraction: 0.0,
-            cold_start_pareto: (50.0, 1.8),
             seed,
         }
     }
@@ -213,19 +221,7 @@ impl WorkloadSpec {
                 (fib * 1.0 + md * 0.3 + sa * 0.6) / total
             }
         };
-        d * cpu_share + self.cold_start_fraction * self.mean_cold_start_ms()
-    }
-
-    /// Analytic mean of one cold-start penalty (ms): Pareto mean
-    /// `scale·α/(α−1)` for `α > 1` (undefined-mean tails are clamped to
-    /// the scale so load targeting stays finite).
-    fn mean_cold_start_ms(&self) -> f64 {
-        let (scale, alpha) = self.cold_start_pareto;
-        if alpha > 1.0 {
-            scale * alpha / (alpha - 1.0)
-        } else {
-            scale
-        }
+        d * cpu_share + self.cold_start_fraction * mean_cold_start_ms()
     }
 
     /// Generate the workload deterministically.
@@ -266,9 +262,7 @@ impl WorkloadSpec {
             durations: self.durations.clone(),
             apps: self.apps.clone(),
             io_fraction: self.io_fraction,
-            io_range_ms: self.io_range_ms,
             cold_start_fraction: self.cold_start_fraction,
-            cold_start_pareto: self.cold_start_pareto,
             next_id: 0,
         }
     }
@@ -286,9 +280,7 @@ pub struct WorkloadStream {
     durations: DurationDist,
     apps: AppMix,
     io_fraction: f64,
-    io_range_ms: (f64, f64),
     cold_start_fraction: f64,
-    cold_start_pareto: (f64, f64),
     next_id: u64,
 }
 
@@ -302,13 +294,13 @@ impl Iterator for WorkloadStream {
         let duration_ms = self.durations.sample(&self.t1, &mut self.rng_dur);
         let app = self.apps.sample(&mut self.rng_app);
         let injected = if self.io_fraction > 0.0 && self.rng_io.chance(self.io_fraction) {
-            Some(self.rng_io.uniform(self.io_range_ms.0, self.io_range_ms.1))
+            Some(self.rng_io.uniform(IO_RANGE_MS.0, IO_RANGE_MS.1))
         } else {
             None
         };
         let cold =
             if self.cold_start_fraction > 0.0 && self.rng_cold.chance(self.cold_start_fraction) {
-                let (scale, alpha) = self.cold_start_pareto;
+                let (scale, alpha) = COLD_START_PARETO;
                 Some(self.rng_cold.pareto(scale, alpha))
             } else {
                 None

@@ -43,6 +43,8 @@ pub fn to_csv(workload: &Workload) -> String {
 pub enum TraceError {
     /// Missing or wrong header line.
     BadHeader,
+    /// A header and no data rows: there is nothing to run.
+    Empty,
     /// A data row failed to parse; payload is (line number, reason).
     BadRow(usize, String),
     /// Arrivals must be non-decreasing.
@@ -53,6 +55,7 @@ impl std::fmt::Display for TraceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TraceError::BadHeader => write!(f, "bad or missing trace header"),
+            TraceError::Empty => write!(f, "the trace has a header but no rows"),
             TraceError::BadRow(n, why) => write!(f, "bad row at line {n}: {why}"),
             TraceError::UnsortedArrivals(n) => {
                 write!(f, "arrivals not sorted at line {n}")
@@ -64,7 +67,8 @@ impl std::fmt::Display for TraceError {
 impl std::error::Error for TraceError {}
 
 /// Parse a CSV trace back into a workload. Ids must be unique: every layer
-/// that reports per-request outcomes keys them by id.
+/// that reports per-request outcomes keys them by id. A trace needs at
+/// least one row, arrivals at or after 0, and positive durations and I/O.
 pub fn from_csv(text: &str) -> Result<Workload, TraceError> {
     let mut lines = text.lines().enumerate();
     match lines.next() {
@@ -105,6 +109,12 @@ pub fn from_csv(text: &str) -> Result<Workload, TraceError> {
             ));
         }
         let arrival_ms = parse_f(cols[1], "arrival")?;
+        if arrival_ms < 0.0 {
+            return Err(TraceError::BadRow(
+                lineno + 1,
+                "arrival must not be negative".into(),
+            ));
+        }
         if arrival_ms < prev_arrival {
             return Err(TraceError::UnsortedArrivals(lineno + 1));
         }
@@ -130,7 +140,14 @@ pub fn from_csv(text: &str) -> Result<Workload, TraceError> {
         let injected = if cols[4].is_empty() {
             None
         } else {
-            Some(parse_f(cols[4], "injected io")?)
+            let io = parse_f(cols[4], "injected io")?;
+            if io <= 0.0 {
+                return Err(TraceError::BadRow(
+                    lineno + 1,
+                    "injected io must be positive".into(),
+                ));
+            }
+            Some(io)
         };
         demand_ms += duration_ms + injected.unwrap_or(0.0);
         if arrival_ms + demand_ms > horizon_ms {
@@ -159,6 +176,9 @@ pub fn from_csv(text: &str) -> Result<Workload, TraceError> {
             cold_start_ms: None,
             spec,
         });
+    }
+    if requests.is_empty() {
+        return Err(TraceError::Empty);
     }
     Ok(Workload { requests })
 }
@@ -204,7 +224,15 @@ mod tests {
             assert!(bad(row).starts_with("bad "), "{row}: {}", bad(row));
         }
         // An injected wait that rounds to zero nanoseconds cannot run.
-        assert!(bad("2,1,fib,5,-3").contains("zero duration"));
+        assert!(bad("2,1,fib,5,1e-9").contains("zero duration"));
+        // Negative values name their field, before the running demand or
+        // the sort order sees them.
+        assert_eq!(bad("2,1,fib,5,-3"), "injected io must be positive");
+        assert_eq!(bad("2,1,fib,5,0"), "injected io must be positive");
+        assert_eq!(
+            from_csv("id,arrival_ms,app,duration_ms,injected_io_ms\n1,-1,fib,5,\n").unwrap_err(),
+            TraceError::BadRow(2, "arrival must not be negative".into())
+        );
         // The horizon counts the demand of every row so far, not one row's.
         let near = SimTime::HORIZON.as_millis_f64() / 2.0;
         let rows = format!("{head}2,2,fib,{near},\n3,3,fib,{near},\n");
@@ -218,6 +246,13 @@ mod tests {
             TraceError::BadHeader
         );
         assert_eq!(from_csv("").unwrap_err(), TraceError::BadHeader);
+        // A header alone is no workload.
+        let head = "id,arrival_ms,app,duration_ms,injected_io_ms\n";
+        assert_eq!(from_csv(head).unwrap_err(), TraceError::Empty);
+        assert_eq!(
+            from_csv(&format!("{head}\n\n")).unwrap_err(),
+            TraceError::Empty
+        );
     }
 
     #[test]

@@ -17,7 +17,6 @@ const CORES: usize = 8;
 fn main() {
     let mut spec = WorkloadSpec::azure_sampled(sfs_repro::cli::example_requests(2_000), 23);
     spec.io_fraction = 0.75;
-    spec.io_range_ms = (10.0, 100.0);
     let workload = spec.with_load(CORES, 0.8).generate();
     let with_io = workload
         .requests

@@ -1,8 +1,8 @@
 //! `sfs` — command-line front end for the SFS reproduction.
 //!
 //! ```text
-//! sfs gen      --requests 5000 --cores 16 --load 0.9 [--mix openlambda] [--seed N] [--out trace.csv]
-//! sfs run      --sched sfs|slo-sfs|history|mlfq|cfs|fifo|rr|srtf|eevdf|dl|srp|ideal [--trace trace.csv | --requests N --load X] [--gantt]
+//! sfs gen      --requests 5000 --cores 16 --load 0.9 [--mix fib|openlambda|replay] [--seed N] [--out trace.csv]
+//! sfs run      --sched sfs|slo-sfs|history|mlfq|cfs|fifo|rr|srtf|eevdf|dl|srp|ideal [--trace trace.csv | --requests N --load X [--mix M] [--seed N]] [--gantt]
 //! sfs run      --sched ... --smp balance=MS[,migration=US][,affinity=US]   # SMP load balancer + costs
 //! sfs run      --sched ... --kpolicy cfs|srtf|eevdf|dl|srp                 # kernel policy on the machine
 //! sfs run      --cluster hosts=8,cores=8,placement=jsq[,affinity=10000:50] [--sched sfs] [--threads T]
@@ -22,9 +22,11 @@
 //! regions behind a latency-aware front door with autoscaling and
 //! deterministic fault injection (`sfs_faas::Fleet`); outcomes are
 //! attributed completed / shed / lost and the run stays bit-identical at
-//! any `--threads` value. Sub-arg parsing is strict: a malformed value
+//! any `--threads` value. Parsing is strict: each subcommand (and each
+//! `run` mode) accepts only the flags it reads, and a malformed value
 //! aborts naming the flag, the key, and the offending value
-//! (`sfs_repro::cli`).
+//! (`sfs_repro::cli`). A run simulates at most `cli::MAX_CORES` cores in
+//! total, as it takes at most `MAX_REQUESTS` requests.
 //!
 //! `--kpolicy` swaps the kernel scheduling policy on the simulated
 //! machine (`sfs_sched::KernelPolicyKind`): the stock Linux CFS+RT model
@@ -45,13 +47,13 @@
 use std::collections::BTreeMap;
 use std::process::exit;
 
-use sfs_repro::cli::{self, ClusterSpec};
+use sfs_repro::cli::{self, ClusterSpec, MAX_CORES};
 use sfs_repro::faas::Cluster;
 use sfs_repro::metrics::{evaluate_slo, headline_claims, MarkdownTable, Paired, SloRule};
 use sfs_repro::sched::{KernelPolicyKind, MachineParams};
 use sfs_repro::sfs::{
     Baseline, Controller, ControllerFactory, FnFactory, HistoryPriority, Ideal, RequestOutcome,
-    RunOutcome, SfsConfig, SfsController, Sim, UserMlfq,
+    SfsConfig, SfsController, Sim, UserMlfq,
 };
 use sfs_repro::simcore::SimDuration;
 use sfs_repro::simcore::{Samples, SimTime};
@@ -81,17 +83,25 @@ fn usage_and_exit() -> ! {
         "sfs — SFS (SC'22) reproduction CLI\n\
          \n\
          USAGE:\n\
-           sfs gen     --requests N --cores C --load X [--mix fib|openlambda] [--seed S] [--out FILE]\n\
-           sfs run     --sched sfs|slo-sfs|history|mlfq|cfs|fifo|rr|srtf|eevdf|dl|srp|ideal [--trace FILE | --requests N --load X] [--cores C] [--gantt]\n\
-                       [--smp balance=MS[,migration=US][,affinity=US]] [--kpolicy cfs|srtf|eevdf|dl|srp]\n\
-           sfs run     --cluster hosts=N,cores=M,placement=P[,affinity=KEEPMS:COLDMS] [--sched S] [--threads T] [--requests N --load X]\n\
-           sfs run     --fleet regions=R,hosts=N[,cores=M][,placement=P][,affinity=KEEPMS:COLDMS][,faults=crash:A+straggler:B+outage:C][,spill=MS][,shed=MS][,seed=S]\n\
-                       [--sched S] [--threads T] [--requests N --load X]\n\
-           sfs compare [--requests N] [--cores C] [--load X] [--seed S]\n\
-           sfs slo     [--requests N] [--cores C] [--load X] [--seed S]\n\
+         \x20 sfs gen     [W] [--cores C] [--out FILE]\n\
+         \x20 sfs run     [--sched S] [W] [--cores C] [--gantt]\n\
+         \x20             [--smp balance=MS[,migration=US][,affinity=US]] [--kpolicy cfs|srtf|eevdf|dl|srp]\n\
+         \x20 sfs run     --cluster hosts=N,cores=M,placement=P[,affinity=KEEPMS:COLDMS] [--sched S] [--threads T] [W]\n\
+         \x20 sfs run     --fleet regions=R,hosts=N[,cores=M][,placement=P][,affinity=KEEPMS:COLDMS][,faults=crash:A+straggler:B+outage:C][,spill=MS][,shed=MS][,seed=S]\n\
+         \x20             [--sched S] [--threads T] [W]\n\
+         \x20 sfs compare [W] [--cores C]\n\
+         \x20 sfs slo     [W] [--cores C]\n\
+         \n\
+         W, the workload: --trace FILE | [--requests N] [--load X] [--mix fib|openlambda|replay] [--seed S]\n\
+         S, the scheduler: sfs|slo-sfs|history|mlfq|cfs|fifo|rr|srtf|eevdf|dl|srp|ideal (default sfs)\n\
+         Any other flag is an error.\n\
          \n\
          --requests N is 1 to {MAX_REQUESTS} (default 2000): the CLI holds the\n\
-         whole workload and every outcome in memory, ~830 bytes per request."
+         whole workload and every outcome in memory, ~830 bytes per request.\n\
+         A run simulates 1 to {MAX_CORES} cores in total (--cores C, default 16;\n\
+         hosts x cores for --cluster; regions x hosts x cores for --fleet): ~380\n\
+         bytes per core on one host, plus ~1.3 KB per --cluster host and ~1.9 KB\n\
+         per --fleet host."
     );
     exit(2);
 }
@@ -101,17 +111,38 @@ fn parse_flags(rest: &[String]) -> BTreeMap<String, String> {
     let mut it = rest.iter().peekable();
     while let Some(k) = it.next() {
         if let Some(name) = k.strip_prefix("--") {
-            let val = match it.peek() {
-                Some(v) if !v.starts_with("--") => it.next().unwrap().clone(),
-                _ => String::from("true"),
-            };
-            flags.insert(name.to_string(), val);
+            let val = it
+                .next_if(|v| !v.starts_with("--"))
+                .map_or_else(|| String::from("true"), String::clone);
+            if flags.insert(name.to_string(), val).is_some() {
+                eprintln!("--{name} given twice");
+                usage_and_exit();
+            }
         } else {
             eprintln!("unexpected argument: {k}");
             usage_and_exit();
         }
     }
     flags
+}
+
+/// The flags every subcommand reads through [`build_workload`].
+const WORKLOAD_FLAGS: [&str; 5] = ["trace", "requests", "load", "mix", "seed"];
+
+/// Exit 2 naming the first flag that `cmd` does not read: it reads the
+/// workload's flags and `reads`.
+fn check_flags(flags: &BTreeMap<String, String>, cmd: &str, reads: &[&str]) {
+    let known = |k: &str| WORKLOAD_FLAGS.contains(&k) || reads.contains(&k);
+    if let Some(k) = flags.keys().find(|k| !known(k)) {
+        let names: Vec<String> = (WORKLOAD_FLAGS.iter().chain(reads))
+            .map(|k| format!("--{k}"))
+            .collect();
+        eprintln!(
+            "sfs {cmd}: unknown flag --{k} (it reads {})",
+            names.join(", ")
+        );
+        usage_and_exit();
+    }
 }
 
 /// Fetch a typed flag value, defaulting when absent. A present-but-malformed
@@ -156,9 +187,15 @@ fn get_valid<T: std::str::FromStr>(
 /// under ~8 GiB. A larger run belongs to `Sim::run_streaming`.
 const MAX_REQUESTS: usize = 10_000_000;
 
-/// `--cores`: cores of the simulated machine, at least 1.
+/// `--cores`: cores of the simulated machine, 1 to [`MAX_CORES`].
 fn get_cores(flags: &BTreeMap<String, String>) -> usize {
-    get_valid(flags, "cores", 16usize, "a count >= 1", |&n| n >= 1)
+    get_valid(
+        flags,
+        "cores",
+        16usize,
+        &format!("a count from 1 to {MAX_CORES}"),
+        |n| (1..=MAX_CORES).contains(n),
+    )
 }
 
 /// `--threads`: worker threads for cluster and fleet hosts, at least 1.
@@ -198,9 +235,13 @@ fn build_workload(flags: &BTreeMap<String, String>, cores: usize) -> Workload {
         x.is_finite() && x > 0.0
     });
     let spec = match flags.get("mix").map(String::as_str) {
+        None | Some("fib") => WorkloadSpec::azure_sampled(n, seed),
         Some("openlambda") => WorkloadSpec::openlambda(n, seed),
         Some("replay") => WorkloadSpec::azure_replay(n, seed),
-        _ => WorkloadSpec::azure_sampled(n, seed),
+        Some(other) => {
+            eprintln!("--mix: value `{other}` is not fib, openlambda or replay");
+            usage_and_exit();
+        }
     };
     let w = spec.with_load(cores, load).generate();
     if w.crosses_horizon() {
@@ -215,6 +256,7 @@ fn build_workload(flags: &BTreeMap<String, String>, cores: usize) -> Workload {
 }
 
 fn cmd_gen(flags: &BTreeMap<String, String>) {
+    check_flags(flags, "gen", &["cores", "out"]);
     let cores = get_cores(flags);
     let w = build_workload(flags, cores);
     let csv = workload::to_csv(&w);
@@ -234,11 +276,6 @@ fn cmd_gen(flags: &BTreeMap<String, String>) {
         }
         None => print!("{csv}"),
     }
-}
-
-/// Run `w` under any controller recipe on `cores` default-Linux cores.
-fn run_with(f: &dyn ControllerFactory, cores: usize, w: &Workload) -> RunOutcome {
-    f.run_on(cores, w)
 }
 
 fn summarise(name: &str, outs: &[RequestOutcome]) {
@@ -288,6 +325,7 @@ fn factory_for(sched: &str, cores: usize) -> Option<Box<dyn ControllerFactory + 
 }
 
 fn cmd_run_cluster(flags: &BTreeMap<String, String>, spec: &str) {
+    check_flags(flags, "run --cluster", &["cluster", "sched", "threads"]);
     let ClusterSpec {
         hosts,
         cores,
@@ -329,6 +367,7 @@ fn cmd_run_cluster(flags: &BTreeMap<String, String>, spec: &str) {
 }
 
 fn cmd_run_fleet(flags: &BTreeMap<String, String>, spec: &str) {
+    check_flags(flags, "run --fleet", &["fleet", "sched", "threads"]);
     let fleet_spec = cli::parse_fleet_spec(spec).unwrap_or_else(|e| {
         eprintln!("{e}");
         usage_and_exit();
@@ -392,6 +431,7 @@ fn cmd_run(flags: &BTreeMap<String, String>) {
     if let Some(spec) = flags.get("cluster") {
         return cmd_run_cluster(flags, spec);
     }
+    check_flags(flags, "run", &["sched", "cores", "gantt", "smp", "kpolicy"]);
     let cores = get_cores(flags);
     let w = build_workload(flags, cores);
     let sched = flags.get("sched").map(String::as_str).unwrap_or("sfs");
@@ -456,10 +496,11 @@ fn cmd_run(flags: &BTreeMap<String, String>) {
 }
 
 fn cmd_compare(flags: &BTreeMap<String, String>) {
+    check_flags(flags, "compare", &["cores"]);
     let cores = get_cores(flags);
     let w = build_workload(flags, cores);
-    let sfs = run_with(&SfsConfig::new(cores), cores, &w).outcomes;
-    let cfs = run_with(&Baseline::Cfs, cores, &w).outcomes;
+    let sfs = SfsConfig::new(cores).run_on(cores, &w).outcomes;
+    let cfs = Baseline::Cfs.run_on(cores, &w).outcomes;
     summarise("SFS", &sfs);
     summarise("CFS", &cfs);
     let pairs: Vec<Paired> = sfs
@@ -486,6 +527,7 @@ fn cmd_compare(flags: &BTreeMap<String, String>) {
 }
 
 fn cmd_slo(flags: &BTreeMap<String, String>) {
+    check_flags(flags, "slo", &["cores"]);
     let cores = get_cores(flags);
     let w = build_workload(flags, cores);
     let mut table = MarkdownTable::new(&["scheduler", "soft SLO", "hard SLO"]);
@@ -510,9 +552,9 @@ fn cmd_slo(flags: &BTreeMap<String, String>) {
             ),
         ]);
     };
-    row("SFS", &run_with(&SfsConfig::new(cores), cores, &w).outcomes);
+    row("SFS", &SfsConfig::new(cores).run_on(cores, &w).outcomes);
     for b in [Baseline::Cfs, Baseline::Rr, Baseline::Fifo] {
-        row(b.name(), &run_with(&b, cores, &w).outcomes);
+        row(b.name(), &b.run_on(cores, &w).outcomes);
     }
     println!("{}", table.to_markdown());
 }

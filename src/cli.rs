@@ -12,6 +12,32 @@ use sfs_faas::{FaultSpec, Fleet, Placement};
 use sfs_sched::SmpParams;
 use sfs_simcore::SimDuration;
 
+/// Most cores one `sfs` run may simulate in total: `--cores`, hosts ×
+/// cores of a `--cluster`, or regions × hosts × cores of a `--fleet`.
+/// The experiment harnesses use at most 72 cores, 64 hosts and 4 × 16
+/// fleet hosts. Peak memory grows ~380 bytes per core on one host
+/// (`run --sched sfs --requests 3`, x86-64, linear from 2^18 to 2^20
+/// cores), and ~1.3 KB per `--cluster` host and ~1.9 KB per `--fleet`
+/// host of one core, so a run at the ceiling stays under ~2 GB; past it a
+/// topology is a usage error, not an allocation failure.
+pub const MAX_CORES: usize = 1 << 20;
+
+/// Fail naming `flag` and the factors unless their product is at most
+/// [`MAX_CORES`].
+fn check_total_cores(flag: &str, factors: &[(&str, usize)]) -> Result<(), String> {
+    (factors.iter())
+        .try_fold(1usize, |acc, &(_, n)| acc.checked_mul(n))
+        .filter(|&total| total <= MAX_CORES)
+        .map(drop)
+        .ok_or_else(|| {
+            let terms: Vec<String> = factors.iter().map(|(k, n)| format!("{k}={n}")).collect();
+            format!(
+                "{flag}: {} is more than {MAX_CORES} simulated cores",
+                terms.join(" x ")
+            )
+        })
+}
+
 /// `SFS_EXAMPLE_REQUESTS`, the examples' downsizing knob so CI can
 /// smoke-run each quickly, else `default`. Each example reads it in
 /// `main`; a malformed value is a usage error naming the variable and the
@@ -161,6 +187,7 @@ pub fn parse_cluster_spec(spec: &str) -> Result<ClusterSpec, String> {
             }
         }
     }
+    check_total_cores(FLAG, &[("hosts", parsed.hosts), ("cores", parsed.cores)])?;
     Ok(parsed)
 }
 
@@ -206,6 +233,12 @@ pub fn parse_fleet_spec(spec: &str) -> Result<FleetSpec, String> {
             }
         }
     }
+    let factors = [
+        ("regions", parsed.regions),
+        ("hosts", parsed.hosts),
+        ("cores", parsed.cores),
+    ];
+    check_total_cores(FLAG, &factors)?;
     Ok(parsed)
 }
 
@@ -290,6 +323,12 @@ mod tests {
             e.starts_with("--cluster: placement=`zigzag` is not one of"),
             "{e}"
         );
+        assert_eq!(
+            parse_cluster_spec("hosts=99999999").unwrap_err(),
+            "--cluster: hosts=99999999 x cores=8 is more than 1048576 simulated cores"
+        );
+        assert!(parse_cluster_spec("hosts=1024,cores=1024").is_ok());
+        assert!(parse_cluster_spec("hosts=1025,cores=1024").is_err());
     }
 
     #[test]
@@ -365,6 +404,12 @@ mod tests {
             parse_fleet_spec("faults=crash:x").unwrap_err(),
             "--fleet: faults: fault count `x` in `crash:x` is not a number"
         );
+        assert_eq!(
+            parse_fleet_spec("regions=99999999").unwrap_err(),
+            "--fleet: regions=99999999 x hosts=4 x cores=2 is more than 1048576 simulated cores"
+        );
+        // A product past usize is refused, not wrapped.
+        assert!(parse_fleet_spec(&format!("regions={0},hosts={0},cores=2", 1u64 << 32)).is_err());
         assert_eq!(
             parse_fleet_spec("warp=9").unwrap_err(),
             "--fleet: unknown key `warp` (expected regions, hosts, cores, placement, \

@@ -6,7 +6,7 @@
 mod audit;
 
 use sfs_repro::sched::{Machine, MachineParams, Policy, TaskSpec};
-use sfs_repro::sfs::{SfsConfig, SfsController, Sim};
+use sfs_repro::sfs::{SfsConfig, SfsController, Sim, FILTER_PRIO};
 use sfs_repro::simcore::{SimDuration, SimTime};
 use sfs_repro::workload::WorkloadSpec;
 
@@ -70,7 +70,7 @@ fn sfs_trace_shows_filter_phases_as_rt_segments() {
     );
     for s in trace.segments() {
         if let Policy::Fifo { prio } = s.policy {
-            assert_eq!(prio, SfsConfig::new(4).filter_prio, "FILTER priority");
+            assert_eq!(prio, FILTER_PRIO, "FILTER priority");
         }
     }
 }
