@@ -24,7 +24,7 @@ use sfs_bench::{banner, save, section};
 use sfs_faas::{Cluster, ClusterRun, Placement};
 use sfs_metrics::MarkdownTable;
 use sfs_simcore::{Samples, SimDuration, SimTime};
-use sfs_workload::{Workload, WorkloadSpec, LONG_THRESHOLD_MS};
+use sfs_workload::{Workload, WorkloadSpec};
 
 const CORES_PER_HOST: usize = 8;
 /// Warm-container keep-alive window (ms) of the affinity model.
@@ -56,7 +56,7 @@ impl RunStats {
         let longs: Vec<f64> = run
             .outcomes
             .iter()
-            .filter(|o| o.ideal.as_millis_f64() >= LONG_THRESHOLD_MS)
+            .filter(|o| o.is_long())
             .map(|o| o.turnaround.as_millis_f64())
             .collect();
         let long_p99_ms = (!longs.is_empty()).then(|| Samples::from_vec(longs).percentile(99.0));

@@ -11,7 +11,7 @@ use sfs_bench::{banner, save, section, Sweep};
 use sfs_faas::{Cluster, Placement};
 use sfs_metrics::MarkdownTable;
 use sfs_simcore::{Samples, SimDuration};
-use sfs_workload::{WorkloadSpec, LONG_THRESHOLD_MS};
+use sfs_workload::WorkloadSpec;
 
 const HOSTS: usize = 4;
 const CORES_PER_HOST: usize = 8;
@@ -61,7 +61,7 @@ fn main() {
         let longs: Vec<f64> = run
             .outcomes
             .iter()
-            .filter(|o| o.ideal.as_millis_f64() >= LONG_THRESHOLD_MS)
+            .filter(|o| o.is_long())
             .map(|o| o.turnaround.as_millis_f64())
             .collect();
         let long_p99 = (!longs.is_empty()).then(|| Samples::from_vec(longs).percentile(99.0));

@@ -14,7 +14,7 @@
 //! lands between CFS and SFS, and SLO-SFS tracks SFS while bounding queue
 //! age.
 
-use sfs_bench::{banner, rtes, save, section, turnarounds_ms, Sweep};
+use sfs_bench::{banner, rtes, save, section, split_short_long, turnarounds_ms, Sweep};
 use sfs_core::{
     Baseline, Controller, ControllerFactory, HistoryPriority, RequestOutcome, SfsConfig,
     SfsController, Sim, UserMlfq,
@@ -22,7 +22,7 @@ use sfs_core::{
 use sfs_metrics::{cdf_chart, MarkdownTable, PercentileTable};
 use sfs_sched::{MachineParams, SmpParams};
 use sfs_simcore::SimDuration;
-use sfs_workload::{WorkloadSpec, LONG_THRESHOLD_MS};
+use sfs_workload::WorkloadSpec;
 
 const CORES: usize = 16;
 const LOAD: f64 = 0.85;
@@ -136,7 +136,7 @@ fn main() {
         let mean_short = |v: &[RequestOutcome]| {
             let xs: Vec<f64> = v
                 .iter()
-                .filter(|o| o.ideal.as_millis_f64() < LONG_THRESHOLD_MS)
+                .filter(|o| !o.is_long())
                 .map(|o| o.turnaround.as_millis_f64())
                 .collect();
             xs.iter().sum::<f64>() / xs.len().max(1) as f64
@@ -181,18 +181,7 @@ fn main() {
     for r in &presults {
         let mean_of = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len().max(1) as f64;
         let durs = turnarounds_ms(&r.value);
-        let (short, long): (Vec<f64>, Vec<f64>) = {
-            let mut s = Vec::new();
-            let mut l = Vec::new();
-            for o in &r.value {
-                if o.ideal.as_millis_f64() < LONG_THRESHOLD_MS {
-                    s.push(o.turnaround.as_millis_f64());
-                } else {
-                    l.push(o.turnaround.as_millis_f64());
-                }
-            }
-            (s, l)
-        };
+        let (short, long) = split_short_long(&r.value);
         let rt = rtes(&r.value);
         let at95 = rt.iter().filter(|&&x| x >= 0.95).count() as f64 / rt.len().max(1) as f64;
         ptable.row(&[
@@ -256,7 +245,7 @@ fn main() {
         let short: Vec<f64> = r
             .value
             .iter()
-            .filter(|o| o.ideal.as_millis_f64() < LONG_THRESHOLD_MS)
+            .filter(|o| !o.is_long())
             .map(|o| o.turnaround.as_millis_f64())
             .collect();
         let rt = rtes(&r.value);

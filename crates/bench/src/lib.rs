@@ -23,8 +23,6 @@ pub mod timebench;
 pub use sweep::{Scenario, Sweep, SweepResult, Trial};
 
 use sfs_core::RequestOutcome;
-use sfs_simcore::SimDuration;
-use sfs_workload::LONG_THRESHOLD_MS;
 
 /// Seed of every harness unless `SFS_BENCH_SEED` overrides it.
 pub const DEFAULT_SEED: u64 = 0x5F5_2022;
@@ -140,16 +138,15 @@ pub fn rtes(outcomes: &[RequestOutcome]) -> Vec<f64> {
 }
 
 /// Split turnarounds into (short, long) by ideal duration at the paper's
-/// Table-I boundary, [`LONG_THRESHOLD_MS`].
+/// Table-I boundary ([`RequestOutcome::is_long`]).
 pub fn split_short_long(outcomes: &[RequestOutcome]) -> (Vec<f64>, Vec<f64>) {
-    let thr = SimDuration::from_millis_f64(LONG_THRESHOLD_MS);
     let mut short = Vec::new();
     let mut long = Vec::new();
     for o in outcomes {
-        if o.ideal < thr {
-            short.push(o.turnaround.as_millis_f64());
-        } else {
+        if o.is_long() {
             long.push(o.turnaround.as_millis_f64());
+        } else {
+            short.push(o.turnaround.as_millis_f64());
         }
     }
     (short, long)
@@ -178,7 +175,7 @@ pub fn save(filename: &str, contents: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sfs_simcore::SimTime;
+    use sfs_simcore::{SimDuration, SimTime};
 
     fn outcome(ideal_ms: u64, turn_ms: u64) -> RequestOutcome {
         RequestOutcome {

@@ -48,7 +48,7 @@ use std::collections::BinaryHeap;
 
 use sfs_core::{ControllerFactory, RequestOutcome, SfsConfig};
 use sfs_simcore::{parallel, SeedSequencer, SimDuration, SimTime};
-use sfs_workload::{AppKind, Request, Table1Sampler, Workload, LONG_THRESHOLD_MS};
+use sfs_workload::{AppKind, Request, Table1Sampler, Workload};
 
 use crate::fleet::{Fleet, FrontDoor, RegionConfig};
 
@@ -163,14 +163,6 @@ impl HostLoad {
         (self.core_free.iter())
             .map(|&Reverse(free)| u128::from(free.since(now).as_nanos()))
             .sum()
-    }
-
-    /// Remaining modelled backlog (ms) at `now`: how much already-placed
-    /// work the host's cores still have ahead of them. The router compares
-    /// the exact sum of the cores' nanoseconds; this is that sum converted
-    /// to milliseconds once.
-    pub fn backlog_ms(&self, now: SimTime) -> f64 {
-        self.backlog_ns(now) as f64 / 1.0e6
     }
 
     /// Dispatch `service_ms` of work at `now`; returns the predicted
@@ -464,11 +456,10 @@ impl ClusterRun {
 }
 
 fn population_mean_ms(outcomes: &[RequestOutcome], long: bool) -> Option<f64> {
-    let thr = SimDuration::from_millis_f64(LONG_THRESHOLD_MS);
     let mut sum = 0.0;
     let mut n = 0usize;
     for o in outcomes {
-        if (o.ideal >= thr) == long {
+        if o.is_long() == long {
             sum += o.turnaround.as_millis_f64();
             n += 1;
         }
@@ -855,13 +846,13 @@ mod tests {
         h.depth = 2;
         h.outstanding_long_ms = 100.0;
         h.ewma_turnaround_ms = Some(75.0);
-        assert!(h.backlog_ms(t0) > 0.0);
+        assert!(h.backlog_ns(t0) > 0);
         let crash_at = t0 + SimDuration::from_millis(30);
         h.reset(crash_at);
         assert_eq!(h.depth, 0);
         assert_eq!(h.outstanding_long_ms, 0.0);
         assert_eq!(h.ewma_turnaround_ms, None);
-        assert_eq!(h.backlog_ms(crash_at), 0.0, "cores free up at the reset");
+        assert_eq!(h.backlog_ns(crash_at), 0, "cores free up at the reset");
         // And the host admits again from the reset instant.
         let f = h.admit(crash_at, 10.0);
         assert_eq!(f, crash_at + SimDuration::from_millis(10));

@@ -671,11 +671,16 @@ impl<'a> Router<'a> {
                             Slot::new(fleet.cores_per_host, state)
                         })
                         .collect(),
-                    ring: build_ring(
-                        cfg.max_hosts,
-                        VNODES,
-                        SeedSequencer::new(fleet.seed).seed_for(i as u64),
-                    ),
+                    // Only consistent hashing reads the ring, which
+                    // holds `VNODES` entries per host slot.
+                    ring: match placement {
+                        Placement::ConsistentHash => build_ring(
+                            cfg.max_hosts,
+                            VNODES,
+                            SeedSequencer::new(fleet.seed).seed_for(i as u64),
+                        ),
+                        _ => Vec::new(),
+                    },
                     depth: 0,
                     rr: 0,
                     stats: RegionStats {
@@ -812,7 +817,7 @@ impl<'a> Router<'a> {
         let r = &workload.requests[idx];
         let placed = self.route_region(now).and_then(|region| {
             let key = func_key(&self.t1, r);
-            let long = r.duration_ms >= sfs_workload::LONG_THRESHOLD_MS;
+            let long = r.is_long();
             let reg = &mut self.regions[region];
             let at_host = now + SimDuration::from_millis_f64(reg.cfg.rtt_ms);
             let host = reg.pick_host(self.placement, key, long, at_host)?;
@@ -1485,6 +1490,23 @@ mod tests {
             let mut sorted = runs.concat();
             sorted.sort_by_key(|o| o.id);
             assert_eq!(fields(&merge_by_id(runs)), fields(&sorted), "case {case}");
+        }
+    }
+
+    /// The ring costs `VNODES` sorted entries per host slot, so only the
+    /// placement that walks it builds it.
+    #[test]
+    fn only_consistent_hashing_builds_rings() {
+        let fleet = Fleet::new(2, 2, 2);
+        let w = workload(10, 4, 0.5, 36);
+        for p in Placement::ALL {
+            let router = Router::new(&fleet, p, &w);
+            let rings: Vec<usize> = router.regions.iter().map(|r| r.ring.len()).collect();
+            let want = match p {
+                Placement::ConsistentHash => VNODES * fleet.regions[0].max_hosts,
+                _ => 0,
+            };
+            assert_eq!(rings, [want, want], "{}", p.name());
         }
     }
 

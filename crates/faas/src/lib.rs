@@ -16,8 +16,8 @@
 //!   placement disciplines and per-host load model the fleet routes with.
 //!
 //! One first-come-first-served routine models every server pool in the
-//! crate: a fleet host's cores ([`HostLoad`]) and each OpenLambda dispatch
-//! hop.
+//! crate: a fleet host's cores ([`cluster::HostLoad`]) and each OpenLambda
+//! dispatch hop.
 
 #![warn(missing_docs)]
 
@@ -25,6 +25,6 @@ pub mod cluster;
 pub mod fleet;
 pub mod platform;
 
-pub use cluster::{Affinity, Cluster, ClusterRun, HostLoad, Placement};
+pub use cluster::{Affinity, Cluster, ClusterRun, Placement};
 pub use fleet::{FaultSpec, Fleet, FleetRun, FrontDoor, RegionConfig, RegionStats};
 pub use platform::{Dispatched, OpenLambda, OpenLambdaParams};

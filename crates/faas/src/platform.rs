@@ -7,9 +7,9 @@
 //! distribution exactly as in Fig. 13–15.
 //!
 //! Each hop is a pool of first-come-first-served servers, the same model as
-//! a fleet host's cores ([`HostLoad`](crate::HostLoad)), holding a request
-//! for a jittered per-request overhead. That is enough to reproduce the
-//! paper's observation that "the OpenLambda deployment introduced extra
+//! a fleet host's cores ([`HostLoad`](crate::cluster::HostLoad)), holding a
+//! request for a jittered per-request overhead. That is enough to reproduce
+//! the paper's observation that "the OpenLambda deployment introduced extra
 //! overhead at various levels", which diminishes but does not erase SFS's
 //! benefit (§IX-A). The paper disables auto-scaling and pre-warms "enough
 //! function containers to simulate a stable-phase FaaS backend" (§VI), so

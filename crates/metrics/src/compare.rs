@@ -93,20 +93,6 @@ pub fn ctx_switch_ratios(pairs: &[Paired]) -> Vec<f64> {
         .collect()
 }
 
-/// Speedup of one distribution's percentile over another's (Fig. 15's
-/// "1.65×, 4.04×, 7.93× p99 speedup" style numbers).
-pub fn percentile_speedup(
-    baseline: &mut sfs_simcore::Samples,
-    treatment: &mut sfs_simcore::Samples,
-    pct: f64,
-) -> f64 {
-    let t = treatment.percentile(pct);
-    if t <= 0.0 {
-        return f64::INFINITY;
-    }
-    baseline.percentile(pct) / t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,13 +140,6 @@ mod tests {
         p.treatment_ctx = 4;
         p.baseline_ctx = 2;
         assert_eq!(ctx_switch_ratios(&[p]), vec![0.5]);
-    }
-
-    #[test]
-    fn percentile_speedup_reads_right_tail() {
-        let mut b = sfs_simcore::Samples::from_vec((1..=100).map(|i| i as f64 * 4.0).collect());
-        let mut t = sfs_simcore::Samples::from_vec((1..=100).map(|i| i as f64).collect());
-        assert!((percentile_speedup(&mut b, &mut t, 99.0) - 4.0).abs() < 1e-12);
     }
 
     #[test]

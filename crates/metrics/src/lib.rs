@@ -16,7 +16,7 @@ pub mod report;
 pub mod slo;
 
 pub use ascii::{cdf_chart, timeline_chart};
-pub use compare::{ctx_switch_ratios, headline_claims, percentile_speedup, HeadlineClaims, Paired};
+pub use compare::{ctx_switch_ratios, headline_claims, HeadlineClaims, Paired};
 pub use report::{
     CdfReport, MarkdownTable, PercentileTable, Series, CDF_FRACTIONS, PAPER_PERCENTILES,
 };

@@ -623,9 +623,10 @@ impl Machine {
     /// processed, including follow-ups its handlers schedule for the same
     /// instant; the notifications are appended to `out` and the instant is
     /// returned. With no notification by `t`, the clock moves to `t` and
-    /// `t` is returned. Notifications raised outside an advance (a
-    /// [`Machine::spawn`]'s `FirstRun`, say) are appended with those of the
-    /// next instant that has events, or at `t` if no event is due.
+    /// `t` is returned. Notifications raised outside an advance (the
+    /// `FirstRun` of a [`Machine::spawn`] or [`Machine::set_policy`]
+    /// dispatch) lead the batch this call returns, each carrying the
+    /// instant it was raised at.
     ///
     /// This is what lets a driver step only where a controller has
     /// something to see: the machine crosses any run of instants that
@@ -652,27 +653,9 @@ impl Machine {
             self.now,
             self.now.as_nanos()
         );
-        loop {
-            let queued = self.peek_live().filter(|&at| at <= t);
-            if !self.out.is_empty() && !self.tickless.open.is_empty() {
-                // Notifications raised outside an advance go out at the
-                // next instant with an event, and a skipped boundary was
-                // one in the eager machine.
-                let skipped = (self.tickless.next_skipped(self.now))
-                    .filter(|&at| at <= t && queued.map_or(true, |q| at < q));
-                if let Some(at) = skipped {
-                    self.now = at;
-                    out.append(&mut self.out);
-                    return at;
-                }
-            }
-            let Some(instant) = queued else {
-                break;
-            };
+        out.append(&mut self.out);
+        while let Some(instant) = self.events.peek_time().filter(|&at| at <= t) {
             while let Some((at, ev)) = self.events.pop_until(instant) {
-                if self.take_superseded(&ev) {
-                    continue;
-                }
                 self.now = at;
                 debug_assert!(
                     (self.tickless.open.iter().copied())
@@ -688,17 +671,16 @@ impl Machine {
             }
         }
         self.now = t;
-        out.append(&mut self.out);
         t
     }
 
-    /// Drain all pending events (run to quiescence).
+    /// Drain all pending events (run to quiescence), returning every
+    /// notification, those raised before the call first.
     pub fn run_until_quiescent(&mut self) -> Vec<Notification> {
-        let mut out = Vec::new();
-        while let Some(t) = self.peek_live() {
+        let mut out = std::mem::take(&mut self.out);
+        while let Some(t) = self.events.peek_time() {
             self.advance_until_notified(t, &mut out);
         }
-        out.append(&mut self.out);
         out
     }
 
@@ -720,34 +702,6 @@ impl Machine {
             .filter(|&c| self.cores[c].current == Some(pid))
     }
 
-    /// True for a window's end event that a later window operation
-    /// superseded, which the caller then drops: the eager machine never
-    /// queued it, so it marks no instant (an eager event that went stale
-    /// still does).
-    fn take_superseded(&mut self, ev: &Ev) -> bool {
-        match *ev {
-            Ev::CoreFire { core, gen } => {
-                self.tickless.superseded > 0
-                    && gen != self.cores[core].gen
-                    && self.tickless.take_superseded(core, gen)
-            }
-            _ => false,
-        }
-    }
-
-    /// The instant of the earliest queued event, after dropping the
-    /// superseded window ends at the head of the queue: the clock never
-    /// moves to an instant the eager machine had no event at.
-    fn peek_live(&mut self) -> Option<SimTime> {
-        loop {
-            let (at, &head) = self.events.peek()?;
-            if !self.take_superseded(&head) {
-                return Some(at);
-            }
-            self.events.pop();
-        }
-    }
-
     /// Queue `ev` at `at`, pushed by a handler or the driver at `now`.
     fn push(&mut self, at: SimTime, ev: Ev) {
         self.push_keyed(at, ev, now_key(self.now));
@@ -757,8 +711,8 @@ impl Machine {
     /// with `key`, keeping the windows' invariant: no skipped boundary
     /// shares an instant with a queued event. A skipped boundary at `at`
     /// becomes its window's end, a real event on the side of `ev` its key
-    /// puts it; an end event at `at` that must follow `ev` is superseded
-    /// and queued again after it.
+    /// puts it; an end event at `at` that must follow `ev` goes stale and
+    /// is queued again after it.
     fn push_keyed(&mut self, at: SimTime, ev: Ev, key: Key) {
         if !self.tickless.meets(at) {
             self.events.push(at, ev);
@@ -772,7 +726,6 @@ impl Machine {
             if at == w.end {
                 let end_key = w.key_of(w.skipped);
                 if end_key > key {
-                    tl.supersede(c, self.cores[c].gen);
                     self.cores[c].gen += 1;
                     moved.push((end_key, c));
                 }
@@ -781,7 +734,6 @@ impl Machine {
                 // queued here now is one of these.
                 moved.push((w.key_of(i - 1), c));
                 tl.end_at(c, i, at);
-                tl.supersede(c, self.cores[c].gen);
                 self.cores[c].gen += 1;
             }
         }

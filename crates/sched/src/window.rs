@@ -29,8 +29,11 @@
 //! at its first boundary that shares an instant with an event queued when
 //! it opens, and every later push at one of its boundary instants turns
 //! that boundary into a real event on the correct side of the push
-//! (`Machine::push_keyed`). Every push asks [`Tickless::meets`], which
-//! scans the open windows, or with many open consults an [`Index`] first.
+//! (`Machine::push_keyed`). An end event that a push or a settle replaces
+//! goes stale through its core's generation, like any eager event: it
+//! stays queued, the invariant covers it, and popping it notifies nobody.
+//! Every push asks [`Tickless::meets`], which scans the open windows, or
+//! with many open consults an [`Index`] first.
 //! ARCHITECTURE.md ("Tickless CFS cores") has the full argument.
 
 use sfs_simcore::{SimDuration, SimTime};
@@ -39,8 +42,9 @@ use crate::policy::KernelCtx;
 use crate::task::{Pid, ProcState};
 
 /// The most turns one window crosses before its end fires as a real
-/// boundary. A closed window's end event stays queued (stale) until its
-/// instant, so the cap bounds how far ahead such leftovers sit.
+/// boundary. A window closed or cut short leaves its end event queued,
+/// stale, until its instant, so the cap bounds how far ahead such
+/// leftovers sit.
 pub(crate) const MAX_TURNS: u64 = 32;
 
 /// Where an event sits among the events due at its instant, as the eager
@@ -93,10 +97,6 @@ pub(crate) struct Window {
     pub(crate) end: SimTime,
     /// Opening order across all windows (the last tie-break of a [`Key`]).
     pub(crate) order: u64,
-    /// Generations of this core's queued end events that a window
-    /// operation superseded. The eager machine has no such event, so
-    /// popping one marks no instant.
-    pub(crate) superseded: Vec<u64>,
 }
 
 impl Window {
@@ -108,12 +108,6 @@ impl Window {
     /// Skipped boundaries due at or before `now`: the turns settled then.
     pub(crate) fn turns_at(&self, now: SimTime) -> u64 {
         (now.since(self.start).as_nanos() / self.period.as_nanos()).min(self.skipped)
-    }
-
-    /// The first skipped boundary after `now`, if one is left.
-    pub(crate) fn next_skipped(&self, now: SimTime) -> Option<SimTime> {
-        let k = self.turns_at(now);
-        (k < self.skipped).then(|| self.boundary(k + 1))
     }
 
     /// The index of the skipped boundary at `at`, if one is.
@@ -235,12 +229,9 @@ pub(crate) struct Tickless {
     pub(crate) next_order: u64,
     /// Context switches of the turns closed windows settled.
     pub(crate) switches: u64,
-    /// Closed windows that superseded their end event: the core's next
+    /// Closed windows whose end event went stale: the core's next
     /// boundary must be queued again, keyed by the last settled boundary.
     pub(crate) rearm: Vec<(Key, usize)>,
-    /// Queued end events a window operation superseded, over all cores
-    /// (each window lists its core's, [`Window::superseded`]).
-    pub(crate) superseded: usize,
     /// Scratch for `Machine::push_keyed`.
     pub(crate) moved: Vec<(Key, usize)>,
     /// Set by the policy when a lone task's renew-or-repick choice, or an
@@ -342,34 +333,6 @@ impl Tickless {
         self.lone = [0, 0];
         self.lone[usize::from(switches)] = n;
     }
-
-    /// The first skipped boundary after `now` of any open window.
-    pub(crate) fn next_skipped(&self, now: SimTime) -> Option<SimTime> {
-        (self.open.iter())
-            .filter_map(|&c| self.windows[c].next_skipped(now))
-            .min()
-    }
-
-    /// `core`'s end event queued with `gen` will not fire: a window
-    /// operation replaced it.
-    pub(crate) fn supersede(&mut self, core: usize, gen: u64) {
-        self.windows[core].superseded.push(gen);
-        self.superseded += 1;
-    }
-
-    /// Whether `core`'s event queued with `gen` is a superseded end event,
-    /// forgetting it: the caller just popped it.
-    pub(crate) fn take_superseded(&mut self, core: usize, gen: u64) -> bool {
-        let gens = &mut self.windows[core].superseded;
-        match gens.iter().position(|&g| g == gen) {
-            Some(i) => {
-                gens.swap_remove(i);
-                self.superseded -= 1;
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 /// Insert `v` into the sorted `list`.
@@ -409,9 +372,8 @@ impl KernelCtx<'_> {
         let k = tl.windows[core].turns_at(self.now);
         let c = &mut self.cores[core];
         if k < tl.windows[core].skipped {
-            // The end event lies beyond the next boundary: supersede it.
+            // The end event lies beyond the next boundary: it goes stale.
             tl.rearm.push((tl.windows[core].key_of(k), core));
-            tl.supersede(core, c.gen);
             c.gen += 1;
         }
         if k == 0 {

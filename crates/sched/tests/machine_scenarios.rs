@@ -379,6 +379,36 @@ fn brief(notes: &[Notification]) -> Vec<(&'static str, Pid, SimTime)> {
         .collect()
 }
 
+/// Notifications raised outside an advance ride with the batch the next
+/// advance returns. At 30 a spawned task switched to FIFO preempts a CFS
+/// task and raises its `FirstRun`; core 1's slice boundary at 36 notifies
+/// nobody, so the call returns at 40 with that `FirstRun`, still stamped
+/// 30, and the task's `Finished`. The windowed machine and the traced
+/// one, which opens no window, agree.
+#[test]
+fn notes_raised_outside_an_advance_ride_with_the_next_notifying_batch() {
+    for traced in [false, true] {
+        let mut m = Machine::new(exact(2));
+        if traced {
+            m.enable_tracing();
+        }
+        for label in 0..4 {
+            m.spawn(TaskSpec::cpu(label, ms(1000)));
+        }
+        m.advance_to(at(30));
+        let p = m.spawn(TaskSpec::cpu(4, ms(10)));
+        m.set_policy(p, Policy::Fifo { prio: 50 });
+        let mut notes = Vec::new();
+        let returned = m.advance_until_notified(SimTime::MAX, &mut notes);
+        assert_eq!(returned, at(40), "traced={traced}");
+        assert_eq!(
+            brief(&notes),
+            [("first_run", p, at(30)), ("finished", p, at(40))],
+            "traced={traced}"
+        );
+    }
+}
+
 /// A core timer and an I/O wake due on the same nanosecond fire in the
 /// order they were armed, and that order decides the schedule. A lone
 /// CFS task `a` reaches the end of its 24 ms slice at t=24, the instant

@@ -37,7 +37,10 @@
 //! in stable `(arrival, index)` order, then [`Controller::on_wakeup`] runs.
 //! This is the order of the original `SfsSimulator` loop's merged event
 //! queue, where all arrival events were inserted at construction and
-//! therefore always popped before same-instant controller timers. Machine
+//! therefore always popped before same-instant controller timers. A
+//! notification raised by a step's own spawns or policy switches (a
+//! dispatch's `FirstRun`) takes no step of its own: it leads the batch of
+//! the next step, stamped with the instant it was raised at. Machine
 //! instants that notify nobody (CFS slice preemptions and renewals, stale
 //! core timers, balance ticks) are crossed inside one advance
 //! ([`sfs_sched::Machine::advance_until_notified`]) without a step: a step
@@ -170,7 +173,10 @@ pub trait Controller {
         let _ = (m, req, pid);
     }
 
-    /// A machine notification (first run / blocked / woke / finished).
+    /// A machine notification (first run / blocked / woke / finished),
+    /// delivered at the step whose advance returned it. One raised by the
+    /// sim's own spawn or by a policy switch (a `FirstRun`) arrives with
+    /// the next step's batch and carries the instant it was raised at.
     fn on_notification(&mut self, m: &mut MachineView<'_>, note: &Notification) {
         let _ = (m, note);
     }

@@ -1,7 +1,7 @@
 //! Per-request outcomes and run-level results for SFS experiments.
 
 use sfs_simcore::{OnlineStats, QuantileSketch, SimDuration, SimTime};
-use sfs_workload::{Request, Workload};
+use sfs_workload::{Request, Workload, LONG_THRESHOLD_MS};
 
 /// Everything measured about one completed function request.
 #[derive(Debug, Clone)]
@@ -39,6 +39,12 @@ pub struct RequestOutcome {
 }
 
 impl RequestOutcome {
+    /// Whether the request belongs to the paper's "long" population: an
+    /// ideal duration at or past Table I's boundary ([`LONG_THRESHOLD_MS`]).
+    pub fn is_long(&self) -> bool {
+        self.ideal >= SimDuration::from_millis_f64(LONG_THRESHOLD_MS)
+    }
+
     /// Slowdown relative to the ideal duration (≥ 1).
     ///
     /// A degenerate zero-demand request (ideal = 0) must not report 1.0 —
@@ -147,20 +153,16 @@ pub struct OutcomeSummary {
 }
 
 impl OutcomeSummary {
-    /// Summary with the default 1% relative-error bound on percentiles.
+    /// An empty summary whose sketches guarantee `|q̂ - q| ≤ 0.01 × q` for
+    /// every reported quantile value.
     pub fn new() -> OutcomeSummary {
-        OutcomeSummary::with_accuracy(0.01)
-    }
-
-    /// Summary whose sketches guarantee `|q̂ - q| ≤ alpha × q` for every
-    /// reported quantile value.
-    pub fn with_accuracy(alpha: f64) -> OutcomeSummary {
+        let sketch = || QuantileSketch::new(0.01);
         OutcomeSummary {
             requests: 0,
-            turnaround_ms: QuantileSketch::new(alpha),
-            queue_delay_ms: QuantileSketch::new(alpha),
-            slowdown: QuantileSketch::new(alpha),
-            rte: QuantileSketch::new(alpha),
+            turnaround_ms: sketch(),
+            queue_delay_ms: sketch(),
+            slowdown: sketch(),
+            rte: sketch(),
             turnaround_stats: OnlineStats::new(),
             demoted: 0,
             offloaded: 0,

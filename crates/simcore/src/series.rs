@@ -2,8 +2,7 @@
 //!
 //! Fig. 10 (adapted time slice vs. IAT over the workload) and Fig. 12a
 //! (queuing delay per request submission) are timelines rather than CDFs;
-//! this module records `(time, value)` pairs and can downsample them to a
-//! fixed number of points for printing.
+//! this module records `(time, value)` pairs.
 
 use crate::time::SimTime;
 
@@ -64,26 +63,6 @@ impl TimeSeries {
         }
     }
 
-    /// Downsample to at most `n` points by averaging fixed-size chunks.
-    /// Chunk timestamps are the first timestamp in each chunk.
-    pub fn downsample(&self, n: usize) -> Vec<(SimTime, f64)> {
-        if self.points.is_empty() || n == 0 {
-            return Vec::new();
-        }
-        if self.points.len() <= n {
-            return self.points.clone();
-        }
-        let chunk = self.points.len().div_ceil(n);
-        self.points
-            .chunks(chunk)
-            .map(|c| {
-                let t = c[0].0;
-                let mean = c.iter().map(|&(_, v)| v).sum::<f64>() / c.len() as f64;
-                (t, mean)
-            })
-            .collect()
-    }
-
     /// Render as CSV `time_ms,<label>` lines.
     pub fn to_csv(&self) -> String {
         let mut out = format!("time_ms,{}\n", self.label);
@@ -110,35 +89,10 @@ mod tests {
         s.record(at(10), 3.0);
         s.record(at(20), 2.0);
         assert_eq!(s.len(), 3);
+        assert!(!s.is_empty() && TimeSeries::new("e").is_empty());
         assert_eq!(s.max_value(), 3.0);
         assert!((s.mean_value() - 2.0).abs() < 1e-12);
         assert_eq!(s.label(), "queue_delay");
-    }
-
-    #[test]
-    fn downsample_averages_chunks() {
-        let mut s = TimeSeries::new("x");
-        for i in 0..10 {
-            s.record(at(i), i as f64);
-        }
-        let d = s.downsample(5);
-        assert_eq!(d.len(), 5);
-        // Chunks of 2: means 0.5, 2.5, 4.5, 6.5, 8.5.
-        assert!((d[0].1 - 0.5).abs() < 1e-12);
-        assert!((d[4].1 - 8.5).abs() < 1e-12);
-        assert_eq!(d[0].0, at(0));
-        assert_eq!(d[1].0, at(2));
-    }
-
-    #[test]
-    fn downsample_small_series_passthrough() {
-        let mut s = TimeSeries::new("x");
-        s.record(at(1), 9.0);
-        assert_eq!(s.downsample(10), vec![(at(1), 9.0)]);
-        assert!(s.downsample(0).is_empty());
-        let empty = TimeSeries::new("e");
-        assert!(empty.downsample(4).is_empty());
-        assert!(empty.is_empty());
     }
 
     #[test]

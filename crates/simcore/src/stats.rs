@@ -202,11 +202,6 @@ impl Samples {
         idx as f64 / self.data.len() as f64
     }
 
-    /// Fraction of samples `>= x`.
-    pub fn fraction_at_least(&mut self, x: f64) -> f64 {
-        1.0 - self.fraction_below(x)
-    }
-
     /// Empirical CDF evaluated at `points` evenly spaced quantiles,
     /// returned as `(value, cumulative_fraction)` pairs.
     pub fn cdf(&mut self, points: usize) -> Cdf {
@@ -558,7 +553,6 @@ mod tests {
         let mut s = Samples::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0]);
         assert!((s.fraction_below(3.0) - 0.4).abs() < 1e-12);
         assert!((s.fraction_below(3.5) - 0.6).abs() < 1e-12);
-        assert!((s.fraction_at_least(3.0) - 0.6).abs() < 1e-12);
         assert_eq!(s.fraction_below(0.0), 0.0);
         assert_eq!(s.fraction_below(100.0), 1.0);
     }

@@ -14,8 +14,6 @@ pub struct SlidingWindow {
     buf: VecDeque<f64>,
     capacity: usize,
     sum: f64,
-    /// Total observations ever pushed (not just retained).
-    pushed: u64,
     /// Evictions since `sum` was last recomputed exactly from the buffer.
     evictions_since_recompute: usize,
 }
@@ -29,7 +27,6 @@ impl SlidingWindow {
             buf: VecDeque::with_capacity(capacity),
             capacity,
             sum: 0.0,
-            pushed: 0,
             evictions_since_recompute: 0,
         }
     }
@@ -49,36 +46,15 @@ impl SlidingWindow {
         }
         self.buf.push_back(x);
         self.sum += x;
-        self.pushed += 1;
         if self.evictions_since_recompute >= self.capacity {
             self.sum = self.buf.iter().sum();
             self.evictions_since_recompute = 0;
         }
     }
 
-    /// Number of retained observations (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
     /// True iff nothing has been pushed yet.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
-    }
-
-    /// True iff the window holds `capacity` observations.
-    pub fn is_full(&self) -> bool {
-        self.buf.len() == self.capacity
-    }
-
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Total number of observations ever pushed.
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
     }
 
     /// Mean of retained observations (0 if empty).
@@ -96,27 +72,6 @@ impl SlidingWindow {
             self.sum / self.buf.len() as f64
         }
     }
-
-    /// Exact mean recomputed from the buffer (for drift checks / tests).
-    pub fn mean_exact(&self) -> f64 {
-        if self.buf.is_empty() {
-            0.0
-        } else {
-            self.buf.iter().sum::<f64>() / self.buf.len() as f64
-        }
-    }
-
-    /// Iterate retained values, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
-        self.buf.iter().copied()
-    }
-
-    /// Clear all retained observations (keeps the capacity and push count).
-    pub fn clear(&mut self) {
-        self.buf.clear();
-        self.sum = 0.0;
-        self.evictions_since_recompute = 0;
-    }
 }
 
 #[cfg(test)]
@@ -124,14 +79,28 @@ mod tests {
     use super::*;
     use crate::rng::SimRng;
 
+    /// The mean recomputed from the buffer: the reference the incremental
+    /// [`SlidingWindow::mean`] is checked against.
+    fn mean_exact(w: &SlidingWindow) -> f64 {
+        if w.buf.is_empty() {
+            0.0
+        } else {
+            w.buf.iter().sum::<f64>() / w.buf.len() as f64
+        }
+    }
+
+    /// The retained observations, oldest first.
+    fn kept(w: &SlidingWindow) -> Vec<f64> {
+        w.buf.iter().copied().collect()
+    }
+
     #[test]
     fn mean_of_partial_window() {
         let mut w = SlidingWindow::new(4);
         assert_eq!(w.mean(), 0.0);
         w.push(2.0);
         w.push(4.0);
-        assert_eq!(w.len(), 2);
-        assert!(!w.is_full());
+        assert_eq!(kept(&w), [2.0, 4.0]);
         assert!((w.mean() - 3.0).abs() < 1e-12);
     }
 
@@ -141,22 +110,8 @@ mod tests {
         for x in [1.0, 2.0, 3.0, 4.0, 5.0] {
             w.push(x);
         }
-        assert!(w.is_full());
-        assert_eq!(w.total_pushed(), 5);
-        let kept: Vec<f64> = w.iter().collect();
-        assert_eq!(kept, vec![3.0, 4.0, 5.0]);
+        assert_eq!(kept(&w), [3.0, 4.0, 5.0]);
         assert!((w.mean() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn clear_resets_contents_not_history() {
-        let mut w = SlidingWindow::new(2);
-        w.push(10.0);
-        w.clear();
-        assert!(w.is_empty());
-        assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.total_pushed(), 1);
-        assert_eq!(w.capacity(), 2);
     }
 
     #[test]
@@ -179,12 +134,12 @@ mod tests {
             for &v in &values {
                 w.push(v);
             }
-            let expect = w.mean_exact();
+            let expect = mean_exact(&w);
             assert!(
                 (w.mean() - expect).abs() <= 1e-6 * expect.max(1.0),
                 "case {case}"
             );
-            assert_eq!(w.len(), values.len().min(cap), "case {case}");
+            assert_eq!(w.buf.len(), values.len().min(cap), "case {case}");
         }
     }
 
@@ -208,7 +163,7 @@ mod tests {
             };
             w.push(x);
             if i % 999_983 == 0 {
-                let exact = w.mean_exact();
+                let exact = mean_exact(&w);
                 let got = w.mean();
                 assert!(
                     (got - exact).abs() <= 1e-9 * exact.abs().max(1.0),
@@ -217,14 +172,13 @@ mod tests {
                 checks += 1;
             }
         }
-        let exact = w.mean_exact();
+        let exact = mean_exact(&w);
         assert!(
             (w.mean() - exact).abs() <= 1e-9 * exact.abs().max(1.0),
             "final mean {} drifted from exact {exact}",
             w.mean()
         );
         assert!(checks >= 10);
-        assert_eq!(w.total_pushed(), 10_000_000);
     }
 
     #[test]
@@ -238,9 +192,8 @@ mod tests {
             for &v in &values {
                 w.push(v);
             }
-            let kept: Vec<f64> = w.iter().collect();
             let start = values.len().saturating_sub(cap);
-            assert_eq!(kept, values[start..].to_vec(), "case {case}");
+            assert_eq!(kept(&w), values[start..].to_vec(), "case {case}");
         }
     }
 }

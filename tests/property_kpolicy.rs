@@ -166,18 +166,22 @@ fn rendered(notes: &[Notification]) -> Vec<String> {
 
 /// Bring the reference machine to `at` one event instant at a time
 /// (`advance_to(next_event_time())`), returning every non-empty batch
-/// with the instant it was delivered at.
+/// with the instant it was delivered at. Notifications raised since the
+/// last advance (a spawn's or a policy switch's dispatch) ride with the
+/// first non-empty batch, or with the final one at `at`.
 fn reference_to(m: &mut Machine, at: SimTime) -> Vec<(SimTime, Vec<String>)> {
+    let mut pending = m.advance_to(m.now());
     let mut batches = Vec::new();
     while let Some(t) = m.next_event_time().filter(|&t| t <= at) {
         let notes = m.advance_to(t);
         if !notes.is_empty() {
-            batches.push((t, rendered(&notes)));
+            pending.extend(notes);
+            batches.push((t, rendered(&std::mem::take(&mut pending))));
         }
     }
-    let notes = m.advance_to(at);
-    if !notes.is_empty() {
-        batches.push((at, rendered(&notes)));
+    pending.extend(m.advance_to(at));
+    if !pending.is_empty() {
+        batches.push((at, rendered(&pending)));
     }
     batches
 }
