@@ -50,8 +50,8 @@ fn main() {
     });
     let results = sweep.run_with_threads(threads);
 
-    let mut duration_report = CdfReport::new("duration_ms");
-    let mut rte_report = CdfReport::new("rte");
+    let mut duration_report = CdfReport::new();
+    let mut rte_report = CdfReport::new();
     let mut rte_twenty = MarkdownTable::new(&["series", "fraction RTE < 0.2"]);
     let mut chart_series: Vec<(String, Vec<f64>)> = Vec::new();
 

@@ -40,8 +40,8 @@ fn main() {
     }
     let results = sweep.run_with_threads(threads);
 
-    let mut dur_report = CdfReport::new("duration_ms");
-    let mut rte_report = CdfReport::new("rte");
+    let mut dur_report = CdfReport::new();
+    let mut rte_report = CdfReport::new();
     let mut pct = PercentileTable::new();
     let mut rte95 = MarkdownTable::new(&["series", "fraction RTE >= 0.95"]);
     let mut medians = MarkdownTable::new(&["load", "SFS p50 (ms)", "CFS p50 (ms)"]);

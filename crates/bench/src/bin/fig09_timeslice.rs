@@ -43,7 +43,7 @@ fn main() {
     }
     let results = sweep.run_with_threads(threads);
 
-    let mut report = CdfReport::new("duration_ms");
+    let mut report = CdfReport::new();
     let mut chart: Vec<(String, Vec<f64>)> = Vec::new();
     for r in &results {
         let durs = turnarounds_ms(&r.value.outcomes);

@@ -62,7 +62,7 @@ fn main() {
     );
 
     section("Fig. 12(b) duration CDF quantiles (ms)");
-    let mut report = CdfReport::new("duration_ms");
+    let mut report = CdfReport::new();
     let h = turnarounds_ms(&hybrid.outcomes);
     let p = turnarounds_ms(&pure.outcomes);
     report.push("SFS", h.clone());

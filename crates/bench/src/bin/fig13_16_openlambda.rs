@@ -62,8 +62,8 @@ fn main() {
     }
     let results = sweep.run_with_threads(threads);
 
-    let mut dur_report = CdfReport::new("duration_ms");
-    let mut rte_report = CdfReport::new("rte");
+    let mut dur_report = CdfReport::new();
+    let mut rte_report = CdfReport::new();
     let mut pct = PercentileTable::new();
     let mut speedups =
         MarkdownTable::new(&["load", "OL+SFS p99 (ms)", "OL+CFS p99 (ms)", "p99 speedup"]);

@@ -21,7 +21,7 @@ use sfs_core::{
 };
 use sfs_metrics::{cdf_chart, MarkdownTable, PercentileTable};
 use sfs_sched::{MachineParams, SmpParams};
-use sfs_simcore::SimDuration;
+use sfs_simcore::{Samples, SimDuration};
 use sfs_workload::WorkloadSpec;
 
 const CORES: usize = 16;
@@ -238,10 +238,9 @@ fn main() {
     ]);
     for r in &sresults {
         let mean_of = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len().max(1) as f64;
-        let durs = turnarounds_ms(&r.value);
-        let mut sorted = durs.clone();
-        sorted.sort_by(f64::total_cmp);
-        let p99 = sorted[((sorted.len() as f64 * 0.99) as usize).min(sorted.len() - 1)];
+        let mut durs = Samples::from_vec(turnarounds_ms(&r.value));
+        let mean = durs.mean();
+        let p99 = durs.percentile(99.0);
         let short: Vec<f64> = r
             .value
             .iter()
@@ -254,7 +253,7 @@ fn main() {
             r.value.iter().map(|o| o.migrations as f64).sum::<f64>() / r.value.len().max(1) as f64;
         stable.row(&[
             r.label.clone(),
-            format!("{:.1}", mean_of(&durs)),
+            format!("{mean:.1}"),
             format!("{p99:.1}"),
             format!("{:.1}", mean_of(&short)),
             format!("{at95:.3}"),

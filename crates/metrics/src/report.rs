@@ -39,17 +39,12 @@ impl Series {
 #[derive(Debug, Clone, Default)]
 pub struct CdfReport {
     series: Vec<Series>,
-    /// Axis label for the value dimension ("duration_ms", "rte").
-    value_label: String,
 }
 
 impl CdfReport {
-    /// Empty report with a value-axis label.
-    pub fn new(value_label: impl Into<String>) -> CdfReport {
-        CdfReport {
-            series: Vec::new(),
-            value_label: value_label.into(),
-        }
+    /// Empty report.
+    pub fn new() -> CdfReport {
+        CdfReport::default()
     }
 
     /// Add one series.
@@ -86,8 +81,7 @@ impl CdfReport {
 
     /// Markdown table of quantiles (what the bench binaries print).
     pub fn to_markdown(&mut self) -> String {
-        let mut out = format!("| fraction | {} |\n", self.value_label);
-        out = format!(
+        let mut out = format!(
             "| fraction |{}\n|---|{}\n",
             self.series
                 .iter()
@@ -237,7 +231,7 @@ mod tests {
 
     #[test]
     fn cdf_report_quantiles_per_series() {
-        let mut r = CdfReport::new("duration_ms");
+        let mut r = CdfReport::new();
         r.push("A", (1..=100).map(|i| i as f64).collect());
         r.push("B", (1..=100).map(|i| (i * 2) as f64).collect());
         assert_eq!(r.len(), 2);

@@ -43,7 +43,7 @@ fn ctx_ratio_distribution_is_complete() {
 
 #[test]
 fn single_value_series_render_everywhere() {
-    let mut cdf = CdfReport::new("x");
+    let mut cdf = CdfReport::new();
     cdf.push("only", vec![42.0]);
     let md = cdf.to_markdown();
     assert!(md.contains("42.000"));

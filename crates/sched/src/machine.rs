@@ -388,12 +388,6 @@ impl Machine {
         }
     }
 
-    /// The core `pid` last executed on (the `processor` field of
-    /// `/proc/<pid>/stat`), or `None` before its first dispatch.
-    pub fn last_ran_core(&self, pid: Pid) -> Option<usize> {
-        self.task(pid).last_core
-    }
-
     /// Tasks migrated by the periodic balance tick so far (a subset of the
     /// per-task migration totals, which also count wakeup placement moves
     /// and idle steals).
@@ -583,11 +577,6 @@ impl Machine {
             }
         }
         total
-    }
-
-    /// The task's current policy (as `sched_getscheduler` would report).
-    pub fn policy_of(&self, pid: Pid) -> Policy {
-        self.task(pid).policy
     }
 
     /// Earliest pending internal event, if any. A tickless core's skipped

@@ -94,11 +94,6 @@ impl MachineView<'_> {
         self.machine.now()
     }
 
-    /// Number of CPU cores on the machine.
-    pub fn cores(&self) -> usize {
-        self.machine.cores()
-    }
-
     /// `schedtool`: switch a live process between scheduling policies.
     /// Every call is counted as one scheduling action in
     /// [`RunOutcome::sched_actions`] (the Table II overhead model).
@@ -115,24 +110,6 @@ impl MachineView<'_> {
     /// `/proc/<pid>/stat` utime: CPU time consumed so far.
     pub fn cpu_time(&self, pid: Pid) -> SimDuration {
         self.machine.cpu_time(pid)
-    }
-
-    /// The task's current policy (as `sched_getscheduler` would report).
-    pub fn policy_of(&self, pid: Pid) -> Policy {
-        self.machine.policy_of(pid)
-    }
-
-    /// Queued (runnable, not running) CFS depth of one core's runqueue, as
-    /// `/proc/schedstat` exposes per CPU. Read-only: a user-space scheduler
-    /// may observe per-core load but never place tasks directly.
-    pub fn core_depth(&self, core: usize) -> usize {
-        self.machine.core_depth(core)
-    }
-
-    /// The core `pid` last executed on (the `processor` field of
-    /// `/proc/<pid>/stat`), or `None` before its first dispatch.
-    pub fn last_ran_core(&self, pid: Pid) -> Option<usize> {
-        self.machine.last_ran_core(pid)
     }
 }
 

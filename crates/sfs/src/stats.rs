@@ -1,6 +1,8 @@
-//! Per-request outcomes and run-level results for SFS experiments.
+//! Per-request outcomes for SFS experiments, their mapping back to the
+//! submitted requests of a rewritten run, and the O(1)-memory summary a
+//! streaming run feeds.
 
-use sfs_simcore::{OnlineStats, QuantileSketch, SimDuration, SimTime};
+use sfs_simcore::{QuantileSketch, SimDuration, SimTime};
 use sfs_workload::{Request, Workload, LONG_THRESHOLD_MS};
 
 /// Everything measured about one completed function request.
@@ -43,20 +45,6 @@ impl RequestOutcome {
     /// ideal duration at or past Table I's boundary ([`LONG_THRESHOLD_MS`]).
     pub fn is_long(&self) -> bool {
         self.ideal >= SimDuration::from_millis_f64(LONG_THRESHOLD_MS)
-    }
-
-    /// Slowdown relative to the ideal duration (≥ 1).
-    ///
-    /// A degenerate zero-demand request (ideal = 0) must not report 1.0 —
-    /// that would mask an arbitrarily large turnaround as "perfect". The
-    /// ratio is instead taken against a 1 ns floor, so such a request
-    /// reports `turnaround / 1 ns` (finite, never `inf`/NaN) and shows up
-    /// at the far tail where it belongs. No shipped workload family
-    /// generates zero-demand requests (asserted in the workload tests);
-    /// the floor only guards hand-built degenerate inputs.
-    pub fn slowdown(&self) -> f64 {
-        let ideal_ns = (self.ideal.as_nanos().max(1)) as f64;
-        (self.turnaround.as_nanos() as f64 / ideal_ns).max(1.0)
     }
 }
 
@@ -112,17 +100,24 @@ pub fn run_rebased(
     outcomes
 }
 
-/// O(1)-memory aggregate of [`RequestOutcome`]s for streaming runs.
+/// O(1)-memory aggregate of [`RequestOutcome`]s for streaming runs: the
+/// request count and a turnaround [`QuantileSketch`] (relative-error bound
+/// 1%), so a 10M-request run keeps a few KiB instead of an outcome vector.
+/// Feed it to [`Sim::run_streaming`](crate::Sim::run_streaming) as the
+/// sink:
 ///
-/// Replaces the exact `Vec<RequestOutcome>` with mergeable
-/// [`QuantileSketch`]es (default relative-error bound 1%) plus exact scalar
-/// counters, so a 10M-request run retains a few KiB of statistics instead
-/// of gigabytes of samples. Feed it to
-/// [`Sim::run_streaming`](crate::Sim::run_streaming) as the sink:
+/// ```
+/// use sfs_core::{OutcomeSummary, SfsConfig, SfsController, Sim};
+/// use sfs_sched::MachineParams;
+/// use sfs_workload::WorkloadSpec;
 ///
-/// ```ignore
+/// let arrivals = WorkloadSpec::azure_sampled(50, 1).with_load(4, 0.9).stream();
 /// let mut summary = OutcomeSummary::new();
-/// let stream = sim.run_streaming(arrivals, |o| summary.observe(&o));
+/// let run = Sim::on(MachineParams::linux(4))
+///     .controller(SfsController::new(SfsConfig::new(4).without_series()))
+///     .run_streaming(arrivals, |o| summary.observe(&o));
+/// assert_eq!(summary.requests, 50);
+/// assert_eq!(summary.turnaround_ms.count(), run.requests);
 /// println!("p99 turnaround: {} ms", summary.turnaround_ms.percentile(99.0));
 /// ```
 #[derive(Debug, Clone)]
@@ -131,140 +126,22 @@ pub struct OutcomeSummary {
     pub requests: u64,
     /// Turnaround (end-to-end duration) sketch, in milliseconds.
     pub turnaround_ms: QuantileSketch,
-    /// Global-queue delay sketch, in milliseconds.
-    pub queue_delay_ms: QuantileSketch,
-    /// Slowdown (`turnaround / ideal`, ≥ 1) sketch.
-    pub slowdown: QuantileSketch,
-    /// Run-time effectiveness sketch (paper Eq. 1; values in (0, 1]).
-    pub rte: QuantileSketch,
-    /// Exact running moments of turnaround in milliseconds (mean/stddev are
-    /// exact even though the percentiles above are approximate).
-    pub turnaround_stats: OnlineStats,
-    /// Requests demoted to CFS on slice expiry.
-    pub demoted: u64,
-    /// Requests sent straight to CFS by the overload bypass.
-    pub offloaded: u64,
-    /// Total involuntary context switches across requests.
-    pub ctx_switches: u64,
-    /// Total I/O blocks detected during FILTER rounds.
-    pub io_blocks: u64,
-    first_arrival: Option<SimTime>,
-    last_finish: Option<SimTime>,
 }
 
 impl OutcomeSummary {
-    /// An empty summary whose sketches guarantee `|q̂ - q| ≤ 0.01 × q` for
+    /// An empty summary whose sketch guarantees `|q̂ - q| ≤ 0.01 × q` for
     /// every reported quantile value.
     pub fn new() -> OutcomeSummary {
-        let sketch = || QuantileSketch::new(0.01);
         OutcomeSummary {
             requests: 0,
-            turnaround_ms: sketch(),
-            queue_delay_ms: sketch(),
-            slowdown: sketch(),
-            rte: sketch(),
-            turnaround_stats: OnlineStats::new(),
-            demoted: 0,
-            offloaded: 0,
-            ctx_switches: 0,
-            io_blocks: 0,
-            first_arrival: None,
-            last_finish: None,
+            turnaround_ms: QuantileSketch::new(0.01),
         }
     }
 
     /// Fold one outcome into the summary.
     pub fn observe(&mut self, o: &RequestOutcome) {
         self.requests += 1;
-        let t_ms = o.turnaround.as_millis_f64();
-        self.turnaround_ms.push(t_ms);
-        self.turnaround_stats.push(t_ms);
-        self.queue_delay_ms.push(o.queue_delay.as_millis_f64());
-        self.slowdown.push(o.slowdown());
-        self.rte.push(o.rte);
-        if o.demoted {
-            self.demoted += 1;
-        }
-        if o.offloaded {
-            self.offloaded += 1;
-        }
-        self.ctx_switches += o.ctx_switches;
-        self.io_blocks += u64::from(o.io_blocks);
-        self.first_arrival = Some(match self.first_arrival {
-            Some(t) => t.min(o.arrival),
-            None => o.arrival,
-        });
-        self.last_finish = Some(match self.last_finish {
-            Some(t) => t.max(o.finished),
-            None => o.finished,
-        });
-    }
-
-    /// Merge another summary (e.g. from a parallel shard) into this one.
-    /// Both must use the same accuracy.
-    pub fn merge(&mut self, other: &OutcomeSummary) {
-        self.requests += other.requests;
-        self.turnaround_ms.merge(&other.turnaround_ms);
-        self.queue_delay_ms.merge(&other.queue_delay_ms);
-        self.slowdown.merge(&other.slowdown);
-        self.rte.merge(&other.rte);
-        self.turnaround_stats.merge(&other.turnaround_stats);
-        self.demoted += other.demoted;
-        self.offloaded += other.offloaded;
-        self.ctx_switches += other.ctx_switches;
-        self.io_blocks += other.io_blocks;
-        self.first_arrival = match (self.first_arrival, other.first_arrival) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.last_finish = match (self.last_finish, other.last_finish) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-    }
-
-    /// Exact mean turnaround in ms (mirrors
-    /// [`RunOutcome::mean_turnaround_ms`](crate::RunOutcome::mean_turnaround_ms)).
-    pub fn mean_turnaround_ms(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.turnaround_stats.mean()
-        }
-    }
-
-    /// Approximate fraction of requests with RTE at least `x`, from the RTE
-    /// sketch (bisection over the monotone quantile function; accurate to
-    /// the sketch's relative-error bound on values near `x`).
-    pub fn fraction_rte_at_least(&self, x: f64) -> f64 {
-        if self.requests == 0 {
-            return 0.0;
-        }
-        if self.rte.min() >= x {
-            return 1.0;
-        }
-        if self.rte.max() < x {
-            return 0.0;
-        }
-        let (mut lo, mut hi) = (0.0_f64, 1.0_f64);
-        for _ in 0..40 {
-            let mid = 0.5 * (lo + hi);
-            if self.rte.quantile(mid) < x {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        1.0 - 0.5 * (lo + hi)
-    }
-
-    /// Wall-clock span covered by observed requests (first arrival to last
-    /// completion); zero when empty.
-    pub fn observed_span(&self) -> SimDuration {
-        match (self.first_arrival, self.last_finish) {
-            (Some(a), Some(f)) => f.since(a),
-            _ => SimDuration::ZERO,
-        }
+        self.turnaround_ms.push(o.turnaround.as_millis_f64());
     }
 }
 
@@ -310,113 +187,6 @@ mod tests {
                 })
                 .collect()
         });
-    }
-
-    #[test]
-    fn slowdown_floors_at_one() {
-        assert_eq!(mk_outcome(100, 50).slowdown(), 2.0);
-        assert_eq!(mk_outcome(50, 50).slowdown(), 1.0);
-    }
-
-    #[test]
-    fn zero_ideal_slowdown_is_not_masked() {
-        // Regression: a zero-demand request used to report slowdown 1.0 no
-        // matter how long it actually took. It now ratios against a 1 ns
-        // floor: huge but finite.
-        let mut o = mk_outcome(50, 50);
-        o.ideal = SimDuration::ZERO;
-        assert_eq!(o.slowdown(), 50e6, "50 ms over the 1 ns floor");
-        assert!(o.slowdown().is_finite());
-        // Degenerate zero/zero still floors at 1 (it was instantaneous).
-        o.turnaround = SimDuration::ZERO;
-        assert_eq!(o.slowdown(), 1.0);
-    }
-
-    #[test]
-    fn outcome_summary_matches_exact_aggregates() {
-        let outcomes: Vec<RequestOutcome> = (1..=1_000)
-            .map(|i| {
-                let mut o = mk_outcome(2 * i, i);
-                o.id = i;
-                o.arrival = SimTime::ZERO + SimDuration::from_millis(i);
-                o.finished = o.arrival + o.turnaround;
-                o.ctx_switches = i % 3;
-                o.io_blocks = (i % 5) as u32;
-                o.demoted = i % 7 == 0;
-                o.offloaded = i % 11 == 0;
-                o
-            })
-            .collect();
-        let mut sum = OutcomeSummary::new();
-        for o in &outcomes {
-            sum.observe(o);
-        }
-        assert_eq!(sum.requests, 1_000);
-        assert_eq!(
-            sum.demoted,
-            outcomes.iter().filter(|o| o.demoted).count() as u64
-        );
-        assert_eq!(
-            sum.offloaded,
-            outcomes.iter().filter(|o| o.offloaded).count() as u64
-        );
-        assert_eq!(
-            sum.ctx_switches,
-            outcomes.iter().map(|o| o.ctx_switches).sum::<u64>()
-        );
-        let exact_mean = outcomes
-            .iter()
-            .map(|o| o.turnaround.as_millis_f64())
-            .sum::<f64>()
-            / 1_000.0;
-        assert!((sum.mean_turnaround_ms() - exact_mean).abs() < 1e-9);
-        // Percentiles within the 1% relative-error contract.
-        let mut exact = sfs_simcore::Samples::from_vec(
-            outcomes
-                .iter()
-                .map(|o| o.turnaround.as_millis_f64())
-                .collect(),
-        );
-        for p in [50.0, 90.0, 99.0] {
-            let (e, s) = (exact.percentile(p), sum.turnaround_ms.percentile(p));
-            assert!((s - e).abs() <= 0.011 * e, "p{p}: sketch {s} vs exact {e}");
-        }
-        // All rte values are 0.5 here, so any threshold at or below 0.5 is
-        // met by everyone and anything above by no one.
-        assert!((sum.fraction_rte_at_least(0.4) - 1.0).abs() < 1e-9);
-        assert!(sum.fraction_rte_at_least(0.9) < 1e-9);
-        // Span: first arrival at 1ms, last finish at 1000ms + 2000ms.
-        assert_eq!(sum.observed_span(), SimDuration::from_millis(2_999));
-    }
-
-    #[test]
-    fn outcome_summary_merge_equals_single_pass() {
-        let mk = |i: u64| {
-            let mut o = mk_outcome(10 + i, 5 + i / 2);
-            o.id = i;
-            o.arrival = SimTime::ZERO + SimDuration::from_millis(i);
-            o.finished = o.arrival + o.turnaround;
-            o
-        };
-        let mut whole = OutcomeSummary::new();
-        let mut left = OutcomeSummary::new();
-        let mut right = OutcomeSummary::new();
-        for i in 0..500 {
-            let o = mk(i);
-            whole.observe(&o);
-            if i < 250 { &mut left } else { &mut right }.observe(&o);
-        }
-        left.merge(&right);
-        assert_eq!(left.requests, whole.requests);
-        assert_eq!(left.observed_span(), whole.observed_span());
-        for p in [50.0, 95.0, 99.9] {
-            assert_eq!(
-                left.turnaround_ms.percentile(p).to_bits(),
-                whole.turnaround_ms.percentile(p).to_bits(),
-                "merge must be exact at p{p} (same buckets)"
-            );
-        }
-        assert!((left.mean_turnaround_ms() - whole.mean_turnaround_ms()).abs() < 1e-9);
     }
 
     /// A run with these outcomes and controller counters, over `span` on

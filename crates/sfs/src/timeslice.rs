@@ -3,10 +3,12 @@
 //! SFS models the FILTER pool as an M/G/c queue (Eq. 2: `ρ = λ/(cµ)`) and
 //! bounds the per-function FILTER residency `S` so the pool's service rate
 //! tracks the arrival rate: `S = mean(last N IATs) × c`. A new `S` is
-//! computed every N enqueued requests (N = 100 in the paper) from a sliding
-//! window of observed inter-arrival times.
+//! computed every N enqueued requests (N = 100 in the paper). The last N
+//! IATs at a recalculation are exactly the gaps since the previous one (or,
+//! at the first, since the first arrival), so their mean is that span over
+//! the gap count: two instants and a counter, no window of samples.
 
-use sfs_simcore::{SimDuration, SimTime, SlidingWindow, TimeSeries};
+use sfs_simcore::{SimDuration, SimTime, TimeSeries};
 
 use crate::config::{SfsConfig, SliceMode, INITIAL_SLICE, MAX_SLICE, MIN_SLICE};
 
@@ -15,11 +17,12 @@ use crate::config::{SfsConfig, SliceMode, INITIAL_SLICE, MAX_SLICE, MIN_SLICE};
 pub struct SliceController {
     mode: SliceMode,
     cores: usize,
-    window: SlidingWindow,
     window_n: usize,
     current: SimDuration,
     arrivals_since_recalc: usize,
-    last_arrival: Option<SimTime>,
+    /// The first arrival, then the arrival of the last recalculation: where
+    /// the IATs the next recalculation averages begin.
+    window_start: Option<SimTime>,
     recalcs: u64,
     /// Whether the timelines below are recorded (`SfsConfig::record_series`).
     record_series: bool,
@@ -39,11 +42,10 @@ impl SliceController {
         SliceController {
             mode: cfg.slice_mode,
             cores: cfg.workers,
-            window: SlidingWindow::new(cfg.window_n),
             window_n: cfg.window_n,
             current,
             arrivals_since_recalc: 0,
-            last_arrival: None,
+            window_start: None,
             recalcs: 0,
             record_series: cfg.record_series,
             slice_timeline: TimeSeries::new("slice_ms"),
@@ -63,24 +65,25 @@ impl SliceController {
 
     /// Observe one request enqueue at time `t`; may recompute `S`.
     pub fn on_arrival(&mut self, t: SimTime) {
-        if let Some(prev) = self.last_arrival {
-            self.window.push(t.since(prev).as_millis_f64());
+        if let SliceMode::Fixed(_) = self.mode {
+            return;
         }
-        self.last_arrival = Some(t);
-        if let SliceMode::Adaptive = self.mode {
-            self.arrivals_since_recalc += 1;
-            if self.arrivals_since_recalc >= self.window_n && !self.window.is_empty() {
-                self.arrivals_since_recalc = 0;
-                let mean_iat_ms = self.window.mean();
-                let s = SimDuration::from_millis_f64(mean_iat_ms * self.cores as f64)
-                    .max(MIN_SLICE)
-                    .min(MAX_SLICE);
-                self.current = s;
-                self.recalcs += 1;
-                if self.record_series {
-                    self.slice_timeline.record(t, s.as_millis_f64());
-                    self.iat_timeline.record(t, mean_iat_ms);
-                }
+        let start = *self.window_start.get_or_insert(t);
+        self.arrivals_since_recalc += 1;
+        // The first arrival opens the window without closing a gap.
+        let gaps = self.arrivals_since_recalc - usize::from(self.recalcs == 0);
+        if self.arrivals_since_recalc >= self.window_n && gaps > 0 {
+            self.arrivals_since_recalc = 0;
+            self.window_start = Some(t);
+            let mean_iat_ms = t.since(start).as_millis_f64() / gaps as f64;
+            let s = SimDuration::from_millis_f64(mean_iat_ms * self.cores as f64)
+                .max(MIN_SLICE)
+                .min(MAX_SLICE);
+            self.current = s;
+            self.recalcs += 1;
+            if self.record_series {
+                self.slice_timeline.record(t, s.as_millis_f64());
+                self.iat_timeline.record(t, mean_iat_ms);
             }
         }
     }
@@ -99,6 +102,7 @@ impl SliceController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sfs_simcore::SimRng;
 
     fn cfg(workers: usize) -> SfsConfig {
         SfsConfig::new(workers)
@@ -189,5 +193,97 @@ mod tests {
         sc.on_arrival(us(3));
         sc.on_arrival(us(6));
         assert_eq!(sc.current(), MIN_SLICE);
+    }
+
+    /// §V-C read literally: keep every IAT, and every N arrivals (once one
+    /// exists) set `S` from the mean of the last N of them.
+    struct LastNIats {
+        n: usize,
+        cores: usize,
+        iats_ns: Vec<u64>,
+        last: Option<SimTime>,
+        since_recalc: usize,
+        current: SimDuration,
+        /// `(arrival, mean IAT in ms)` at each recalculation.
+        recalcs: Vec<(SimTime, f64)>,
+    }
+
+    impl LastNIats {
+        fn on_arrival(&mut self, t: SimTime) {
+            if let Some(prev) = self.last {
+                self.iats_ns.push(t.since(prev).as_nanos());
+            }
+            self.last = Some(t);
+            self.since_recalc += 1;
+            if self.since_recalc >= self.n && !self.iats_ns.is_empty() {
+                self.since_recalc = 0;
+                let last_n = &self.iats_ns[self.iats_ns.len().saturating_sub(self.n)..];
+                let mean_ms = last_n.iter().sum::<u64>() as f64 / last_n.len() as f64 / 1e6;
+                self.current = SimDuration::from_millis_f64(mean_ms * self.cores as f64)
+                    .max(MIN_SLICE)
+                    .min(MAX_SLICE);
+                self.recalcs.push((t, mean_ms));
+            }
+        }
+    }
+
+    /// Feed one seeded arrival stream to the controller and to
+    /// [`LastNIats`]: they must recalculate at the same arrivals, agree on
+    /// each mean IAT within 1e-9 (relative) and on `S` within 1 ns.
+    fn check_against_last_n(n: usize, cores: usize, case: u32) {
+        let what = format!("N={n} cores={cores} case {case}");
+        let mut rng = SimRng::seed_from_u64(0x1A7).derive(&what);
+        let mut c = cfg(cores);
+        c.window_n = n;
+        let mut sc = SliceController::new(&c);
+        let mut model = LastNIats {
+            n,
+            cores,
+            iats_ns: Vec::new(),
+            last: None,
+            since_recalc: 0,
+            current: INITIAL_SLICE,
+            recalcs: Vec::new(),
+        };
+        let mut at = SimTime::ZERO + SimDuration::from_nanos(rng.uniform_u64(0, 1_000));
+        for i in 0..20 * n + 3 {
+            // A quarter simultaneous arrivals, the rest 1 ns to 10 s apart,
+            // log-uniform.
+            if i > 0 && !rng.chance(0.25) {
+                at += SimDuration::from_nanos(10f64.powf(rng.uniform(0.0, 10.0)) as u64);
+            }
+            sc.on_arrival(at);
+            model.on_arrival(at);
+            assert_eq!(
+                sc.recalcs(),
+                model.recalcs.len() as u64,
+                "{what}, arrival {i}"
+            );
+            let (got, want) = (sc.current().as_nanos(), model.current.as_nanos());
+            assert!(
+                got.abs_diff(want) <= 1,
+                "{what}, arrival {i}: S {got} vs {want} ns"
+            );
+        }
+        let got = sc.iat_timeline().points();
+        assert_eq!(got.len(), model.recalcs.len(), "{what}");
+        for (&(t, mean), &(want_t, want)) in got.iter().zip(&model.recalcs) {
+            assert_eq!(t, want_t, "{what}");
+            assert!(
+                (mean - want).abs() <= 1e-9 * want,
+                "{what}, at {t}: mean IAT {mean} vs {want} ms"
+            );
+        }
+    }
+
+    #[test]
+    fn closed_form_mean_matches_last_n_iats() {
+        for n in [1, 2, 7, 100] {
+            for cores in [1, 16] {
+                for case in 0..8 {
+                    check_against_last_n(n, cores, case);
+                }
+            }
+        }
     }
 }

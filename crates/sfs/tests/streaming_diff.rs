@@ -130,21 +130,6 @@ fn outcome_summary_sink_matches_exact_percentiles() {
         let (e, s) = (exact.percentile(p), summary.turnaround_ms.percentile(p));
         assert!((s - e).abs() <= 0.011 * e, "p{p}: sketch {s} vs exact {e}");
     }
-    let exact_mean = classic
-        .outcomes
-        .iter()
-        .map(|o| o.turnaround.as_millis_f64())
-        .sum::<f64>()
-        / classic.outcomes.len() as f64;
-    assert!((summary.mean_turnaround_ms() - exact_mean).abs() < 1e-9);
-    assert_eq!(
-        summary.demoted,
-        classic.outcomes.iter().filter(|o| o.demoted).count() as u64
-    );
-    assert_eq!(
-        summary.offloaded,
-        classic.outcomes.iter().filter(|o| o.offloaded).count() as u64
-    );
 }
 
 #[test]

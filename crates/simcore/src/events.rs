@@ -96,11 +96,6 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|s| s.at)
     }
 
-    /// The earliest event as `(time, payload)`, left in the queue.
-    pub fn peek(&self) -> Option<(SimTime, &E)> {
-        self.heap.peek().map(|s| (s.at, &s.payload))
-    }
-
     /// The instants of every pending event, in no particular order (one
     /// per event, so an instant repeats once per event due then).
     pub fn instants(&self) -> impl Iterator<Item = SimTime> + '_ {
@@ -172,22 +167,6 @@ mod tests {
         seen.sort();
         assert_eq!(seen, vec![at(10), at(20), at(30)]);
         assert_eq!(q.instants().count(), 3, "the view consumes nothing");
-    }
-
-    #[test]
-    fn peek_views_the_head_in_pop_order() {
-        let mut q = EventQueue::new();
-        for (ms, tag) in [(20, 'b'), (10, 'x'), (10, 'y')] {
-            q.push(at(ms), tag);
-        }
-        assert_eq!(q.peek(), Some((at(10), &'x')));
-        assert_eq!(q.pop(), Some((at(10), 'x')));
-        assert_eq!(
-            q.peek(),
-            Some((at(10), &'y')),
-            "same-instant ties in push order"
-        );
-        assert_eq!(q.instants().count(), 2);
     }
 
     #[test]

@@ -11,10 +11,8 @@
 //! * [`parallel`] — deterministic trial fan-out: SplitMix64 seed
 //!   sequencing plus scoped-thread execution whose results are
 //!   bit-identical for every worker-thread count,
-//! * [`stats`] — online statistics, exact percentiles and CDFs, and the
-//!   mergeable quantile sketch behind streaming runs,
-//! * [`window`] — the fixed-capacity sliding window behind SFS's
-//!   inter-arrival-time (IAT) based time-slice adaptation (paper §V-C),
+//! * [`stats`] — exact percentiles and CDFs, and the quantile sketch
+//!   behind streaming runs,
 //! * [`series`] — time-series recording for timeline figures (Fig. 10, 12a).
 //!
 //! Everything here is deterministic: the same seed produces bit-identical
@@ -30,12 +28,10 @@ pub mod rng;
 pub mod series;
 pub mod stats;
 pub mod time;
-pub mod window;
 
 pub use events::EventQueue;
 pub use parallel::SeedSequencer;
 pub use rng::SimRng;
 pub use series::TimeSeries;
-pub use stats::{Cdf, OnlineStats, QuantileSketch, Samples};
+pub use stats::{Cdf, QuantileSketch, Samples};
 pub use time::{SimDuration, SimTime};
-pub use window::SlidingWindow;

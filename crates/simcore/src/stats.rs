@@ -1,107 +1,11 @@
 //! Statistics primitives for experiment harnesses.
 //!
-//! * [`OnlineStats`] — Welford mean/variance with min/max, O(1) per sample.
 //! * [`Samples`] — an exact sample store with percentile queries (the paper's
 //!   figures report p50..p99.99, Fig. 8/15, so exactness matters at the tail).
 //! * [`Cdf`] — empirical CDF extraction at fixed fractions or value grids,
 //!   used by every "CDF of duration / RTE" figure.
-//! * [`QuantileSketch`] — mergeable quantiles within a relative-error bound
-//!   in memory independent of the sample count, for streaming runs.
-
-/// Online mean / variance / extrema accumulator (Welford's algorithm).
-#[derive(Debug, Clone, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Add one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-        if x < self.min {
-            self.min = x;
-        }
-        if x > self.max {
-            self.max = x;
-        }
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Arithmetic mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 if fewer than 2 samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (NaN-free; +inf if empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (-inf if empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merge another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let d = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += d * n2 / n;
-        self.m2 += other.m2 + d * d * n1 * n2 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
+//! * [`QuantileSketch`] — quantiles within a relative-error bound in memory
+//!   independent of the sample count, for streaming runs.
 
 /// Exact sample store with percentile and CDF queries.
 #[derive(Debug, Clone, Default)]
@@ -242,9 +146,9 @@ impl Samples {
 /// (and, in release builds, NaN) collapse into a zero bucket reported
 /// as 0.0.
 ///
-/// Count, sum, mean, min and max are tracked exactly. Sketches with the
-/// same `α` merge losslessly (the bound still holds after
-/// [`QuantileSketch::merge`]).
+/// Count, min and max are tracked exactly, so `q = 0` and `q = 1` report
+/// the exact extrema. Streaming runs read their turnaround percentiles
+/// from one of these (`sfs_core::OutcomeSummary`).
 #[derive(Debug, Clone)]
 pub struct QuantileSketch {
     alpha: f64,
@@ -257,7 +161,6 @@ pub struct QuantileSketch {
     /// Values in `[0, FLOOR]` (and release-mode NaN), reported as 0.0.
     zero_count: u64,
     count: u64,
-    sum: f64,
     min: f64,
     max: f64,
 }
@@ -288,7 +191,6 @@ impl QuantileSketch {
             offset: 0,
             zero_count: 0,
             count: 0,
-            sum: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -308,7 +210,6 @@ impl QuantileSketch {
         debug_assert!(x >= 0.0, "QuantileSketch::push({x}): negative value");
         let x = if x.is_nan() { 0.0 } else { x.max(0.0) };
         self.count += 1;
-        self.sum += x;
         if x < self.min {
             self.min = x;
         }
@@ -346,20 +247,6 @@ impl QuantileSketch {
     /// True iff no observations recorded.
     pub fn is_empty(&self) -> bool {
         self.count == 0
-    }
-
-    /// Exact sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Exact arithmetic mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
     }
 
     /// Exact smallest observation (+inf if empty).
@@ -407,45 +294,6 @@ impl QuantileSketch {
         self.quantile(p / 100.0)
     }
 
-    /// Merge another sketch into this one (parallel reduction). Both must
-    /// share the same `α`; the error bound is preserved.
-    pub fn merge(&mut self, other: &QuantileSketch) {
-        assert!(
-            (self.alpha - other.alpha).abs() < 1e-12,
-            "cannot merge sketches with different error bounds"
-        );
-        if other.count == 0 {
-            return;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.zero_count += other.zero_count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for (i, &c) in other.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let key = other.offset + i as i64;
-            if self.buckets.is_empty() {
-                self.offset = key;
-                self.buckets.push_back(c);
-                continue;
-            }
-            if key < self.offset {
-                for _ in key..self.offset {
-                    self.buckets.push_front(0);
-                }
-                self.offset = key;
-            } else if key >= self.offset + self.buckets.len() as i64 {
-                for _ in (self.offset + self.buckets.len() as i64)..=key {
-                    self.buckets.push_back(0);
-                }
-            }
-            self.buckets[(key - self.offset) as usize] += c;
-        }
-    }
-
     /// Number of live buckets — O(log(max/min)/α), *not* O(count). Exposed
     /// so memory-bound tests can pin the O(1)-in-request-count contract.
     pub fn bucket_count(&self) -> usize {
@@ -474,60 +322,6 @@ impl Cdf {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn online_stats_basics() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn online_stats_merge_matches_sequential() {
-        let xs: Vec<f64> = (0..1000).map(|i| (i as f64).sin() * 10.0 + 3.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..400] {
-            a.push(x);
-        }
-        for &x in &xs[400..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(1.0);
-        a.push(3.0);
-        let before = (a.count(), a.mean(), a.variance());
-        a.merge(&OnlineStats::new());
-        assert_eq!(before, (a.count(), a.mean(), a.variance()));
-
-        let mut e = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        b.push(5.0);
-        e.merge(&b);
-        assert_eq!(e.count(), 1);
-        assert_eq!(e.mean(), 5.0);
-    }
 
     #[test]
     fn quantiles_nearest_rank() {
@@ -605,7 +399,6 @@ mod tests {
             );
         }
         assert_eq!(sk.count(), 10_000);
-        assert!((sk.mean() - exact.mean()).abs() < 1e-9 * exact.mean());
     }
 
     #[test]
@@ -623,33 +416,6 @@ mod tests {
         let empty = QuantileSketch::default();
         assert_eq!(empty.quantile(0.5), 0.0);
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn sketch_merge_matches_single_stream() {
-        let mut whole = QuantileSketch::default();
-        let mut a = QuantileSketch::default();
-        let mut b = QuantileSketch::default();
-        for i in 0..4000 {
-            let v = ((i * 37 % 4001) as f64).powf(1.3) + 0.5;
-            whole.push(v);
-            if i % 2 == 0 {
-                a.push(v);
-            } else {
-                b.push(v);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-        for q in [0.1, 0.5, 0.9, 0.99] {
-            assert_eq!(
-                a.quantile(q),
-                whole.quantile(q),
-                "merged sketch must be bucket-identical to single-stream"
-            );
-        }
     }
 
     #[test]

@@ -106,29 +106,3 @@ fn memory_stays_bounded_while_exact_grows() {
     );
     assert_eq!(sketch.count(), 1_000_000);
 }
-
-#[test]
-fn merged_shards_match_single_pass_exactly() {
-    // Sharded streaming (the cluster harness pattern): merging per-shard
-    // sketches must yield byte-identical quantiles to one big sketch.
-    let mut rng = SimRng::seed_from_u64(37);
-    let values: Vec<f64> = (0..40_000).map(|_| rng.exponential(25.0)).collect();
-    let mut whole = QuantileSketch::new(0.01);
-    let mut shards: Vec<QuantileSketch> = (0..4).map(|_| QuantileSketch::new(0.01)).collect();
-    for (i, &v) in values.iter().enumerate() {
-        whole.push(v);
-        shards[i % 4].push(v);
-    }
-    let mut merged = shards.remove(0);
-    for s in &shards {
-        merged.merge(s);
-    }
-    assert_eq!(merged.count(), whole.count());
-    for &q in &QUANTILES {
-        assert_eq!(
-            merged.quantile(q).to_bits(),
-            whole.quantile(q).to_bits(),
-            "merge must land in identical buckets (q={q})"
-        );
-    }
-}

@@ -694,9 +694,10 @@ mod tests {
 
     #[test]
     fn no_family_generates_zero_demand_requests() {
-        // RequestOutcome::slowdown ratios against a 1 ns floor for
-        // zero-ideal requests; this asserts the floor is never exercised by
-        // shipped generators — every request carries positive demand.
+        // A zero-demand request has a zero ideal duration, so every ratio
+        // against the ideal (RTE, the SLO's slowdown bound) degenerates for
+        // it; shipped generators never make one — every request carries
+        // positive demand.
         for spec in [
             WorkloadSpec::azure_sampled(2_000, 1),
             WorkloadSpec::azure_replay(2_000, 2),
